@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,7 @@ def write_manifest(outdir: Path, command: str, cfg: dict, started: float, extras
         "config": cfg,
         "seed": cfg["simulation"]["seed"],
         "version": __version__,
-        "wall_time_s": time.time() - started,
+        "wall_time_s": time.perf_counter() - started,
         **extras,
     }
     path = outdir / "manifest.json"
@@ -202,44 +201,22 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str, with_density: bool) -> list[Pa
     return files
 
 
-def _sweep_chunk(args):
-    steady_cfg, prior, chunk, starts, damping, tol, max_iter = args
-    return sweep_omega(steady_cfg, prior, chunk, starts=starts, damping=damping,
-                       tol=tol, max_iter=max_iter).points
-
-
-def cmd_sweep(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
+def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
     steady_cfg = cfgmod.build_steady_config(cfg)
     sw = cfg["sweep"]
     omega_grid = np.linspace(float(sw["omega_min"]), float(sw["omega_max"]), int(sw["n_points"]))
-    starts = tuple(float(v) for v in sw["starts"])
-    damping, tol, max_iter = float(sw["damping"]), float(sw["tol"]), int(sw["max_iter"])
-
-    if threads > 1:
-        chunks = np.array_split(omega_grid, min(threads, len(omega_grid)))
-        jobs = [(steady_cfg, prior, chunk, starts, damping, tol, max_iter)
-                for chunk in chunks if len(chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            points = [pt for part in pool.map(_sweep_chunk, jobs) for pt in part]
-        omega_c = None
-        for pt in points:
-            if pt.converged and pt.q_star > 1e-3:
-                omega_c = pt.omega
-                break
-    else:
-        result = sweep_omega(steady_cfg, prior, omega_grid, starts=starts,
-                             damping=damping, tol=tol, max_iter=max_iter)
-        points, omega_c = result.points, result.omega_c
-
+    result = sweep_omega(steady_cfg, prior, omega_grid,
+                         starts=tuple(float(v) for v in sw["starts"]),
+                         tol=float(sw["tol"]), max_iter=int(sw["max_iter"]))
     rows = [
         (pt.omega, pt.q_star, pt.converged, pt.branch,
          ";".join(format(v, ".9g") for v in pt.distinct_q))
-        for pt in points
+        for pt in result.points
     ]
     path = write_table(outdir / "sweep.csv",
                        ["omega", "Q_star", "converged", "branch", "distinct_Q"], rows, fmt)
-    return [path], {"omega_c": omega_c}
+    return [path], {"omega_c": result.omega_c, "diagnostics": result.diagnostics()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
@@ -300,7 +277,7 @@ def main(argv=None) -> int:
         elif args.command == "steady":
             files = cmd_steady(cfg, outdir, fmt, args.density)
         else:
-            files, extras = cmd_sweep(cfg, outdir, fmt, args.threads)
+            files, extras = cmd_sweep(cfg, outdir, fmt)
 
         files.append(write_manifest(outdir, args.command, cfg, started, extras))
         for path in files:

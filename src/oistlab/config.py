@@ -18,8 +18,8 @@ Schema (all keys optional):
                 record_times, density_times
     steady:     inits ([[q, r | null], ...]), damping, tol, max_iter,
                 density
-    sweep:      omega_min, omega_max, n_points, starts, damping, tol,
-                max_iter
+    sweep:      omega_min, omega_max, n_points, starts, damping (validated,
+                unused by the Newton sweep), tol, max_iter
     output:     directory, format (csv | json)
 
 null record/histogram times resolve to a 0.5-spaced grid on [0, t_max];
@@ -184,6 +184,7 @@ def validate_config(cfg: dict) -> dict:
     _require(bool(sw["starts"]), "sweep.starts", "must list at least one overlap start")
     _require(0.0 < sw["damping"] <= 1.0, "sweep.damping", "must lie in (0, 1]")
     _require(sw["tol"] > 0, "sweep.tol", "must be > 0")
+    _require(int(sw["max_iter"]) >= 1, "sweep.max_iter", "must be >= 1")
 
     o = cfg["output"]
     _require(o["format"] in ("csv", "json"), "output.format", "must be 'csv' or 'json'")

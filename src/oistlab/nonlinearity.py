@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Threshold = "SoftThreshold | None"
-
 
 @dataclass(frozen=True)
 class SoftThreshold:

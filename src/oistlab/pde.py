@@ -222,25 +222,34 @@ def stability_limit(state: ConditionalDensitySet, cfg: PdeConfig) -> float:
     return 0.9 * min(diff_bound, adv_bound)
 
 
-def auto_dt(state: ConditionalDensitySet, cfg: PdeConfig) -> float:
-    """Positivity-preserving step, stricter than (and implying) the stability bound."""
+def auto_dt(state: ConditionalDensitySet, cfg: PdeConfig,
+            gamma: np.ndarray | None = None) -> float:
+    """Positivity-preserving step, stricter than (and implying) the stability bound.
+
+    ``gamma`` is the interface drift of ``state``, when the caller has it.
+    """
+    if gamma is None:
+        gamma = _interface_drift(state, cfg)
     dx = state.grid.dx
     diffusion = diffusion_coefficient(cfg.tau, cfg.omega, state.q)
-    gmax = float(np.max(np.abs(_interface_drift(state, cfg))))
+    gmax = float(np.max(np.abs(gamma)))
     return 0.45 / (diffusion / dx ** 2 + gmax / dx)
 
 
-def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None) -> ConditionalDensitySet:
+def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
+         gamma: np.ndarray | None = None) -> ConditionalDensitySet:
     """Advance all conditional densities by one explicit step.
 
     (q, r) stay frozen at their start-of-step values during the flux
     update and are recomputed from the new densities before returning.
+    ``gamma`` is the interface drift of ``state``, when the caller has it.
     """
+    if gamma is None:
+        gamma = _interface_drift(state, cfg)
     if dt is None:
-        dt = auto_dt(state, cfg) if cfg.dt == "auto" else float(cfg.dt)
+        dt = auto_dt(state, cfg, gamma) if cfg.dt == "auto" else float(cfg.dt)
     dx = state.grid.dx
     diffusion = diffusion_coefficient(cfg.tau, cfg.omega, state.q)
-    gamma = _interface_drift(state, cfg)
     gmax = float(np.max(np.abs(gamma)))
 
     diff_bound = dx * dx / (2.0 * diffusion) if diffusion > 0 else math.inf
@@ -327,8 +336,9 @@ def solve(
     n_steps = 0
     for t_next in record_times:
         while state.t < t_next - 1e-12:
-            dt_cap = auto_dt(state, cfg) if cfg.dt == "auto" else float(cfg.dt)
-            state = step(state, cfg, dt=min(dt_cap, t_next - state.t))
+            gamma = _interface_drift(state, cfg)
+            dt_cap = auto_dt(state, cfg, gamma) if cfg.dt == "auto" else float(cfg.dt)
+            state = step(state, cfg, min(dt_cap, t_next - state.t), gamma)
             n_steps += 1
         times.append(t_next)
         qs.append(state.q)

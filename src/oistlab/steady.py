@@ -16,12 +16,20 @@ integrals turns the self-consistency into two closed-form equations in
 
 evaluated at z_pm = (beta +- tau*omega*xi*q) / (2 sqrt(g h)).
 
-(q, r) = (0, tau^2/2) always solves the system; its density is a
-signal-independent Laplace law with rate 2*beta/tau^2 (uninformative,
-h = 0 there, handled in closed form). Above a critical SNR a second,
-informative solution with q != 0 appears; ``sweep_omega`` locates that
-transition. A damped fixed-point iteration with multi-start
-initialization separates the branches.
+With beta > 0, (q, r) = (0, tau^2/2) always solves the system; its
+density is a signal-independent Laplace law with rate 2*beta/tau^2
+(uninformative, h = 0 there, handled in closed form); with beta = 0 the
+zero-overlap solution is (0, 0), a Gaussian. Above a critical SNR a
+second, informative solution with q != 0 appears.
+
+``solve_fixed_point`` runs a damped fixed-point iteration from one
+start. ``sweep_omega`` locates the transition by Newton continuation on
+G = F - id from the top of an SNR grid down: it accepts only roots that
+attract the damped iteration's flow and keep clear of the h = 0 floor,
+and brackets to ~1e-8 the SNR where the traced branch ends. Where no
+branch is traced it searches from overlap starts, falling back to a
+short damped iteration wherever Newton fails from a start, and reports
+the exact uninformative solution where every start collapses onto it.
 """
 from __future__ import annotations
 
@@ -41,6 +49,11 @@ TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 H_MIN = 1e-8
 EPS_UNINFORMATIVE = 1e-6
 EPS_TRANSITION = 1e-3
+NULLCLINE_ITERATIONS = 200
+FD_STEP = 1.5e-8  # ~ sqrt(machine epsilon), relative to max(1, |x|)
+MAX_BACKTRACKS = 8
+MIN_CONTINUATION_STEP = 1e-8
+DAMPED_FALLBACK_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -283,7 +296,7 @@ def default_r_init(q: float, cfg: SteadyConfig, prior: Prior | None = None) -> f
     r = 0.5 * g_scale(q, cfg)
     if prior is None:
         return r
-    for _ in range(200):
+    for _ in range(NULLCLINE_ITERATIONS):
         r = _project_h(q, r, cfg)
         _, r_new = fixed_point_map(q, r, cfg, prior)
         r = 0.5 * r + 0.5 * r_new
@@ -332,6 +345,14 @@ def solve_fixed_point(
                       converged=False, iterations=max_iter)
 
 
+def uninformative_fixed_point(cfg: SteadyConfig) -> FixedPoint:
+    """The exact zero-overlap solution: (0, tau^2/2) on the h = 0 boundary
+    when beta > 0 (a Laplace law), and (0, 0) when beta = 0 (a Gaussian)."""
+    r = 0.5 * cfg.tau ** 2 if cfg.beta > 0.0 else 0.0
+    return FixedPoint(q=0.0, r=r, residual=0.0, branch="uninformative",
+                      converged=True, iterations=0)
+
+
 @dataclass
 class SweepPoint:
     """Fixed-point summary at one SNR value of a sweep."""
@@ -345,10 +366,162 @@ class SweepPoint:
 
 @dataclass
 class SweepResult:
-    """Per-SNR fixed points and the detected transition location."""
+    """Per-SNR fixed points, the detected transition and what the sweep cost.
+
+    ``branch_ends`` holds one (omega_failed, omega_last_root) bracket, a
+    few 1e-8 wide, for each traced branch that ended inside the grid.
+    """
 
     points: list
     omega_c: float | None
+    newton_iterations: int
+    map_calls: int
+    max_residual: float
+    branch_ends: list
+
+    def diagnostics(self) -> dict:
+        return {
+            "newton_iterations": self.newton_iterations,
+            "map_calls": self.map_calls,
+            "max_residual": self.max_residual,
+            "uninformative_points": sum(pt.converged and pt.branch == "uninformative"
+                                        for pt in self.points),
+            "unconverged_points": sum(not pt.converged for pt in self.points),
+            "branch_ends": [list(bracket) for bracket in self.branch_ends],
+        }
+
+
+class _Newton:
+    """Newton's method on G(q, r) = F(q, r) - (q, r), one SNR at a time.
+
+    A root is accepted only when all of these hold:
+    1. its max-norm residual, and the Newton step it would take next,
+       are <= tol;
+    2. every iterate kept h >= margin = max(100 H_MIN, 10 tol);
+    3. trace(J_G) < 0 and det(J_G) > 0, i.e. both eigenvalues of the
+       Jacobian of F have real part < 1: the root attracts the flow
+       (q, r)' = F - id, which is what a converged damped iteration
+       certifies;
+    4. |q| > EPS_UNINFORMATIVE.
+    Close to the h = 0 floor the residual is about h, so (2) keeps a
+    point on the floor from passing (1). The step test in (1) keeps a
+    small |q| near a pitchfork, whose residual (1 - dF_q/dq) |q| is
+    already below tol, from passing for the q = 0 root. An attempt stops
+    as soon as no backtracked step lowers the residual while keeping the
+    margin, so a failed attempt costs a few dozen map calls.
+    """
+
+    def __init__(self, prior: Prior, tol: float, max_iter: int):
+        self.prior = prior
+        self.tol = tol
+        self.max_iter = max_iter
+        self.margin = max(100.0 * H_MIN, 10.0 * tol)
+        self.iterations = 0
+        self.map_calls = 0
+
+    def _map(self, q: float, r: float, cfg: SteadyConfig) -> tuple[float, float]:
+        self.map_calls += 1
+        return fixed_point_map(q, r, cfg, self.prior)
+
+    def _jacobian_of_g(self, q, r, fq, fr, cfg):
+        """One-sided differences; stepping |q| up and r down both raise h,
+        so both probes stay inside the domain."""
+        dq = FD_STEP * max(1.0, abs(q)) * (1.0 if q >= 0.0 else -1.0)
+        dr = FD_STEP * max(1.0, abs(r))
+        aq, ar = self._map(q + dq, r, cfg)
+        bq, br = self._map(q, r - dr, cfg)
+        return (aq - fq) / dq - 1.0, (fq - bq) / dr, (ar - fr) / dq, (fr - br) / dr - 1.0
+
+    def solve(self, cfg: SteadyConfig, init: tuple[float, float]) -> FixedPoint | None:
+        """An accepted informative root near init, or None."""
+        q = float(init[0])
+        r = _project_h(q, float(init[1]), cfg)
+        if h_curvature(q, r, cfg) < self.margin:
+            return None
+        fq, fr = self._map(q, r, cfg)
+        residual = max(abs(fq - q), abs(fr - r))
+        for iteration in range(self.max_iter + 1):
+            a, b, c, d = self._jacobian_of_g(q, r, fq, fr, cfg)
+            det = a * d - b * c
+            if det == 0.0:
+                return None
+            gq, gr = fq - q, fr - r
+            step_q = (b * gr - d * gq) / det
+            step_r = (c * gq - a * gr) / det
+            if max(residual, abs(step_q), abs(step_r)) <= self.tol:
+                if abs(q) <= EPS_UNINFORMATIVE or a + d >= 0.0 or det <= 0.0:
+                    return None
+                return FixedPoint(q=q, r=r, residual=residual, branch="informative",
+                                  converged=True, iterations=iteration)
+            if iteration == self.max_iter:
+                return None
+            self.iterations += 1
+            scale = 1.0
+            for _ in range(MAX_BACKTRACKS):
+                q_new, r_new = q + scale * step_q, r + scale * step_r
+                if h_curvature(q_new, r_new, cfg) >= self.margin:
+                    fq_new, fr_new = self._map(q_new, r_new, cfg)
+                    res_new = max(abs(fq_new - q_new), abs(fr_new - r_new))
+                    if res_new < residual:
+                        break
+                scale *= 0.5
+            else:
+                return None
+            q, r, fq, fr, residual = q_new, r_new, fq_new, fr_new, res_new
+
+    def search(self, cfg: SteadyConfig, q0: float) -> FixedPoint:
+        """The root reached from overlap start q0, with r on the r-nullcline.
+
+        Newton runs from the start first. Where it fails, a damped
+        iteration of at most DAMPED_FALLBACK_ITERATIONS (and max_iter)
+        steps runs from the same start, and Newton polishes its iterate.
+        A damped iterate that has collapsed to |q| <= EPS_UNINFORMATIVE
+        yields the exact uninformative solution; an informative iterate
+        that Newton cannot accept comes back with converged=False.
+        """
+        r0 = default_r_init(q0, cfg, self.prior)
+        self.map_calls += NULLCLINE_ITERATIONS
+        fp = self.solve(cfg, (q0, r0))
+        if fp is not None:
+            return fp
+        damped = solve_fixed_point(cfg, self.prior, (q0, r0), tol=self.tol,
+                                   max_iter=min(self.max_iter, DAMPED_FALLBACK_ITERATIONS))
+        self.map_calls += damped.iterations
+        if abs(damped.q) <= EPS_UNINFORMATIVE:
+            return uninformative_fixed_point(cfg)
+        fp = self.solve(cfg, (damped.q, damped.r))
+        return fp if fp is not None else dc_replace(damped, converged=False)
+
+    def continue_root(self, cfg: SteadyConfig, start: FixedPoint, omega_from: float,
+                      omega_to: float) -> tuple[FixedPoint | None, tuple[float, float] | None]:
+        """Carry an accepted root from omega_from down to omega_to < omega_from.
+
+        A failed step is halved from the last root; once it is below
+        MIN_CONTINUATION_STEP the branch has ended, and the bracket
+        (omega_failed, omega_last_root) is returned instead of a root.
+        """
+        step = omega_to - omega_from
+        omega_ok, fp = omega_from, start
+        while omega_ok != omega_to:
+            omega_try = max(omega_to, omega_ok + step)
+            found = self.solve(dc_replace(cfg, omega=omega_try), (fp.q, fp.r))
+            if found is not None:
+                omega_ok, fp = omega_try, found
+            elif omega_ok - omega_try < MIN_CONTINUATION_STEP:
+                return None, (omega_try, omega_ok)
+            else:
+                step = 0.5 * (omega_try - omega_ok)
+        return fp, None
+
+
+def _distinct_overlaps(roots: list, tol: float) -> tuple[float, ...]:
+    """|q| of each root, ascending, with values closer than 10 tol listed once."""
+    values = sorted(abs(fp.q) for fp in roots)
+    distinct = [values[0]]
+    for v in values[1:]:
+        if v - distinct[-1] > 10.0 * tol:
+            distinct.append(v)
+    return tuple(distinct)
 
 
 def sweep_omega(
@@ -356,41 +529,58 @@ def sweep_omega(
     prior: Prior,
     omega_grid,
     starts: tuple[float, ...] = (0.2, 0.5, 0.9),
-    damping: float = 0.5,
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> SweepResult:
-    """Largest-overlap fixed point at each SNR on an increasing grid.
+    """Attracting fixed point at each SNR of an increasing grid, by continuation.
 
-    Each SNR is solved from several informative-side overlap starts;
-    the largest converged |q| is reported (all distinct converged
-    values are kept, since uniqueness is not assumed). The transition
-    SNR is the smallest grid value whose converged overlap exceeds
-    1e-3, with the grid spacing as its uncertainty.
+    Newton continuation from the top of the grid down. The largest SNR
+    is searched from each overlap start (``_Newton.search``) and reports
+    the largest-overlap root found; every next SNR continues the
+    previous informative root (``_Newton.continue_root``) and reports
+    that root alone. Where the traced branch ends, and at every SNR
+    after it, the starts are searched again to catch a disjoint branch.
+    ``distinct_q`` lists the roots found at an SNR: the continued root
+    on a traced branch, else every converged search result, with the
+    exact uninformative solution standing for starts that collapse onto
+    it. A searched SNR where no start converges reports its
+    least-residual iterate with converged=False. The transition SNR is
+    the smallest grid value whose converged overlap exceeds 1e-3, with
+    the grid spacing as its uncertainty.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     if np.any(np.diff(omega_grid) <= 0):
         raise ConfigError("omega_grid must be strictly increasing")
-    points = []
-    omega_c = None
-    for omega in omega_grid:
-        cfg_w = dc_replace(cfg, omega=float(omega))
-        solutions = [
-            solve_fixed_point(cfg_w, prior, (q0, default_r_init(q0, cfg_w, prior)),
-                              damping=damping, tol=tol, max_iter=max_iter)
-            for q0 in starts
-        ]
-        converged = [s for s in solutions if s.converged]
-        if converged:
-            top = max(converged, key=lambda s: abs(s.q))
-            distinct = tuple(sorted(set(round(abs(s.q), 9) for s in converged)))
-            point = SweepPoint(omega=float(omega), q_star=abs(top.q),
-                               converged=True, branch=top.branch, distinct_q=distinct)
-            if omega_c is None and point.q_star > EPS_TRANSITION:
-                omega_c = float(omega)
+    newton = _Newton(prior, tol, max_iter)
+    points, branch_ends = [], []
+    max_residual = 0.0
+    last = None  # (omega, root) of the last accepted root on the traced branch
+    for omega in map(float, omega_grid[::-1]):
+        cfg_w = dc_replace(cfg, omega=omega)
+        roots, unresolved = [], []
+        if last is not None:
+            fp, end = newton.continue_root(cfg, last[1], last[0], omega)
+            if fp is not None:
+                roots.append(fp)
+            else:
+                branch_ends.append(end)
+        if not roots:
+            for q0 in starts:
+                fp = newton.search(cfg_w, q0)
+                (roots if fp.converged else unresolved).append(fp)
+        if roots:
+            top = max(roots, key=lambda fp: abs(fp.q))
+            distinct = _distinct_overlaps(roots, tol)
         else:
-            top = min(solutions, key=lambda s: s.residual)
-            point = SweepPoint(omega=float(omega), q_star=abs(top.q),
-                               converged=False, branch=top.branch, distinct_q=())
-        points.append(point)
-    return SweepResult(points=points, omega_c=omega_c)
+            top = min(unresolved, key=lambda fp: fp.residual)
+            distinct = ()
+        last = (omega, top) if top.converged and top.branch == "informative" else None
+        max_residual = max(max_residual, float(top.residual))
+        points.append(SweepPoint(omega=omega, q_star=abs(top.q), converged=top.converged,
+                                 branch=top.branch, distinct_q=distinct))
+    points.reverse()
+    omega_c = next((pt.omega for pt in points
+                    if pt.converged and pt.q_star > EPS_TRANSITION), None)
+    return SweepResult(points=points, omega_c=omega_c, newton_iterations=newton.iterations,
+                       map_calls=newton.map_calls, max_residual=max_residual,
+                       branch_ends=branch_ends)

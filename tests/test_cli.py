@@ -176,6 +176,23 @@ class TestSweepCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "omega_c" in manifest
 
+    def test_default_sweep(self, tmp_path):
+        code, out = run(tmp_path, "sweep")
+        assert code == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 40
+        for row in rows:
+            values = sorted(float(v) for v in row[4].split(";"))
+            assert all(b - a > 10 * 1e-7 for a, b in zip(values, values[1:])), row
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["omega_c"] == pytest.approx(0.05 + 7 * 0.95 / 39)
+        diagnostics = manifest["diagnostics"]
+        assert diagnostics["uninformative_points"] == 7
+        assert diagnostics["unconverged_points"] == 0
+        assert diagnostics["max_residual"] <= 1e-7
+        assert 0 < diagnostics["newton_iterations"] < diagnostics["map_calls"]
+        assert len(diagnostics["branch_ends"]) == 1
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path)
         _, out_a = run(tmp_path / "a", "sweep", "--config", cfg)

@@ -103,3 +103,10 @@ def test_default_config_unchanged_by_load():
     cfg = default_cfg()
     cfg["pde"]["n"] = 1
     assert DEFAULT_CONFIG["pde"]["n"] == before
+
+
+def test_sweep_max_iter_message():
+    cfg = default_cfg()
+    cfg["sweep"]["max_iter"] = 0
+    with pytest.raises(ConfigError, match="sweep.max_iter"):
+        validate_config(cfg)

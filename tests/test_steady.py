@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq, fsolve
 
 from oistlab import (
     ConfigError,
@@ -21,7 +23,7 @@ from oistlab import (
     sweep_omega,
 )
 from oistlab.oja import OjaParams
-from oistlab.steady import default_r_init, g_scale, h_curvature
+from oistlab.steady import H_MIN, default_r_init, g_scale, h_curvature
 
 PRIOR = Prior.two_point(0.05)
 CFG = SteadyConfig(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27))
@@ -260,3 +262,81 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(ConfigError):
             sweep_omega(CFG, PRIOR, np.array([0.5, 0.4]))
+
+    def test_transition_grid_converges_everywhere(self):
+        grid = np.array([0.20, 0.215, 0.2325, 0.245, 0.26])
+        result = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
+        assert all(pt.converged and pt.branch == "informative" for pt in result.points)
+        qs = [pt.q_star for pt in result.points]
+        assert qs == sorted(qs)
+        for pt in result.points[:-1]:
+            assert pt.distinct_q == (pt.q_star,)
+        # at the top the starts that collapse onto q = 0 list that root too
+        top = result.points[-1]
+        assert top.distinct_q == pytest.approx((0.0, top.q_star), abs=1e-8)
+        for pt in result.points:
+            res = _quadrature_residual(pt.q_star, dc_replace(CFG, omega=pt.omega))
+            assert res <= 1e-8, (pt.omega, res)
+        assert result.points[2].q_star == pytest.approx(0.660330, abs=1e-6)
+        assert result.max_residual <= 1e-9
+
+    def test_no_root_on_the_h_floor(self):
+        # below the fold (~0.19668) no informative root exists, but plain
+        # Newton at tol 1e-7 "converges" on the H_MIN floor, residual ~ h
+        result = sweep_omega(CFG, PRIOR, np.array([0.19615, 0.2325, 0.26]), tol=1e-7)
+        low = result.points[0]
+        assert low.converged and low.branch == "uninformative"
+        assert low.q_star == 0.0 and low.distinct_q == (0.0,)
+        assert result.points[1].branch == "informative"
+        # the traced branch ends where its roots stop attracting (~0.19728)
+        (lo, hi), = result.branch_ends
+        assert 0.19615 < lo < hi < lo + 1e-7 and 0.1972 < hi < 0.1974
+
+    def test_repelling_root_not_reported(self):
+        cfg = dc_replace(CFG, omega=0.1970)
+
+        def g(x):
+            return np.array(fixed_point_map(x[0], x[1], cfg, PRIOR)) - x
+
+        root = fsolve(g, [0.517, 0.156], xtol=1e-13)
+        assert root[0] == pytest.approx(0.516969, abs=1e-5)
+        assert np.max(np.abs(g(root))) <= 1e-12
+        assert h_curvature(root[0], root[1], cfg) > 1e3 * H_MIN
+        eps = 1e-7
+        jac = np.column_stack([(g(root + [eps, 0.0]) - g(root)) / eps,
+                               (g(root) - g(root - [0.0, eps])) / eps]) + np.eye(2)
+        assert np.all(np.linalg.eigvals(jac).real > 1.0)
+        result = sweep_omega(CFG, PRIOR, np.array([0.1970, 0.2325, 0.26]), tol=1e-9)
+        pt = result.points[0]
+        assert pt.converged and pt.branch == "uninformative" and pt.q_star == 0.0
+
+    def test_top_point_found_where_newton_alone_misses_it(self):
+        # Newton fails from every start at 0.235; the damped fallback from
+        # q0 = 0.5 reaches the attracting root, and Newton polishes it
+        result = sweep_omega(CFG, PRIOR, np.array([0.235]), tol=1e-9)
+        pt = result.points[0]
+        assert pt.converged and pt.branch == "informative"
+        assert pt.q_star == pytest.approx(0.665192, abs=1e-6)
+        assert result.max_residual <= 1e-9
+
+    def test_unresolved_start_is_reported_unconverged(self):
+        # one iteration per attempt cannot reach the root: the point must
+        # say so rather than report the uninformative solution
+        result = sweep_omega(CFG, PRIOR, np.array([0.26]), tol=1e-9, max_iter=1)
+        pt = result.points[0]
+        assert not pt.converged and pt.q_star > 1e-3 and pt.distinct_q == ()
+        assert result.omega_c is None
+        assert result.diagnostics()["unconverged_points"] == 1
+
+
+def _quadrature_residual(q, cfg):
+    """Least |Q'(q, r) - q| by quadrature over the r solving r = R'(q, r)."""
+    def excess(r):
+        return fixed_point_map_quadrature(q, r, cfg, PRIOR)[1] - r
+
+    r_cap = cfg.tau * cfg.omega * q * q + g_scale(q, cfg) - 2e-4  # h = 1e-4
+    rs = np.linspace(r_cap - 0.3, r_cap, 61)
+    values = [excess(r) for r in rs]
+    roots = [brentq(excess, a, b, xtol=1e-14)
+             for a, b, fa, fb in zip(rs, rs[1:], values, values[1:]) if fa * fb < 0]
+    return min(abs(fixed_point_map_quadrature(q, r, cfg, PRIOR)[0] - q) for r in roots)
