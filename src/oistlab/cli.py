@@ -21,7 +21,13 @@ from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
 from .oja import OjaParams, closed_form_q
 from .simulate import run_trajectory
-from .steady import default_r_init, solve_fixed_point, steady_density, sweep_omega
+from .steady import (
+    default_r_init,
+    solve_fixed_point,
+    steady_density,
+    sweep_omega,
+    uninformative_fixed_point,
+)
 
 
 def _fmt(value) -> str:
@@ -70,10 +76,11 @@ def write_manifest(outdir: Path, command: str, cfg: dict, started: float, extras
     return path
 
 
-def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> list[Path]:
+def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
     prior = cfgmod.build_prior(cfg)
     sim = cfg["simulation"]
     record_times = cfgmod.resolve_record_times(sim)
+    diagnostics: dict = {}
     records = run_trajectory(
         prior=prior,
         stream_cfg=cfgmod.build_stream_config(cfg),
@@ -86,6 +93,7 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> list[Path]:
         bin_edges=cfgmod.resolve_bin_edges(cfg),
         theta=cfgmod.resolve_theta(cfg),
         n_workers=threads,
+        diagnostics=diagnostics,
     )
 
     traj_rows = [
@@ -117,10 +125,10 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> list[Path]:
                     ["replica", "t", "xi_atom", "bin_center", "density"], hist_rows, fmt),
         write_table(outdir / "summary.csv", ["t", "Q_mean", "Q_std", "n_replicas"],
                     summary_rows, fmt),
-    ]
+    ], {"diagnostics": diagnostics}
 
 
-def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> list[Path]:
+def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
     pde_cfg = cfgmod.build_pde_config(cfg, prior)
     sim = cfg["simulation"]
@@ -139,11 +147,13 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> list[Path]:
         centers = snap.grid.centers
         for atom, dens in zip(snap.atoms, snap.densities):
             density_rows.extend((t, atom, x, d) for x, d in zip(centers, dens))
+    diagnostics = {"n_steps": solution.n_steps, "clipped_mass": solution.clipped_mass,
+                   "min_pre_clip": solution.min_pre_clip}
     return [
         write_table(outdir / "moments.csv", ["t", "Q", "R"], moment_rows, fmt),
         write_table(outdir / "densities.csv", ["t", "xi_atom", "x", "density"],
                     density_rows, fmt),
-    ]
+    ], {"diagnostics": diagnostics}
 
 
 def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str, q0_override: float | None) -> list[Path]:
@@ -186,10 +196,9 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str, with_density: bool) -> list[Pa
     if with_density or st["density"]:
         fp = _selected_fixed_point(results)
         if fp.branch == "uninformative":
-            # exact boundary solution: zero overlap, r = tau^2/2, Laplace law
-            q_eval, r_eval = 0.0, 0.5 * steady_cfg.tau ** 2
-        else:
-            q_eval, r_eval = fp.q, fp.r
+            # the exact zero-overlap solution: a Laplace law, or a Gaussian without shrinkage
+            fp = uninformative_fixed_point(steady_cfg)
+        q_eval, r_eval = fp.q, fp.r
         grid = cfgmod.build_grid(cfg, prior)
         centers = grid.centers
         density_rows = []
@@ -269,9 +278,9 @@ def main(argv=None) -> int:
         extras: dict = {}
 
         if args.command == "simulate":
-            files = cmd_simulate(cfg, outdir, fmt, args.threads)
+            files, extras = cmd_simulate(cfg, outdir, fmt, args.threads)
         elif args.command == "pde":
-            files = cmd_pde(cfg, outdir, fmt, args.threads)
+            files, extras = cmd_pde(cfg, outdir, fmt, args.threads)
         elif args.command == "oja-theory":
             files = cmd_oja_theory(cfg, outdir, fmt, args.q0)
         elif args.command == "steady":

@@ -8,26 +8,52 @@ One update consumes one sample and never stores it:
 With thresholding off this is the classical Oja recursion. Metrics
 (overlap with the signal, conditional coordinate histograms, support
 misclassification) are recorded at requested rescaled times t = k / p.
+
+Monte Carlo engine. `run_trajectory` advances a batch of replicas
+together as the rows of preallocated (rows, p) arrays and updates them
+in place; `oist_step` runs the same update on one row. Each replica
+keeps its own (seed, replica) generator and fills its row of a
+(rows, steps, p + 1) draw buffer with one generator call per block of
+steps. Each sample takes p + 1 values, the spike coefficient c first and
+then the noise a: the order in which `priors.next_sample` draws them, so
+the stream is the same value for value. The update performs the same
+floating-point operations, in the same order, as the one-sample form,
+and takes the row dot products and norms from the same BLAS dot as
+`y @ x` and `np.linalg.norm`. A replica's trajectory therefore does not
+depend on the batch it runs in or on the number of worker processes.
+
+Memory: a batch holds max(1, BATCH_ELEMENTS // p) rows, so each (rows, p)
+buffer (estimates, signals, samples) stays within 256 KiB when p <=
+BATCH_ELEMENTS, and the draw buffer holds as many steps as fit in
+DRAW_BLOCK_ELEMENTS values (1 MiB), at least one. With n workers the
+replicas are split into n contiguous chunks, and each worker runs its
+chunk in batches of near-equal size.
 """
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateStateError
-from .nonlinearity import SoftThreshold, eta_map
+from .nonlinearity import SoftThreshold, beta_of
 from .priors import (
     Prior,
     SampleStreamConfig,
     SignalVector,
     draw_signal_with_rng,
     make_rng,
-    next_sample,
 )
+
+# doubles in one (rows, p) state or sample buffer of a batch
+BATCH_ELEMENTS = 2 ** 15
+# doubles in one batch's draw buffer: several steps per generator call
+DRAW_BLOCK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -80,18 +106,64 @@ class TrajectoryRecord:
     bin_edges: np.ndarray
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b.
+
+    Stacked matmul reaches the BLAS dot behind 1-D `a @ b` and
+    `np.linalg.norm`, so each value is bit-identical to the 1-D call;
+    einsum sums in another order and is not.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+@contextmanager
+def _row_buffer(p: int):
+    """Cap numpy's ufunc buffer at one row of p values while rows are updated.
+
+    A ufunc that broadcasts one value per row over a (rows, p) array
+    copies those values across rows into its buffer when the buffer is
+    longer than a row; that copy costs about twice the arithmetic. The
+    buffer size never changes an elementwise result.
+    """
+    # numpy < 2 takes only multiples of 16
+    previous = np.setbufsize(min(np.getbufsize(), max(16, p - p % 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
+def _update_rows(x: np.ndarray, y: np.ndarray, tau: float, shrink: float) -> np.ndarray:
+    """One online update of each row of x against the same row of y, in place.
+
+    ``shrink`` is beta / p (0 without thresholding). y is overwritten.
+    Returns the row norms after shrinkage; rows are renormalized to norm
+    sqrt(p) only when no norm is 0, which the caller reports.
+    """
+    p = x.shape[1]
+    y *= ((tau / p) * _row_dots(y, x))[:, None]
+    x += y
+    if shrink:
+        # sign(x) * (beta / p) equals beta * sign(x) / p exactly: sign is -1, 0 or 1
+        np.sign(x, out=y)
+        y *= shrink
+        x -= y
+    norms = np.sqrt(_row_dots(x, x))
+    if norms.all():
+        x *= (math.sqrt(p) / norms)[:, None]
+    return norms
+
+
 def oist_step(state: EstimateState, y: np.ndarray, cfg: AlgoConfig) -> EstimateState:
     """One online update followed by renormalization to norm sqrt(p)."""
-    p = cfg.p
-    x = state.x
-    x_tilde = x + (cfg.tau / p) * (y @ x) * y
-    shrunk = eta_map(x_tilde, cfg.threshold, p)
-    nrm = np.linalg.norm(shrunk)
-    if nrm == 0.0:
+    x = np.array(state.x, dtype=float, ndmin=2)
+    norms = _update_rows(x, np.array(y, dtype=float, ndmin=2), cfg.tau,
+                         beta_of(cfg.threshold) / cfg.p)
+    if norms[0] == 0.0:
         raise DegenerateStateError(
             f"estimate vanished after thresholding at step {state.k + 1}"
         )
-    return EstimateState(x=shrunk * (math.sqrt(p) / nrm), k=state.k + 1)
+    return EstimateState(x=x[0], k=state.k + 1)
 
 
 def cosine_similarity(x: np.ndarray, xi: np.ndarray) -> float:
@@ -142,54 +214,121 @@ def _steps_for(times, p: int) -> np.ndarray:
     return np.floor(np.asarray(times, dtype=float) * p + 1e-9).astype(np.int64)
 
 
-def _run_replica(args):
-    (prior, stream_cfg, algo_cfg, t_max, record_times, histogram_times,
-     x0_mean, x0_var, bin_edges, theta, replica) = args
-    p = algo_cfg.p
-    rng = make_rng(stream_cfg.seed, replica)
-    signal = draw_signal_with_rng(prior, p, rng)
-    x = x0_mean + math.sqrt(x0_var) * rng.standard_normal(p)
+@dataclass(frozen=True)
+class _Run:
+    """Everything the batches of one run share; pickled to worker processes."""
 
-    k_final = int(math.floor(t_max * p + 1e-9))
-    record_steps = _steps_for(record_times, p)
-    hist_steps = _steps_for(histogram_times, p)
-    events = sorted(set(record_steps.tolist()) | set(hist_steps.tolist()) | {k_final})
+    prior: Prior
+    stream_cfg: SampleStreamConfig
+    algo_cfg: AlgoConfig
+    k_final: int
+    record_times: np.ndarray
+    histogram_times: np.ndarray
+    x0_mean: float
+    x0_var: float
+    bin_edges: np.ndarray
+    theta: float
 
-    q_values = np.empty(len(record_times))
-    misclass = np.empty(len(record_times))
-    histograms = [None] * len(histogram_times)
+
+def _split(items: range, parts: int) -> list[range]:
+    """Contiguous sub-ranges whose lengths differ by at most one."""
+    size, extra = divmod(len(items), parts)
+    bounds = [items.start + i * size + min(i, extra) for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[TrajectoryRecord]:
+    """Advance the replicas together, one row each.
+
+    Adds the seconds spent drawing, updating and recording to timings[0],
+    timings[1] and timings[2]; the clock is read once per draw block and
+    once per record event.
+    """
+    p = run.algo_cfg.p
+    rows = len(replicas)
+    rngs = [make_rng(run.stream_cfg.seed, replica) for replica in replicas]
+    signals = [draw_signal_with_rng(run.prior, p, rng) for rng in rngs]
+    x = np.empty((rows, p))
+    for row, rng in zip(x, rngs):
+        row[:] = run.x0_mean + math.sqrt(run.x0_var) * rng.standard_normal(p)
+    xi = np.stack([signal.xi for signal in signals])
+    block = max(1, DRAW_BLOCK_ELEMENTS // (rows * (p + 1)))
+    draws = np.empty((rows, block, p + 1))
+    y = np.empty((rows, p))
+    spike = np.sqrt(run.stream_cfg.omega / p)
+    tau, shrink = run.algo_cfg.tau, beta_of(run.algo_cfg.threshold) / p
+
+    record_steps = _steps_for(run.record_times, p)
+    hist_steps = _steps_for(run.histogram_times, p)
+    events = sorted(set(record_steps.tolist()) | set(hist_steps.tolist()) | {run.k_final})
+    q_values = np.empty((rows, len(record_steps)))
+    misclass = np.empty((rows, len(record_steps)))
+    histograms = [[None] * len(hist_steps) for _ in replicas]
 
     def record_at(k):
         for i in np.nonzero(record_steps == k)[0]:
-            q_values[i] = cosine_similarity(x, signal.xi)
-            misclass[i] = misclassification_rate(x, signal, theta)
+            for row, signal in enumerate(signals):
+                q_values[row, i] = cosine_similarity(x[row], signal.xi)
+                misclass[row, i] = misclassification_rate(x[row], signal, run.theta)
         for i in np.nonzero(hist_steps == k)[0]:
-            histograms[i] = joint_histogram(x, signal, bin_edges)
+            for row, signal in enumerate(signals):
+                histograms[row][i] = joint_histogram(x[row], signal, run.bin_edges)
 
-    state = EstimateState(x=x, k=0)
+    clock = time.perf_counter
+    t_start = clock()
     record_at(0)
-    try:
-        for k_target in events:
-            if k_target == 0:
-                continue
-            while state.k < k_target:
-                y = next_sample(signal, stream_cfg.omega, rng)
-                state = oist_step(state, y, algo_cfg)
-            x = state.x
-            record_at(k_target)
-    except DegenerateStateError as exc:
-        raise DegenerateStateError(f"replica {replica}: {exc}") from exc
+    t_done = clock()
+    timings[2] += t_done - t_start
+    k = 0
+    for target in events:
+        while k < target:
+            n = min(block, target - k)
+            for row, rng in zip(draws, rngs):
+                rng.standard_normal(out=row[:n])
+            t_drawn = clock()
+            timings[0] += t_drawn - t_done
+            with _row_buffer(p):
+                for s in range(n):
+                    np.multiply(xi, (spike * draws[:, s, 0])[:, None], out=y)
+                    y += draws[:, s, 1:]
+                    norms = _update_rows(x, y, tau, shrink)
+                    k += 1
+                    if not norms.all():
+                        replica = replicas[int(np.flatnonzero(norms == 0.0)[0])]
+                        raise DegenerateStateError(
+                            f"replica {replica}: estimate vanished after "
+                            f"thresholding at step {k}"
+                        )
+            t_done = clock()
+            timings[1] += t_done - t_drawn
+        if target > 0:
+            record_at(target)
+            t_start, t_done = t_done, clock()
+            timings[2] += t_done - t_start
 
-    return TrajectoryRecord(
-        replica_id=replica,
-        seed=stream_cfg.seed,
-        times=np.asarray(record_times, dtype=float),
-        q_values=q_values,
-        misclass=misclass,
-        histogram_times=np.asarray(histogram_times, dtype=float),
-        histograms=histograms,
-        bin_edges=np.asarray(bin_edges, dtype=float),
-    )
+    return [
+        TrajectoryRecord(
+            replica_id=replica,
+            seed=run.stream_cfg.seed,
+            times=run.record_times,
+            q_values=q_values[row],
+            misclass=misclass[row],
+            histogram_times=run.histogram_times,
+            histograms=histograms[row],
+            bin_edges=run.bin_edges,
+        )
+        for row, replica in enumerate(replicas)
+    ]
+
+
+def _run_chunk(run: _Run, replicas: range) -> tuple[list[TrajectoryRecord], np.ndarray]:
+    """Run a contiguous chunk of replicas in batches of near-equal size."""
+    max_rows = max(1, BATCH_ELEMENTS // run.algo_cfg.p)
+    timings = np.zeros(3)
+    records = []
+    for batch in _split(replicas, -(-len(replicas) // max_rows)):
+        records.extend(_run_batch(run, batch, timings))
+    return records, timings
 
 
 def default_bin_edges(rho: float, n_bins: int = 101, lo: float = -2.0, hi: float | None = None) -> np.ndarray:
@@ -216,6 +355,7 @@ def run_trajectory(
     bin_edges: np.ndarray | None = None,
     theta: float | None = None,
     n_workers: int = 1,
+    diagnostics: dict | None = None,
 ) -> list[TrajectoryRecord]:
     """Run independent replicas of the online estimator and record metrics.
 
@@ -224,7 +364,11 @@ def run_trajectory(
     then takes floor(p * t_max) updates. Metrics are recorded at the
     requested rescaled times (step k = floor(p * t)); histograms only
     at histogram_times (defaults to record_times). Replicas are
-    deterministic functions of (seed, replica) and may run in parallel.
+    deterministic functions of (seed, replica): with n_workers > 1 each
+    worker process runs one contiguous chunk of them, with the same
+    results. A ``diagnostics`` dict, when given, receives the run's
+    replica-steps, replica-steps per wall second, and the seconds spent
+    drawing, updating and recording, summed over the workers.
     """
     if t_max < 0:
         raise ConfigError(f"t_max must be >= 0, got {t_max}")
@@ -259,12 +403,20 @@ def run_trajectory(
             stacklevel=2,
         )
 
-    jobs = [
-        (prior, stream_cfg, algo_cfg, t_max, record_times, histogram_times,
-         x0_mean, x0_var, bin_edges, theta, replica)
-        for replica in range(replicas)
-    ]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(_run_replica, jobs))
-    return [_run_replica(job) for job in jobs]
+    k_final = int(math.floor(t_max * algo_cfg.p + 1e-9))
+    run = _Run(prior, stream_cfg, algo_cfg, k_final, record_times, histogram_times,
+               x0_mean, x0_var, np.asarray(bin_edges, dtype=float), theta)
+    chunks = _split(range(replicas), max(1, min(n_workers, replicas)))
+    started = time.perf_counter()
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(_run_chunk, [run] * len(chunks), chunks))
+    else:
+        results = [_run_chunk(run, chunks[0])]
+    wall_s = time.perf_counter() - started
+    if diagnostics is not None:
+        draw_s, update_s, record_s = sum(timings for _, timings in results).tolist()
+        steps = replicas * k_final
+        diagnostics.update(replica_steps=steps, steps_per_s=steps / wall_s,
+                           draw_s=draw_s, update_s=update_s, record_s=record_s)
+    return [record for records, _ in results for record in records]

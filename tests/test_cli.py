@@ -62,7 +62,16 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path)
         _, out_a = run(tmp_path / "a", "simulate", "--config", cfg)
         _, out_b = run(tmp_path / "b", "simulate", "--config", cfg, "--threads", "2")
-        assert (out_a / "trajectory.csv").read_bytes() == (out_b / "trajectory.csv").read_bytes()
+        for name in ("trajectory.csv", "histograms.csv", "summary.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_manifest_diagnostics(self, tmp_path):
+        code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path))
+        assert code == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["replica_steps"] == 2 * 32  # replicas x floor(p * t_max)
+        assert diagnostics["steps_per_s"] > 0
+        assert all(diagnostics[key] >= 0 for key in ("draw_s", "update_s", "record_s"))
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -95,6 +104,14 @@ class TestPdeCommand:
                                               "density_times": []}})
         code, _ = run(tmp_path, "pde", "--config", cfg)
         assert code == 3
+
+    def test_manifest_diagnostics(self, tmp_path):
+        code, out = run(tmp_path, "pde", "--config", write_config(tmp_path))
+        assert code == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["n_steps"] >= 1
+        assert diagnostics["clipped_mass"] >= 0.0
+        assert math.isfinite(diagnostics["min_pre_clip"])
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -164,6 +181,19 @@ class TestSteadyCommand:
             _, x, d = (float(v) for v in row.split(","))
             expected = beta / tau ** 2 * math.exp(-2 * beta / tau ** 2 * abs(x))
             assert d == pytest.approx(expected, abs=1e-12)
+
+    def test_low_snr_density_without_threshold(self, tmp_path):
+        # plain Oja below the transition: the zero-overlap law is a Gaussian
+        cfg = write_config(tmp_path, {
+            "model": {"rho": 0.05, "omega": 0.15, "p": 64},
+            "algorithm": {"threshold": "none"},
+        })
+        code, out = run(tmp_path, "steady", "--config", cfg, "--density")
+        assert code == 0
+        rows = np.loadtxt(out / "steady_density.csv", delimiter=",", skiprows=1)
+        for atom in np.unique(rows[:, 0]):
+            x, d = rows[rows[:, 0] == atom, 1:].T
+            assert np.sum(d) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSweepCommand:

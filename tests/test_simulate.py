@@ -24,8 +24,8 @@ from oistlab import (
     phi_eval,
     run_trajectory,
 )
-from oistlab.priors import make_rng
-from oistlab.simulate import default_bin_edges
+from oistlab.priors import draw_signal_with_rng, make_rng, next_sample
+from oistlab.simulate import BATCH_ELEMENTS, default_bin_edges, default_theta
 
 
 class TestPhiEta:
@@ -102,6 +102,21 @@ class TestOistStep:
             x_tilde = x_ref + (cfg.tau / p) * y * (y @ x_ref)
             x_ref = math.sqrt(p) * x_tilde / np.linalg.norm(x_tilde)
             assert np.allclose(state.x, x_ref, atol=1e-13)
+
+    @pytest.mark.parametrize("threshold", [None, SoftThreshold(0.27)])
+    def test_matches_one_sample_formula_exactly(self, threshold):
+        # the one-sample update as written in the module docstring, bit for bit
+        p = 300
+        cfg = AlgoConfig(tau=0.5, threshold=threshold, p=p)
+        rng = make_rng(5)
+        x_ref = rng.standard_normal(p)
+        state = EstimateState(x=x_ref.copy(), k=0)
+        for _ in range(40):
+            y = rng.standard_normal(p)
+            state = oist_step(state, y, cfg)
+            shrunk = eta_map(x_ref + (cfg.tau / p) * (y @ x_ref) * y, threshold, p)
+            x_ref = shrunk * (math.sqrt(p) / np.linalg.norm(shrunk))
+            assert np.array_equal(state.x, x_ref)
 
     def test_degenerate_state(self):
         p = 2
@@ -331,6 +346,42 @@ class TestRunTrajectory:
         for j, t in enumerate(times[1:], start=1):
             predicted = closed_form_q(t, mean[0], params)
             assert abs(mean[j] - predicted) <= 3.0 * se[j], (t, mean[j], predicted, se[j])
+
+    @pytest.mark.parametrize("threshold", [None, SoftThreshold(0.27)])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_matches_step_by_step_replay(self, threshold, n_workers):
+        # the batched engine against one replica at a time through the
+        # public one-sample API, on the same (seed, replica) streams; 4 rows
+        # fit a batch at this p, so 9 replicas span several batches
+        p = BATCH_ELEMENTS // 4
+        prior = Prior.two_point(0.1)
+        stream = SampleStreamConfig(omega=1.0, p=p, seed=17)
+        algo = AlgoConfig(tau=0.5, threshold=threshold, p=p)
+        record_times = [0.0, 10 / p, 30 / p]
+        recs = run_trajectory(prior, stream, algo, t_max=30 / p, record_times=record_times,
+                              replicas=9, histogram_times=[10 / p, 30 / p],
+                              n_workers=n_workers)
+        edges, theta = default_bin_edges(prior.rho), default_theta(prior.rho)
+        for replica, rec in enumerate(recs):
+            assert rec.replica_id == replica
+            rng = make_rng(stream.seed, replica)
+            signal = draw_signal_with_rng(prior, p, rng)
+            state = EstimateState(x=1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p))
+            q, mis, hists = [], [], []
+            for k in range(31):
+                if k:
+                    state = oist_step(state, next_sample(signal, stream.omega, rng), algo)
+                if k in (0, 10, 30):
+                    q.append(cosine_similarity(state.x, signal.xi))
+                    mis.append(misclassification_rate(state.x, signal, theta))
+                if k in (10, 30):
+                    hists.append(joint_histogram(state.x, signal, edges))
+            assert np.array_equal(rec.q_values, q)
+            assert np.array_equal(rec.misclass, mis)
+            for got, want in zip(rec.histograms, hists, strict=True):
+                for g, w in zip(got, want, strict=True):
+                    assert (g.atom, g.count) == (w.atom, w.count)
+                    assert np.array_equal(g.density, w.density)
 
     def test_zero_overlap_warns(self):
         prior = Prior.signed_two_point(0.2)
