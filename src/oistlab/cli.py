@@ -147,8 +147,8 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path]
         centers = snap.grid.centers
         for atom, dens in zip(snap.atoms, snap.densities):
             density_rows.extend((t, atom, x, d) for x, d in zip(centers, dens))
-    diagnostics = {"n_steps": solution.n_steps, "clipped_mass": solution.clipped_mass,
-                   "min_pre_clip": solution.min_pre_clip}
+    diagnostics = {key: getattr(solution, key) for key in (
+        "n_steps", "dt_min", "dt_max", "mass_error", "clipped_mass", "min_pre_clip")}
     return [
         write_table(outdir / "moments.csv", ["t", "Q", "R"], moment_rows, fmt),
         write_table(outdir / "densities.csv", ["t", "xi_atom", "x", "density"],

@@ -33,6 +33,16 @@ def phi_eval(x, threshold):
     return threshold.beta * np.sign(x)
 
 
+def phi_mean(x, width: float, threshold):
+    """Mean of phi over [x - width/2, x + width/2] (vectorized in x).
+
+    Equals phi(x) unless the interval holds the jump of sign at 0.
+    """
+    if threshold is None:
+        return np.zeros_like(np.asarray(x, dtype=float))
+    return threshold.beta * np.clip(2.0 * np.asarray(x) / width, -1.0, 1.0)
+
+
 def eta_map(x_vec, threshold, p: int):
     """Elementwise shrinkage map eta(x) = x - phi(x)/p."""
     x_vec = np.asarray(x_vec, dtype=float)

@@ -42,6 +42,7 @@ from scipy.special import erfcx as _erfcx
 
 from .errors import ConfigError, NonNormalizableError
 from .nonlinearity import SoftThreshold, beta_of
+from .pde import diffusion_coefficient
 from .priors import Prior
 
 SQRT_PI = math.sqrt(math.pi)
@@ -86,13 +87,13 @@ def erfcx_scaled(x):
 
 
 def g_scale(q: float, cfg: SteadyConfig) -> float:
-    """Diffusion scale g = tau^2 (1 + omega q^2) / 2."""
-    return 0.5 * cfg.tau ** 2 * (1.0 + cfg.omega * q * q)
+    """Diffusion scale g = tau^2 (1 + omega q^2) / 2, the PDE's D(q)."""
+    return diffusion_coefficient(cfg.tau, cfg.omega, q)
 
 
 def h_curvature(q: float, r: float, cfg: SteadyConfig) -> float:
     """Quadratic-confinement coefficient h = (tau*omega*q^2 - r + g)/2."""
-    return 0.5 * (cfg.tau * cfg.omega * q * q - r + g_scale(q, cfg))
+    return 0.5 * (cfg.tau * cfg.omega * q * q - r + diffusion_coefficient(cfg.tau, cfg.omega, q))
 
 
 def _scaled_pair(z_minus: float, z_plus: float) -> tuple[float, float, float]:

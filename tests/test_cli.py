@@ -97,13 +97,23 @@ class TestPdeCommand:
         densities = (out / "densities.csv").read_text().splitlines()
         assert densities[0] == "t,xi_atom,x,density"
 
-    def test_stability_violation_exit_code(self, tmp_path):
+    def test_oversized_dt_keeps_mass_and_positivity(self, tmp_path):
+        # the implicit step has no stability bound: one step of 0.2, far
+        # past dx / max|drift|, keeps every atom's density a density
         cfg = write_config(tmp_path, {"pde": {"dt": 10.0, "n": 96,
                                               "t_max": 0.2,
                                               "record_times": [0.2],
-                                              "density_times": []}})
-        code, _ = run(tmp_path, "pde", "--config", cfg)
-        assert code == 3
+                                              "density_times": [0.2]}})
+        code, out = run(tmp_path, "pde", "--config", cfg)
+        assert code == 0
+        rows = np.loadtxt(out / "densities.csv", delimiter=",", skiprows=1)
+        atoms = np.unique(rows[:, 1])
+        assert len(atoms) == 2
+        for atom in atoms:
+            x, dens = rows[rows[:, 1] == atom, 2], rows[rows[:, 1] == atom, 3]
+            dx = (x[-1] - x[0]) / (len(x) - 1)
+            assert np.all(dens >= 0.0)
+            assert abs(dens.sum() * dx - 1.0) <= 1e-8
 
     def test_manifest_diagnostics(self, tmp_path):
         code, out = run(tmp_path, "pde", "--config", write_config(tmp_path))
@@ -112,6 +122,8 @@ class TestPdeCommand:
         assert diagnostics["n_steps"] >= 1
         assert diagnostics["clipped_mass"] >= 0.0
         assert math.isfinite(diagnostics["min_pre_clip"])
+        assert 0.0 < diagnostics["dt_min"] <= diagnostics["dt_max"]
+        assert 0.0 <= diagnostics["mass_error"] <= 1e-8
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path)

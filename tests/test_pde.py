@@ -10,7 +10,10 @@ from oistlab import (
     Prior,
     SoftThreshold,
     StabilityError,
+    SteadyConfig,
     closed_form_q,
+    solve_fixed_point,
+    steady_density,
 )
 from oistlab.pde import (
     ConditionalDensitySet,
@@ -21,9 +24,9 @@ from oistlab.pde import (
     initial_density,
     moments,
     solve,
-    stability_limit,
     step,
 )
+from oistlab.steady import default_r_init
 
 PRIOR = Prior.two_point(0.05)
 PEAK = 1.0 / math.sqrt(0.05)
@@ -217,16 +220,19 @@ class TestStep:
         q, r = moments(state, SOFT)
         assert abs(q - state.q) <= 1e-10 and abs(r - state.r) <= 1e-10
 
-    def test_stability_violation_messages(self):
+    def test_large_steps_keep_densities_nonnegative_and_mass(self):
+        # the implicit step has no stability bound: an oversized dt, and
+        # then a wild drift, keep every density >= 0 and every mass at 1
         grid = make_grid()
         cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=grid, dt="auto")
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
-        with pytest.raises(StabilityError, match="diffusive"):
-            step(state, cfg, dt=1.0)
-        # push the advective bound below the diffusive one with a wild drift
-        state.q, state.r = 0.0, -2000.0
-        with pytest.raises(StabilityError, match="advective"):
-            step(state, cfg, dt=0.9 * grid.dx ** 2 / (2 * 0.125) * 0.99)
+        wild = state.copy()
+        wild.q, wild.r = 0.0, -2000.0
+        for start in (state, wild):
+            new = step(start, cfg, dt=1.0)
+            assert np.all(new.densities >= 0.0)
+            masses = new.densities.sum(axis=1) * grid.dx
+            assert np.max(np.abs(masses - 1.0)) <= 1e-12
 
     def test_positivity_within_rounding(self):
         grid = make_grid()
@@ -263,6 +269,25 @@ class TestSolve:
         q_a = solve(cfg_a, PRIOR, [15.0]).q_values[-1]
         q_b = solve(cfg_b, PRIOR, [15.0]).q_values[-1]
         assert abs(q_a - q_b) <= 1e-3
+
+    def test_stationary_density_held_still(self):
+        # well-balance: the informative fixed point's stationary profile on
+        # the reference grid keeps its overlap within 1e-6 of Q* over
+        # t in [0, 10]; a first-order upwind flux drifts by ~1.6e-3 here
+        steady_cfg = SteadyConfig(tau=0.5, omega=1.0, threshold=SOFT)
+        fp = solve_fixed_point(steady_cfg, PRIOR,
+                               (0.5, default_r_init(0.5, steady_cfg, PRIOR)), tol=1e-12)
+        assert fp.converged and fp.branch == "informative"
+        grid = make_grid(n=900)
+        dens = np.stack([steady_density(v, fp.q, fp.r, steady_cfg)(grid.centers)
+                         for v in PRIOR.atom_values])
+        dens /= dens.sum(axis=1, keepdims=True) * grid.dx
+        state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
+                                      densities=dens, grid=grid, t=0.0, q=0.0, r=0.0)
+        state.q, state.r = moments(state, SOFT)
+        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=grid, dt="auto", t_max=10.0)
+        sol = solve(cfg, PRIOR, np.arange(0.0, 10.5, 0.5), initial_state=state)
+        assert np.max(np.abs(sol.q_values - fp.q)) <= 1e-6
 
     def test_snapshots_and_series(self):
         times = [0.0, 0.5, 1.0]
