@@ -14,7 +14,6 @@ from .errors import (
     NonNormalizableError,
     NumericError,
     OistlabError,
-    StabilityError,
 )
 from .nonlinearity import SoftThreshold, eta_map, phi_eval
 from .oja import OjaParams, closed_form_q, ode_q, steady_state_q
@@ -63,7 +62,6 @@ __all__ = [
     "SampleStreamConfig",
     "SignalVector",
     "SoftThreshold",
-    "StabilityError",
     "SteadyConfig",
     "TrajectoryRecord",
     "closed_form_q",

@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,15 +51,66 @@ def _native(value):
     return str(value)
 
 
-def write_table(path: Path, header: list[str], rows, fmt: str) -> Path:
+# One formatter per single-kind column, each byte-identical to `_fmt` on
+# that kind ("%.17g" % v equals format(float(v), ".17g")). bool is not
+# in the int set: a column of bools and ints is mixed.
+_COLUMN_FORMATS = (
+    ({bool, np.bool_}, lambda v: "true" if v else "false"),
+    ({int, np.int64}, str),
+    ({float, np.float64}, "%.17g".__mod__),
+    ({str}, str),
+)
+
+
+class Repeat(NamedTuple):
+    """A column of `values`, each repeated `each` times in turn, the whole run `tile` times.
+
+    Its distinct values are formatted once.
+    """
+
+    values: Sequence
+    each: int = 1
+    tile: int = 1
+
+
+def _strings(values) -> list[str]:
+    """CSV cells of one column: one formatter for a single-kind column, `_fmt` per value else."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    kinds = set(map(type, values))
+    for types, fmt in _COLUMN_FORMATS:
+        if kinds <= types:
+            return list(map(fmt, values))
+    return list(map(_fmt, values))
+
+
+def _natives(values) -> list:
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return list(map(_native, values))
+
+
+def _cells(column, convert) -> list:
+    if not isinstance(column, Repeat):
+        return convert(column)
+    cells = convert(column.values)
+    if column.each != 1:
+        cells = [c for c in cells for _ in range(column.each)]
+    return cells * column.tile
+
+
+def write_table(path: Path, header: list[str], columns: list, fmt: str) -> Path:
+    """Write a table given one sequence (or `Repeat`) of values per header column."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} column names for {len(columns)} columns")
     if fmt == "json":
         path = path.with_suffix(".json")
-        payload = [dict(zip(header, [_native(v) for v in row])) for row in rows]
+        rows = zip(*(_cells(col, _natives) for col in columns), strict=True)
+        payload = [dict(zip(header, row)) for row in rows]
         path.write_text(json.dumps(payload, indent=1) + "\n")
     else:
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
+        lines = map(",".join, zip(*(_cells(col, _strings) for col in columns), strict=True))
+        path.write_text("\n".join([",".join(header), *lines]) + "\n")
     return path
 
 
@@ -96,35 +148,36 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         diagnostics=diagnostics,
     )
 
-    traj_rows = [
-        (rec.replica_id, t, q, mc)
-        for rec in records
-        for t, q, mc in zip(rec.times, rec.q_values, rec.misclass)
+    # every record shares the run's record times and histogram bins
+    n_times = len(records[0].times)
+    traj_cols = [
+        Repeat([rec.replica_id for rec in records], each=n_times),
+        Repeat(records[0].times, tile=len(records)),
+        np.concatenate([rec.q_values for rec in records]),
+        np.concatenate([rec.misclass for rec in records]),
     ]
-    hist_rows = []
-    for rec in records:
-        centers = 0.5 * (rec.bin_edges[:-1] + rec.bin_edges[1:])
-        for t, hists in zip(rec.histogram_times, rec.histograms):
-            for hist in hists:
-                if hist.density is None:
-                    continue
-                hist_rows.extend(
-                    (rec.replica_id, t, hist.atom, c, d)
-                    for c, d in zip(centers, hist.density)
-                )
+    blocks = [(rec.replica_id, t, hist) for rec in records
+              for t, hists in zip(rec.histogram_times, rec.histograms)
+              for hist in hists if hist.density is not None]
+    edges = records[0].bin_edges
+    n_bins = len(edges) - 1
+    hist_cols = [
+        Repeat([replica for replica, _, _ in blocks], each=n_bins),
+        Repeat([t for _, t, _ in blocks], each=n_bins),
+        Repeat([hist.atom for _, _, hist in blocks], each=n_bins),
+        Repeat(0.5 * (edges[:-1] + edges[1:]), tile=len(blocks)),
+        [d for _, _, hist in blocks for d in hist.density.tolist()],
+    ]
     q_matrix = np.array([rec.q_values for rec in records])
     n_rep = len(records)
     q_std = q_matrix.std(axis=0, ddof=1) if n_rep > 1 else np.zeros(q_matrix.shape[1])
-    summary_rows = [
-        (t, mean, std, n_rep)
-        for t, mean, std in zip(record_times, q_matrix.mean(axis=0), q_std)
-    ]
+    summary_cols = [record_times, q_matrix.mean(axis=0), q_std, [n_rep] * len(record_times)]
     return [
-        write_table(outdir / "trajectory.csv", ["replica", "t", "Q", "misclass"], traj_rows, fmt),
+        write_table(outdir / "trajectory.csv", ["replica", "t", "Q", "misclass"], traj_cols, fmt),
         write_table(outdir / "histograms.csv",
-                    ["replica", "t", "xi_atom", "bin_center", "density"], hist_rows, fmt),
+                    ["replica", "t", "xi_atom", "bin_center", "density"], hist_cols, fmt),
         write_table(outdir / "summary.csv", ["t", "Q_mean", "Q_std", "n_replicas"],
-                    summary_rows, fmt),
+                    summary_cols, fmt),
     ], {"diagnostics": diagnostics}
 
 
@@ -136,24 +189,33 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path]
     density_times = [float(t) for t in (cfg["pde"]["density_times"] or [])
                      if 0.0 <= float(t) <= pde_cfg.t_max]
     all_times = sorted(set(moment_times) | set(density_times))
+    started = time.perf_counter()
     solution = pdemod.solve(pde_cfg, prior, all_times,
                             x0_mean=float(sim["x0_mean"]), x0_var=float(sim["x0_var"]))
+    solved = time.perf_counter()
 
     by_time = dict(zip(solution.times.tolist(), solution.snapshots))
-    moment_rows = [(t, by_time[t].q, by_time[t].r) for t in moment_times]
-    density_rows = []
-    for t in density_times:
-        snap = by_time[t]
-        centers = snap.grid.centers
-        for atom, dens in zip(snap.atoms, snap.densities):
-            density_rows.extend((t, atom, x, d) for x, d in zip(centers, dens))
+    moments = [by_time[t] for t in moment_times]
+    # every snapshot holds the same atoms on the same grid
+    atoms = solution.snapshots[0].atoms
+    centers = solution.snapshots[0].grid.centers
+    density_cols = [
+        Repeat(density_times, each=len(atoms) * len(centers)),
+        Repeat(atoms, each=len(centers), tile=len(density_times)),
+        Repeat(centers, tile=len(density_times) * len(atoms)),
+        [d for t in density_times for d in by_time[t].densities.ravel().tolist()],
+    ]
+    files = [
+        write_table(outdir / "moments.csv", ["t", "Q", "R"],
+                    [moment_times, [s.q for s in moments], [s.r for s in moments]], fmt),
+        write_table(outdir / "densities.csv", ["t", "xi_atom", "x", "density"],
+                    density_cols, fmt),
+    ]
     diagnostics = {key: getattr(solution, key) for key in (
         "n_steps", "dt_min", "dt_max", "mass_error", "clipped_mass", "min_pre_clip")}
-    return [
-        write_table(outdir / "moments.csv", ["t", "Q", "R"], moment_rows, fmt),
-        write_table(outdir / "densities.csv", ["t", "xi_atom", "x", "density"],
-                    density_rows, fmt),
-    ], {"diagnostics": diagnostics}
+    diagnostics["solve_s"] = solved - started
+    diagnostics["write_s"] = time.perf_counter() - solved
+    return files, {"diagnostics": diagnostics}
 
 
 def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str, q0_override: float | None) -> list[Path]:
@@ -165,8 +227,8 @@ def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str, q0_override: float | None)
             "dynamics are only defined for a nonzero starting overlap"
         )
     times = cfgmod.resolve_record_times(cfg["simulation"])
-    rows = [(t, closed_form_q(t, q0, params)) for t in times]
-    return [write_table(outdir / "oja_theory.csv", ["t", "Q"], rows, fmt)]
+    q_values = [closed_form_q(t, q0, params) for t in times]
+    return [write_table(outdir / "oja_theory.csv", ["t", "Q"], [times, q_values], fmt)]
 
 
 def _selected_fixed_point(results):
@@ -175,39 +237,46 @@ def _selected_fixed_point(results):
     return max(pool, key=lambda r: abs(r.q))
 
 
-def cmd_steady(cfg: dict, outdir: Path, fmt: str, with_density: bool) -> list[Path]:
+def cmd_steady(cfg: dict, outdir: Path, fmt: str,
+               with_density: bool) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
     steady_cfg = cfgmod.build_steady_config(cfg)
     st = cfg["steady"]
+    inits = []
     results = []
-    rows = []
     for init in st["inits"]:
         q0 = float(init[0])
         r0 = default_r_init(q0, steady_cfg, prior) if init[1] is None else float(init[1])
-        fp = solve_fixed_point(steady_cfg, prior, (q0, r0), damping=float(st["damping"]),
-                               tol=float(st["tol"]), max_iter=int(st["max_iter"]))
-        results.append(fp)
-        rows.append((q0, r0, fp.q, fp.r, fp.residual, fp.branch, fp.converged, fp.iterations))
+        inits.append((q0, r0))
+        results.append(solve_fixed_point(steady_cfg, prior, (q0, r0),
+                                         damping=float(st["damping"]), tol=float(st["tol"]),
+                                         max_iter=int(st["max_iter"])))
+    fields = ("q", "r", "residual", "branch", "converged", "iterations")
+    columns = [*zip(*inits), *([getattr(fp, key) for fp in results] for key in fields)]
     files = [
         write_table(outdir / "fixed_point.csv",
                     ["init_Q", "init_R", "Q", "R", "residual", "branch", "converged", "iterations"],
-                    rows, fmt)
+                    columns, fmt)
     ]
+    diagnostics = {
+        "iterations": [fp.iterations for fp in results],
+        "max_residual": max(fp.residual for fp in results),
+        "unconverged": sum(not fp.converged for fp in results),
+    }
     if with_density or st["density"]:
         fp = _selected_fixed_point(results)
         if fp.branch == "uninformative":
             # the exact zero-overlap solution: a Laplace law, or a Gaussian without shrinkage
             fp = uninformative_fixed_point(steady_cfg)
         q_eval, r_eval = fp.q, fp.r
-        grid = cfgmod.build_grid(cfg, prior)
-        centers = grid.centers
-        density_rows = []
-        for atom in prior.atom_values:
-            dens = steady_density(atom, q_eval, r_eval, steady_cfg)(centers)
-            density_rows.extend((atom, x, d) for x, d in zip(centers, dens))
-        files.append(write_table(outdir / "steady_density.csv",
-                                 ["xi_atom", "x", "density"], density_rows, fmt))
-    return files
+        centers = cfgmod.build_grid(cfg, prior).centers
+        atoms = prior.atom_values
+        density = [d for atom in atoms
+                   for d in steady_density(atom, q_eval, r_eval, steady_cfg)(centers).tolist()]
+        files.append(write_table(
+            outdir / "steady_density.csv", ["xi_atom", "x", "density"],
+            [Repeat(atoms, each=len(centers)), Repeat(centers, tile=len(atoms)), density], fmt))
+    return files, {"diagnostics": diagnostics}
 
 
 def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
@@ -218,13 +287,12 @@ def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     result = sweep_omega(steady_cfg, prior, omega_grid,
                          starts=tuple(float(v) for v in sw["starts"]),
                          tol=float(sw["tol"]), max_iter=int(sw["max_iter"]))
-    rows = [
-        (pt.omega, pt.q_star, pt.converged, pt.branch,
-         ";".join(format(v, ".9g") for v in pt.distinct_q))
-        for pt in result.points
-    ]
+    points = result.points
+    columns = [[pt.omega for pt in points], [pt.q_star for pt in points],
+               [pt.converged for pt in points], [pt.branch for pt in points],
+               [";".join(format(v, ".9g") for v in pt.distinct_q) for pt in points]]
     path = write_table(outdir / "sweep.csv",
-                       ["omega", "Q_star", "converged", "branch", "distinct_Q"], rows, fmt)
+                       ["omega", "Q_star", "converged", "branch", "distinct_Q"], columns, fmt)
     return [path], {"omega_c": result.omega_c, "diagnostics": result.diagnostics()}
 
 
@@ -284,7 +352,7 @@ def main(argv=None) -> int:
         elif args.command == "oja-theory":
             files = cmd_oja_theory(cfg, outdir, fmt, args.q0)
         elif args.command == "steady":
-            files = cmd_steady(cfg, outdir, fmt, args.density)
+            files, extras = cmd_steady(cfg, outdir, fmt, args.density)
         else:
             files, extras = cmd_sweep(cfg, outdir, fmt)
 

@@ -2,9 +2,8 @@
 
 Configuration problems (bad priors, grids, parameter ranges) raise
 ``ConfigError``; failures that occur while a computation is running
-(degenerate states, unstable time steps, non-normalizable densities)
-raise a ``NumericError`` subclass. The CLI maps the two families to
-distinct exit codes.
+(degenerate states, non-normalizable densities) raise a ``NumericError``
+subclass. The CLI maps the two families to distinct exit codes.
 """
 
 
@@ -22,10 +21,6 @@ class NumericError(OistlabError):
 
 class DegenerateStateError(NumericError):
     """Estimate collapsed to the zero vector after thresholding."""
-
-
-class StabilityError(NumericError):
-    """Explicit time step exceeds the stability bound."""
 
 
 class NonNormalizableError(NumericError):

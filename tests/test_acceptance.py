@@ -43,6 +43,8 @@ SOFT = SoftThreshold(BETA)
 STEADY_CFG = SteadyConfig(tau=TAU, omega=OMEGA, threshold=SOFT)
 WORKERS = min(2, os.cpu_count() or 1)
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(criterion: int, ok: bool, detail: str):
     print(f"criterion {criterion:02d} [{'PASS' if ok else 'FAIL'}] {detail}")

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from oistlab.cli import main
+from oistlab import config as cfgmod, pde
+from oistlab.cli import Repeat, main, write_table
 
 TINY = {
     "model": {"rho": 0.2, "p": 64, "omega": 1.0},
@@ -35,6 +36,86 @@ def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main([*argv, "--output", str(out)])
     return code, out
+
+
+# The row-wise rendering the column-wise writer replaced: the oracle its
+# bytes are checked against.
+def row_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def row_native(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return str(value)
+
+
+def render_rows(header, rows, fmt):
+    if fmt == "json":
+        payload = [dict(zip(header, [row_native(v) for v in row])) for row in rows]
+        return json.dumps(payload, indent=1) + "\n"
+    lines = [",".join(header)]
+    lines.extend(",".join(row_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteTable:
+    COLUMNS = {
+        "bool": [True, False, True],
+        "np_bool": np.array([False, True, True]),
+        "np_bool_scalars": [np.bool_(True), np.bool_(False), np.bool_(True)],
+        "int": [0, -7, 2**40],
+        "np_int64": np.array([3, -1, 12], dtype=np.int64),
+        "np_int64_scalars": [np.int64(5), np.int64(-2), np.int64(0)],
+        "float": [-0.0, 5e-324, 1e17],
+        "float_special": [math.inf, math.nan, -math.inf],
+        "np_float64": np.array([math.inf, -math.inf, math.nan]),
+        "np_float64_scalars": [np.float64(0.1), np.float64(-0.0), np.float64(1e-300)],
+        "str": ["uninformative", "informative", "0.5;0.25"],
+        "mixed": [True, np.int64(2), np.float32(0.5)],
+        "mixed_bool_int": [True, 1, np.float64(-0.0)],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_row_wise_rendering(self, tmp_path, fmt):
+        header = list(self.COLUMNS)
+        columns = list(self.COLUMNS.values())
+        path = write_table(tmp_path / "table.csv", header, columns, fmt)
+        assert path.name == f"table.{fmt}"
+        expected = render_rows(header, list(zip(*columns)), fmt)
+        assert path.read_text() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_repeat_expands_row_major(self, tmp_path, fmt):
+        times, atoms, cells = [0.0, 0.5], np.array([0.0, 4.47]), np.array([-1.0, -0.0, 2.5])
+        dens = np.arange(12.0).reshape(2, 2, 3) / 7
+        columns = [Repeat(times, each=6), Repeat(atoms, each=3, tile=2),
+                   Repeat(cells, tile=4), dens.ravel()]
+        rows = [(t, a, x, dens[i, j, k]) for i, t in enumerate(times)
+                for j, a in enumerate(atoms) for k, x in enumerate(cells)]
+        path = write_table(tmp_path / "table.csv", ["t", "a", "x", "d"], columns, fmt)
+        assert path.read_text() == render_rows(["t", "a", "x", "d"], rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, tmp_path, fmt):
+        path = write_table(tmp_path / "table.csv", ["t", "x"], [[], Repeat([1.0], tile=0)], fmt)
+        assert path.read_text() == render_rows(["t", "x"], [], fmt)
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "table.csv", ["t", "x"], [[0.0, 1.0], [2.0]], "csv")
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "table.csv", ["t", "x"], [[0.0]], "csv")
 
 
 class TestSimulateCommand:
@@ -124,6 +205,27 @@ class TestPdeCommand:
         assert math.isfinite(diagnostics["min_pre_clip"])
         assert 0.0 < diagnostics["dt_min"] <= diagnostics["dt_max"]
         assert 0.0 <= diagnostics["mass_error"] <= 1e-8
+        assert diagnostics["solve_s"] >= 0.0
+        assert diagnostics["write_s"] >= 0.0
+
+    def test_densities_match_solver_snapshots(self, tmp_path):
+        path = write_config(tmp_path)
+        code, out = run(tmp_path, "pde", "--config", path)
+        assert code == 0
+        cfg = cfgmod.validate_config(cfgmod.load_config(path))
+        prior = cfgmod.build_discrete_prior(cfg)
+        times = cfg["pde"]["density_times"]
+        solution = pde.solve(cfgmod.build_pde_config(cfg, prior), prior,
+                             sorted(set(times) | set(cfg["pde"]["record_times"])),
+                             x0_mean=cfg["simulation"]["x0_mean"],
+                             x0_var=cfg["simulation"]["x0_var"])
+        by_time = dict(zip(solution.times.tolist(), solution.snapshots))
+        rows = [(t, atom, x, d) for t in times
+                for atom, dens in zip(by_time[t].atoms, by_time[t].densities)
+                for x, d in zip(by_time[t].grid.centers, dens)]
+        assert len(rows) == 2 * 96
+        expected = render_rows(["t", "xi_atom", "x", "density"], rows, "csv")
+        assert (out / "densities.csv").read_text() == expected
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -177,6 +279,20 @@ class TestSteadyCommand:
         assert lines[0] == "init_Q,init_R,Q,R,residual,branch,converged,iterations"
         branches = [line.split(",")[5] for line in lines[1:]]
         assert "uninformative" in branches
+
+    def test_manifest_diagnostics(self, tmp_path):
+        # three iterations leave at least one init unconverged
+        cfg = write_config(tmp_path, {"steady": {"inits": [[0.0, None], [0.5, None]],
+                                                 "max_iter": 3}})
+        code, out = run(tmp_path, "steady", "--config", cfg)
+        assert code == 0
+        rows = [line.split(",") for line in
+                (out / "fixed_point.csv").read_text().splitlines()[1:]]
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["iterations"] == [int(row[7]) for row in rows]
+        assert diagnostics["max_residual"] == max(float(row[4]) for row in rows)
+        assert diagnostics["unconverged"] == sum(row[6] == "false" for row in rows)
+        assert diagnostics["unconverged"] >= 1
 
     def test_low_snr_density_is_laplace(self, tmp_path):
         cfg = write_config(tmp_path, {

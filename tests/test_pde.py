@@ -9,7 +9,6 @@ from oistlab import (
     OjaParams,
     Prior,
     SoftThreshold,
-    StabilityError,
     SteadyConfig,
     closed_form_q,
     solve_fixed_point,
