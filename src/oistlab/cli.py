@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -84,10 +85,20 @@ def _strings(values) -> list[str]:
     return list(map(_fmt, values))
 
 
-def _natives(values) -> list:
+# float.__repr__ gives these where json writes its constants
+_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(values) -> list[str]:
+    """JSON cells of one column, each the bytes `json.dumps` writes for `_native` of the value."""
     if isinstance(values, np.ndarray):
-        return values.tolist()
-    return list(map(_native, values))
+        values = values.tolist()
+    if set(map(type, values)) <= {float}:
+        cells = list(map(float.__repr__, values))
+        if not _JSON_CONSTANTS.keys().isdisjoint(cells):
+            cells = [_JSON_CONSTANTS.get(c, c) for c in cells]
+        return cells
+    return [json.dumps(_native(v)) for v in values]
 
 
 def _cells(column, convert) -> list:
@@ -99,15 +110,31 @@ def _cells(column, convert) -> list:
     return cells * column.tile
 
 
+def _json_text(header: list[str], columns: list) -> str:
+    """The bytes of `json.dumps` with `indent=1` over one dict per row, and a newline.
+
+    Each row is ' {', then '\\n  "key": cell' per column with commas
+    between, then '\\n }'; rows are separated by ',\\n'. Keys are encoded once.
+    """
+    cells = [_cells(col, _json_cells) for col in columns]
+    if len(set(map(len, cells))) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(c) for c in cells]}")
+    if not cells or not cells[0]:
+        return "[]\n"
+    leads = [f"{',' if j else ' {'}\n  {json.dumps(name)}: " for j, name in enumerate(header)]
+    pieces = [part for lead, col in zip(leads, cells) for part in (repeat(lead), col)]
+    parts = chain.from_iterable(zip(repeat(",\n"), *pieces, repeat("\n }")))
+    next(parts)  # no separator before the first row
+    return "".join(chain(["[\n"], parts, ["\n]\n"]))
+
+
 def write_table(path: Path, header: list[str], columns: list, fmt: str) -> Path:
     """Write a table given one sequence (or `Repeat`) of values per header column."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
     if fmt == "json":
         path = path.with_suffix(".json")
-        rows = zip(*(_cells(col, _natives) for col in columns), strict=True)
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=1) + "\n")
+        path.write_text(_json_text(header, columns))
     else:
         lines = map(",".join, zip(*(_cells(col, _strings) for col in columns), strict=True))
         path.write_text("\n".join([",".join(header), *lines]) + "\n")
@@ -212,7 +239,8 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path]
                     density_cols, fmt),
     ]
     diagnostics = {key: getattr(solution, key) for key in (
-        "n_steps", "dt_min", "dt_max", "mass_error", "clipped_mass", "min_pre_clip")}
+        "n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error",
+        "clipped_mass", "min_pre_clip")}
     diagnostics["solve_s"] = solved - started
     diagnostics["write_s"] = time.perf_counter() - solved
     return files, {"diagnostics": diagnostics}

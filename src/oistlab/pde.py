@@ -42,10 +42,21 @@ mass is conserved to rounding. The clip guard of ``step`` records any
 negative value, which this scheme does not produce. The systems of all
 atoms are chained into one tridiagonal solve (LAPACK dgtsv).
 
-Step size: no stability bound applies, so accuracy sets the "auto"
-step, dt = COURANT * dx / max|gamma|, re-resolved every step. It
-shrinks with dx, so time and space errors fall together under
-refinement. Without drift it is dx^2 / (2D).
+Step size: a numeric dt is taken as given, capped to land on record
+times. "auto" controls the error of each step instead. From one state
+it takes one step of dt (coarse) and two of dt/2 (fine), the second
+with (q, r) and the drift recomputed, and estimates the error as
+err = max(|q_c - q_f|, |r_c - r_f|). If err <= tol = STEP_TOL * dx^2
+it accepts the Richardson value 2 fine - coarse, which is second order
+in time, splitting included, and has unit mass to rounding; where that
+value has a negative cell it accepts fine, an M-matrix result, so
+every accepted density is nonnegative without clipping. If err > tol
+it retries a shorter step. The next trial step is
+dt * min(4, max(0.2, 0.9 sqrt(tol / err))); a step shortened to land
+on a record time does not shrink it. The first trial is ``auto_dt``,
+COURANT cells per step at the fastest drift. No stability bound
+applies, and tol shrinks with dx, so time and space errors fall
+together under refinement.
 """
 from __future__ import annotations
 
@@ -64,6 +75,7 @@ from .priors import Prior, discretize_prior
 MASS_TOL = 1e-8
 DEFAULT_GH_NODES = 21
 COURANT = 1.0
+STEP_TOL = 0.04  # "auto" step: error allowed per step in (q, r), in units of dx^2
 
 
 @dataclass(frozen=True)
@@ -350,9 +362,12 @@ def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
 class PdeSolution:
     """Recorded (t, q, r) series with density snapshots at the record times.
 
-    ``dt_min`` and ``dt_max`` span the steps taken (0 when none was), the
-    shortened steps that land on record times included; ``mass_error``
-    is the final max |mass - 1| over the atoms.
+    ``n_steps`` counts accepted steps. ``dt_min`` and ``dt_max`` span
+    them (0 when none was), the shortened steps that land on record
+    times included. Under "auto", ``n_rejected`` counts the trial steps
+    that missed the tolerance and ``n_first_order`` the accepted steps
+    that kept the half-step result because the extrapolation went
+    negative. ``mass_error`` is the final max |mass - 1| over the atoms.
     """
 
     times: np.ndarray
@@ -360,11 +375,50 @@ class PdeSolution:
     r_values: np.ndarray
     snapshots: list
     n_steps: int
+    n_rejected: int
+    n_first_order: int
     clipped_mass: float
     min_pre_clip: float
     dt_min: float
     dt_max: float
     mass_error: float
+
+
+def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
+                       tol: float) -> tuple[ConditionalDensitySet | None, float, bool]:
+    """One error-controlled "auto" step of length dt from ``state``.
+
+    Takes one backward-Euler step of dt (coarse) and two of dt/2 (fine)
+    and estimates the error as max(|q_c - q_f|, |r_c - r_f|). Returns
+    (None, err, False) when err > tol. Otherwise returns the Richardson
+    value 2 fine - coarse, second order in time, frozen-(q, r) splitting
+    included; where it has a negative cell, it returns fine instead,
+    flagged True. Both have unit mass to rounding.
+    """
+    gamma = _interface_drift(state, cfg)
+    coarse = step(state, cfg, dt, gamma)
+    fine = step(step(state, cfg, 0.5 * dt, gamma), cfg, 0.5 * dt)
+    err = max(abs(coarse.q - fine.q), abs(coarse.r - fine.r))
+    if math.isnan(err):
+        raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
+    if err > tol:
+        return None, err, False
+    densities = 2.0 * fine.densities - coarse.densities
+    first_order = bool(densities.min() < 0.0)
+    accepted = ConditionalDensitySet(
+        atoms=state.atoms,
+        weights=state.weights,
+        densities=fine.densities if first_order else densities,
+        grid=state.grid,
+        t=coarse.t,
+        q=fine.q,
+        r=fine.r,
+        clipped_mass=coarse.clipped_mass + fine.clipped_mass - state.clipped_mass,
+        min_pre_clip=min(coarse.min_pre_clip, fine.min_pre_clip),
+    )
+    if not first_order:
+        accepted.q, accepted.r = moments(accepted, cfg.threshold)
+    return accepted, err, first_order
 
 
 def solve(
@@ -378,9 +432,10 @@ def solve(
     """Integrate the limit equations and snapshot the state at record_times.
 
     A fixed cfg.dt is used as an upper bound (shortened to land exactly
-    on record times); "auto" re-resolves the step from ``auto_dt`` each
-    step. Pass ``initial_state`` to start from an arbitrary density
-    (e.g. a stationary profile) instead of the Gaussian.
+    on record times). "auto" takes error-controlled extrapolated steps
+    (``_extrapolated_step``) at the tolerance STEP_TOL * dx^2, starting
+    from ``auto_dt``. Pass ``initial_state`` to start from an arbitrary
+    density (e.g. a stationary profile) instead of the Gaussian.
     """
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times.size == 0:
@@ -393,15 +448,33 @@ def solve(
     else:
         state = initial_state.copy()
 
+    adaptive = cfg.dt == "auto"
+    if adaptive:
+        tol = STEP_TOL * state.grid.dx ** 2
+        dt_trial = auto_dt(state, cfg)
     times, qs, rs, snaps = [], [], [], []
-    n_steps = 0
+    n_steps = n_rejected = n_first_order = 0
     dt_min, dt_max = math.inf, 0.0
     for t_next in record_times:
         while state.t < t_next - 1e-12:
-            gamma = _interface_drift(state, cfg)
-            dt_cap = auto_dt(state, cfg, gamma) if cfg.dt == "auto" else float(cfg.dt)
-            dt = min(dt_cap, float(t_next) - state.t)
-            state = step(state, cfg, dt, gamma)
+            if not adaptive:
+                dt = min(float(cfg.dt), float(t_next) - state.t)
+                state = step(state, cfg, dt)
+            else:
+                dt = min(dt_trial, float(t_next) - state.t)
+                new, err, first_order = _extrapolated_step(state, cfg, dt, tol)
+                growth = min(4.0, max(0.2, 0.9 * math.sqrt(tol / err))) if err > 0.0 else 4.0
+                if new is None:
+                    n_rejected += 1
+                    if dt < 1e-12:
+                        raise NumericError(f"auto step: error {err:.3e} above tolerance "
+                                           f"{tol:.3e} at dt = {dt:.3e}, t = {state.t}")
+                    dt_trial = dt * growth
+                    continue
+                # a step shortened to land on a record time does not shrink the next one
+                dt_trial = max(dt_trial, dt * growth) if dt < dt_trial else dt * growth
+                n_first_order += first_order
+                state = new
             n_steps += 1
             dt_min = min(dt_min, dt)
             dt_max = max(dt_max, dt)
@@ -417,6 +490,8 @@ def solve(
         r_values=np.asarray(rs),
         snapshots=snaps,
         n_steps=n_steps,
+        n_rejected=n_rejected,
+        n_first_order=n_first_order,
         clipped_mass=state.clipped_mass,
         min_pre_clip=state.min_pre_clip,
         dt_min=dt_min if n_steps else 0.0,

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx as _erfcx
 
 from .errors import ConfigError, NonNormalizableError
@@ -223,6 +222,9 @@ def fixed_point_map_quadrature(q: float, r: float, cfg: SteadyConfig, prior: Pri
     form directly (no erfcx anywhere) with the exponent shifted by its
     maximum for overflow safety.
     """
+    # imported here: at module level scipy.integrate adds ~0.25 s to every command
+    from scipy.integrate import quad
+
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
     g = g_scale(q, cfg)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oistlab
 from oistlab import config as cfgmod, pde
 from oistlab.cli import Repeat, main, write_table
 
@@ -69,6 +74,17 @@ def render_rows(header, rows, fmt):
     return "\n".join(lines) + "\n"
 
 
+def test_import_leaves_out_scipy_integrate():
+    # only the quadrature oracle, which no command calls, needs it
+    src = str(Path(oistlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = "import sys, oistlab.cli; print('scipy.integrate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"
+
+
 class TestWriteTable:
     COLUMNS = {
         "bool": [True, False, True],
@@ -110,6 +126,12 @@ class TestWriteTable:
     def test_empty_table(self, tmp_path, fmt):
         path = write_table(tmp_path / "table.csv", ["t", "x"], [[], Repeat([1.0], tile=0)], fmt)
         assert path.read_text() == render_rows(["t", "x"], [], fmt)
+
+    def test_json_ragged_and_columnless_tables(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "table.csv", ["t", "x"], [[0.0, 1.0], [2.0]], "json")
+        path = write_table(tmp_path / "table.csv", [], [], "json")
+        assert path.read_text() == render_rows([], [], "json")
 
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -207,6 +229,21 @@ class TestPdeCommand:
         assert 0.0 <= diagnostics["mass_error"] <= 1e-8
         assert diagnostics["solve_s"] >= 0.0
         assert diagnostics["write_s"] >= 0.0
+
+    def test_manifest_step_counts(self, tmp_path):
+        path = write_config(tmp_path)
+        code, out = run(tmp_path, "pde", "--config", path)
+        assert code == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        cfg = cfgmod.validate_config(cfgmod.load_config(path))
+        prior = cfgmod.build_discrete_prior(cfg)
+        solution = pde.solve(cfgmod.build_pde_config(cfg, prior), prior,
+                             cfg["pde"]["record_times"],
+                             x0_mean=cfg["simulation"]["x0_mean"],
+                             x0_var=cfg["simulation"]["x0_var"])
+        for key in ("n_steps", "n_rejected", "n_first_order"):
+            assert diagnostics[key] == getattr(solution, key)
+        assert 0 <= diagnostics["n_first_order"] <= diagnostics["n_steps"]
 
     def test_densities_match_solver_snapshots(self, tmp_path):
         path = write_config(tmp_path)

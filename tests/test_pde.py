@@ -330,3 +330,57 @@ class TestSolve:
             solve(cfg, PRIOR, [])
         with pytest.raises(ConfigError):
             solve(cfg, PRIOR, [2.0])
+
+
+def reference_config(dt="auto", t_max=15.0):
+    return PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=make_grid(n=900),
+                     dt=dt, t_max=t_max)
+
+
+class TestAutoStep:
+    @pytest.fixture(scope="class")
+    def reference_run(self):
+        return solve(reference_config(), PRIOR, np.arange(0.0, 15.5, 0.5))
+
+    def test_reaches_t15_in_few_steps(self, reference_run):
+        assert reference_run.times[-1] == 15.0
+        assert reference_run.n_steps <= 400
+
+    def test_snapshots_are_densities(self, reference_run):
+        dx = make_grid(n=900).dx
+        for snap in reference_run.snapshots:
+            assert np.all(snap.densities >= 0.0)
+            masses = snap.densities.sum(axis=1) * dx
+            assert np.max(np.abs(masses - 1.0)) <= 1e-12
+
+    def test_second_order_in_time(self):
+        # against the Richardson extrapolation of two fixed-dt runs; the
+        # first-order "auto" step this replaced was off by 1.2e-3 in Q here
+        times = np.arange(0.0, 3.5, 0.5)
+        auto = solve(reference_config(t_max=3.0), PRIOR, times)
+        coarse = solve(reference_config(dt=0.002, t_max=3.0), PRIOR, times)
+        fine = solve(reference_config(dt=0.0005, t_max=3.0), PRIOR, times)
+        q_ref = (4.0 * fine.q_values - coarse.q_values) / 3.0
+        assert np.max(np.abs(auto.q_values - q_ref)) <= 1e-4
+        dx = make_grid(n=900).dx
+        for t in (1.0, 3.0):
+            i = int(np.searchsorted(times, t))
+            p_ref = (4.0 * fine.snapshots[i].densities - coarse.snapshots[i].densities) / 3.0
+            l1 = np.abs(auto.snapshots[i].densities - p_ref).sum(axis=1) * dx
+            assert np.all(l1 <= 1e-3)
+
+    def test_negative_extrapolation_falls_back_to_half_steps(self):
+        # a narrow start: the coarse step spreads mass further into the
+        # empty tails than the two half steps, so 2 fine - coarse < 0 there
+        cfg = reference_config(t_max=1.0)
+        start = initial_density(0.7, 1e-3, cfg.grid, PRIOR, SOFT)
+        dt = auto_dt(start, cfg)
+        half = step(start, cfg, dt=0.5 * dt)
+        fine = step(half, cfg, dt=0.5 * dt)
+        coarse = step(start, cfg, dt=dt)
+        assert np.min(2.0 * fine.densities - coarse.densities) < 0.0
+        sol = solve(cfg, PRIOR, [dt], initial_state=start)
+        assert sol.n_steps == 1 and sol.n_first_order == 1
+        assert np.array_equal(sol.snapshots[0].densities, fine.densities)
+        assert sol.q_values[0] == fine.q and sol.r_values[0] == fine.r
+
