@@ -155,11 +155,20 @@ def write_manifest(outdir: Path, command: str, cfg: dict, started: float, extras
     return path
 
 
+def _with_stage_times(diagnostics: dict, started: float, solved: float) -> dict:
+    """Add the wall seconds of the solve (started to solved) and of the
+    table assembly and writing since (`solve_s`, `write_s`)."""
+    diagnostics["solve_s"] = solved - started
+    diagnostics["write_s"] = time.perf_counter() - solved
+    return diagnostics
+
+
 def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
     prior = cfgmod.build_prior(cfg)
     sim = cfg["simulation"]
     record_times = cfgmod.resolve_record_times(sim)
     diagnostics: dict = {}
+    started = time.perf_counter()
     records = run_trajectory(
         prior=prior,
         stream_cfg=cfgmod.build_stream_config(cfg),
@@ -174,6 +183,7 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         n_workers=threads,
         diagnostics=diagnostics,
     )
+    solved = time.perf_counter()
 
     # every record shares the run's record times and histogram bins
     n_times = len(records[0].times)
@@ -199,13 +209,14 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
     n_rep = len(records)
     q_std = q_matrix.std(axis=0, ddof=1) if n_rep > 1 else np.zeros(q_matrix.shape[1])
     summary_cols = [record_times, q_matrix.mean(axis=0), q_std, [n_rep] * len(record_times)]
-    return [
+    files = [
         write_table(outdir / "trajectory.csv", ["replica", "t", "Q", "misclass"], traj_cols, fmt),
         write_table(outdir / "histograms.csv",
                     ["replica", "t", "xi_atom", "bin_center", "density"], hist_cols, fmt),
         write_table(outdir / "summary.csv", ["t", "Q_mean", "Q_std", "n_replicas"],
                     summary_cols, fmt),
-    ], {"diagnostics": diagnostics}
+    ]
+    return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
 def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
@@ -241,12 +252,11 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path]
     diagnostics = {key: getattr(solution, key) for key in (
         "n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error",
         "clipped_mass", "min_pre_clip")}
-    diagnostics["solve_s"] = solved - started
-    diagnostics["write_s"] = time.perf_counter() - solved
-    return files, {"diagnostics": diagnostics}
+    return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
-def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str, q0_override: float | None) -> list[Path]:
+def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
+                   q0_override: float | None) -> tuple[list[Path], dict]:
     params = OjaParams(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"])
     q0 = cfgmod.initial_overlap(cfg) if q0_override is None else q0_override
     if q0 == 0.0:
@@ -255,8 +265,11 @@ def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str, q0_override: float | None)
             "dynamics are only defined for a nonzero starting overlap"
         )
     times = cfgmod.resolve_record_times(cfg["simulation"])
+    started = time.perf_counter()
     q_values = [closed_form_q(t, q0, params) for t in times]
-    return [write_table(outdir / "oja_theory.csv", ["t", "Q"], [times, q_values], fmt)]
+    solved = time.perf_counter()
+    files = [write_table(outdir / "oja_theory.csv", ["t", "Q"], [times, q_values], fmt)]
+    return files, {"diagnostics": _with_stage_times({}, started, solved)}
 
 
 def _selected_fixed_point(results):
@@ -272,6 +285,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     st = cfg["steady"]
     inits = []
     results = []
+    started = time.perf_counter()
     for init in st["inits"]:
         q0 = float(init[0])
         r0 = default_r_init(q0, steady_cfg, prior) if init[1] is None else float(init[1])
@@ -279,6 +293,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
         results.append(solve_fixed_point(steady_cfg, prior, (q0, r0),
                                          damping=float(st["damping"]), tol=float(st["tol"]),
                                          max_iter=int(st["max_iter"])))
+    solved = time.perf_counter()
     fields = ("q", "r", "residual", "branch", "converged", "iterations")
     columns = [*zip(*inits), *([getattr(fp, key) for fp in results] for key in fields)]
     files = [
@@ -304,7 +319,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
         files.append(write_table(
             outdir / "steady_density.csv", ["xi_atom", "x", "density"],
             [Repeat(atoms, each=len(centers)), Repeat(centers, tile=len(atoms)), density], fmt))
-    return files, {"diagnostics": diagnostics}
+    return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
 def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
@@ -312,16 +327,19 @@ def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     steady_cfg = cfgmod.build_steady_config(cfg)
     sw = cfg["sweep"]
     omega_grid = np.linspace(float(sw["omega_min"]), float(sw["omega_max"]), int(sw["n_points"]))
+    started = time.perf_counter()
     result = sweep_omega(steady_cfg, prior, omega_grid,
                          starts=tuple(float(v) for v in sw["starts"]),
                          tol=float(sw["tol"]), max_iter=int(sw["max_iter"]))
+    solved = time.perf_counter()
     points = result.points
     columns = [[pt.omega for pt in points], [pt.q_star for pt in points],
                [pt.converged for pt in points], [pt.branch for pt in points],
                [";".join(format(v, ".9g") for v in pt.distinct_q) for pt in points]]
     path = write_table(outdir / "sweep.csv",
                        ["omega", "Q_star", "converged", "branch", "distinct_Q"], columns, fmt)
-    return [path], {"omega_c": result.omega_c, "diagnostics": result.diagnostics()}
+    return [path], {"omega_c": result.omega_c,
+                    "diagnostics": _with_stage_times(result.diagnostics(), started, solved)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,7 +396,7 @@ def main(argv=None) -> int:
         elif args.command == "pde":
             files, extras = cmd_pde(cfg, outdir, fmt, args.threads)
         elif args.command == "oja-theory":
-            files = cmd_oja_theory(cfg, outdir, fmt, args.q0)
+            files, extras = cmd_oja_theory(cfg, outdir, fmt, args.q0)
         elif args.command == "steady":
             files, extras = cmd_steady(cfg, outdir, fmt, args.density)
         else:

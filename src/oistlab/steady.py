@@ -15,6 +15,11 @@ integrals turns the self-consistency into two closed-form equations in
     f(z) = (2/pi) exp(z^2) Integral_z^inf exp(-u^2) du = erfcx(z)/sqrt(pi)
 
 evaluated at z_pm = (beta +- tau*omega*xi*q) / (2 sqrt(g h)).
+``fixed_point_map`` is a scalar kernel: Python-float arithmetic over the
+prior's atoms and one erfcx call per map, on |z| for every atom's z-
+and z+. A negative z takes the reflection erfcx(z) = 2 exp(z^2) -
+erfcx(-z), and each atom's pair is rescaled by exp(-max z^2 over its
+negative arguments), so no term overflows.
 
 With beta > 0, (q, r) = (0, tau^2/2) always solves the system; its
 density is a signal-independent Laplace law with rate 2*beta/tau^2
@@ -30,6 +35,8 @@ and brackets to ~1e-8 the SNR where the traced branch ends. Where no
 branch is traced it searches from overlap starts, falling back to a
 short damped iteration wherever Newton fails from a start, and reports
 the exact uninformative solution where every start collapses onto it.
+The solvers call ``fixed_point_map`` through its module-level name, and
+``SweepResult.map_calls`` counts every one of those calls.
 """
 from __future__ import annotations
 
@@ -95,25 +102,25 @@ def h_curvature(q: float, r: float, cfg: SteadyConfig) -> float:
     return 0.5 * (cfg.tau * cfg.omega * q * q - r + diffusion_coefficient(cfg.tau, cfg.omega, q))
 
 
-def _scaled_pair(z_minus: float, z_plus: float) -> tuple[float, float, float]:
+def _scaled_terms(z_minus: float, z_plus: float, ex_minus: float,
+                  ex_plus: float) -> tuple[float, float, float, float]:
     """erfcx at (z_minus, z_plus) jointly rescaled by exp(-M).
 
-    M is the largest z^2 among the negative arguments (0 if both are
-    nonnegative), so both returned terms and every downstream ratio
-    stay finite even where erfcx itself would overflow.
+    Takes ex = erfcx(|z|) for each argument: a nonnegative z needs
+    erfcx(z) itself, and a negative one the reflection
+    erfcx(z) = 2 exp(z^2) - erfcx(-z). M is the largest z^2 among the
+    negative arguments (0 if both are nonnegative), so both returned
+    terms and every downstream ratio stay finite even where erfcx itself
+    would overflow. Returns (M, exp(-M), t_minus, t_plus), with exp(-M)
+    read as 0 once M >= 700.
     """
-    m = 0.0
-    if z_minus < 0:
-        m = z_minus * z_minus
-    if z_plus < 0:
-        m = max(m, z_plus * z_plus)
-
-    def term(z):
-        if z >= 0:
-            return _erfcx(z) * math.exp(-m) if m < 700 else 0.0
-        return 2.0 * math.exp(z * z - m) - (_erfcx(-z) * math.exp(-m) if m < 700 else 0.0)
-
-    return m, term(z_minus), term(z_plus)
+    m = z_minus * z_minus if z_minus < 0 else 0.0
+    if z_plus < 0 and z_plus * z_plus > m:  # max(m, z_plus^2), without the call
+        m = z_plus * z_plus
+    e = math.exp(-m) if m < 700 else 0.0
+    t_minus = ex_minus * e if z_minus >= 0 else 2.0 * math.exp(z_minus * z_minus - m) - ex_minus * e
+    t_plus = ex_plus * e if z_plus >= 0 else 2.0 * math.exp(z_plus * z_plus - m) - ex_plus * e
+    return m, e, t_minus, t_plus
 
 
 class SteadyDensity:
@@ -140,7 +147,8 @@ class SteadyDensity:
             root = math.sqrt(self.g * self.h)
             z_minus = (self.beta - self.tilt) / (2.0 * root)
             z_plus = (self.beta + self.tilt) / (2.0 * root)
-            m, t_minus, t_plus = _scaled_pair(z_minus, z_plus)
+            ex_minus, ex_plus = _erfcx([abs(z_minus), abs(z_plus)]).tolist()
+            m, _, t_minus, t_plus = _scaled_terms(z_minus, z_plus, ex_minus, ex_plus)
             # Z = sqrt(pi g / h)/2 * (erfcx(z-) + erfcx(z+))
             self.log_z = (
                 0.5 * math.log(math.pi * self.g / self.h)
@@ -183,6 +191,11 @@ def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tupl
 
     computed with jointly rescaled erfcx terms so large |z| cannot
     overflow. Requires h(q, r) > 0.
+
+    It loops over the prior's atoms as Python floats and calls erfcx
+    once, on |z| for every atom's z- and z+. Each atom's terms take the
+    float operations, in the order, of a direct per-atom evaluation
+    (kept in the tests as an oracle), so the results equal it bit for bit.
     """
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
@@ -191,21 +204,25 @@ def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tupl
     if h <= 0:
         raise NonNormalizableError(f"fixed-point map outside its domain: h={h:.3e} <= 0")
     beta = cfg.beta
+    tau_omega = cfg.tau * cfg.omega
     scale = math.sqrt(g / h)
-    root = math.sqrt(g * h)
+    two_root = 2.0 * math.sqrt(g * h)
+    z = []
+    for xi, _ in prior.atoms:
+        tilt = tau_omega * xi * q
+        z.append((beta - tilt) / two_root)
+        z.append((beta + tilt) / two_root)
+    ex = _erfcx([abs(v) for v in z]).tolist()
     q_new = 0.0
     r_new = 0.0
-    for xi, w in zip(prior.atom_values, prior.atom_weights):
-        tilt = cfg.tau * cfg.omega * xi * q
-        z_minus = (beta - tilt) / (2.0 * root)
-        z_plus = (beta + tilt) / (2.0 * root)
-        m, t_minus, t_plus = _scaled_pair(z_minus, z_plus)
+    for (xi, w), z_minus, z_plus, ex_minus, ex_plus in zip(prior.atoms, z[::2], z[1::2],
+                                                           ex[::2], ex[1::2]):
+        _, e, t_minus, t_plus = _scaled_terms(z_minus, z_plus, ex_minus, ex_plus)
         den = t_minus + t_plus
         # ratios of f(z) = erfcx(z)/sqrt(pi); the sqrt(pi) cancels except
         # in the 2/pi constant, which becomes 2/sqrt(pi) in erfcx units
         mean_ratio = (z_plus * t_plus - z_minus * t_minus) / den
-        abs_ratio = (TWO_OVER_SQRT_PI * (math.exp(-m) if m < 700 else 0.0)
-                     - z_plus * t_plus - z_minus * t_minus) / den
+        abs_ratio = (TWO_OVER_SQRT_PI * e - z_plus * t_plus - z_minus * t_minus) / den
         q_new += w * xi * scale * mean_ratio
         r_new += w * beta * scale * abs_ratio
     return q_new, r_new

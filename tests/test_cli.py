@@ -45,6 +45,11 @@ def run(tmp_path, *argv):
 
 # The row-wise rendering the column-wise writer replaced: the oracle its
 # bytes are checked against.
+def stage_times(out):
+    diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+    return diagnostics["solve_s"], diagnostics["write_s"]
+
+
 def row_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -175,6 +180,11 @@ class TestSimulateCommand:
         assert diagnostics["replica_steps"] == 2 * 32  # replicas x floor(p * t_max)
         assert diagnostics["steps_per_s"] > 0
         assert all(diagnostics[key] >= 0 for key in ("draw_s", "update_s", "record_s"))
+
+    def test_manifest_stage_times(self, tmp_path):
+        code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path))
+        assert code == 0
+        assert all(t >= 0.0 for t in stage_times(out))
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -307,6 +317,11 @@ class TestOjaTheoryCommand:
                       "--q0", "0.0")
         assert code == 2
 
+    def test_manifest_stage_times(self, tmp_path):
+        code, out = run(tmp_path, "oja-theory", "--config", write_config(tmp_path))
+        assert code == 0
+        assert all(t >= 0.0 for t in stage_times(out))
+
 
 class TestSteadyCommand:
     def test_branches_reported(self, tmp_path):
@@ -330,6 +345,11 @@ class TestSteadyCommand:
         assert diagnostics["max_residual"] == max(float(row[4]) for row in rows)
         assert diagnostics["unconverged"] == sum(row[6] == "false" for row in rows)
         assert diagnostics["unconverged"] >= 1
+
+    def test_manifest_stage_times(self, tmp_path):
+        code, out = run(tmp_path, "steady", "--config", write_config(tmp_path), "--density")
+        assert code == 0
+        assert all(t >= 0.0 for t in stage_times(out))
 
     def test_low_snr_density_is_laplace(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -393,6 +413,11 @@ class TestSweepCommand:
         _, out_a = run(tmp_path / "a", "sweep", "--config", cfg)
         _, out_b = run(tmp_path / "b", "sweep", "--config", cfg, "--threads", "2")
         assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+    def test_manifest_stage_times(self, tmp_path):
+        code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path))
+        assert code == 0
+        assert all(t >= 0.0 for t in stage_times(out))
 
 
 class TestValidation:

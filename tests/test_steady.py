@@ -22,7 +22,9 @@ from oistlab import (
     steady_state_q,
     sweep_omega,
 )
+from oistlab import steady
 from oistlab.oja import OjaParams
+from oistlab.priors import discretize_prior
 from oistlab.steady import H_MIN, default_r_init, g_scale, h_curvature
 
 PRIOR = Prior.two_point(0.05)
@@ -167,6 +169,150 @@ class TestFixedPointMap:
         assert 0 < h_curvature(q, r, CFG) < 1e-8
         q_new, r_new = fixed_point_map(q, r, CFG, PRIOR)
         assert np.isfinite(q_new) and np.isfinite(r_new)
+
+
+# The per-atom form of the map that the scalar kernel replaced: the
+# oracle its results must equal bit for bit. `ms`, when given, collects
+# each atom's rescaling exponent M.
+def _oracle_scaled_pair(z_minus, z_plus):
+    m = 0.0
+    if z_minus < 0:
+        m = z_minus * z_minus
+    if z_plus < 0:
+        m = max(m, z_plus * z_plus)
+
+    def term(z):
+        if z >= 0:
+            return steady._erfcx(z) * math.exp(-m) if m < 700 else 0.0
+        return 2.0 * math.exp(z * z - m) - (steady._erfcx(-z) * math.exp(-m) if m < 700 else 0.0)
+
+    return m, term(z_minus), term(z_plus)
+
+
+def _oracle_fixed_point_map(q, r, cfg, prior, ms=None):
+    if not prior.is_discrete:
+        raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
+    g = g_scale(q, cfg)
+    h = h_curvature(q, r, cfg)
+    if h <= 0:
+        raise NonNormalizableError(f"fixed-point map outside its domain: h={h:.3e} <= 0")
+    beta = cfg.beta
+    scale = math.sqrt(g / h)
+    root = math.sqrt(g * h)
+    q_new = 0.0
+    r_new = 0.0
+    for xi, w in zip(prior.atom_values, prior.atom_weights):
+        tilt = cfg.tau * cfg.omega * xi * q
+        z_minus = (beta - tilt) / (2.0 * root)
+        z_plus = (beta + tilt) / (2.0 * root)
+        m, t_minus, t_plus = _oracle_scaled_pair(z_minus, z_plus)
+        if ms is not None:
+            ms.append(m)
+        den = t_minus + t_plus
+        mean_ratio = (z_plus * t_plus - z_minus * t_minus) / den
+        abs_ratio = (steady.TWO_OVER_SQRT_PI * (math.exp(-m) if m < 700 else 0.0)
+                     - z_plus * t_plus - z_minus * t_minus) / den
+        q_new += w * xi * scale * mean_ratio
+        r_new += w * beta * scale * abs_ratio
+    return q_new, r_new
+
+
+def _oracle_log_z(xi, q, r, cfg):
+    g = g_scale(q, cfg)
+    h = h_curvature(q, r, cfg)
+    tilt = cfg.tau * cfg.omega * q * xi
+    root = math.sqrt(g * h)
+    m, t_minus, t_plus = _oracle_scaled_pair((cfg.beta - tilt) / (2.0 * root),
+                                             (cfg.beta + tilt) / (2.0 * root))
+    return 0.5 * math.log(math.pi * g / h) - math.log(2.0) + m + math.log(t_minus + t_plus)
+
+
+def _bits(*values):
+    """Exact bit patterns, so -0.0 and 0.0 differ; a float and an equal np.float64 do not."""
+    return tuple(float(v).hex() for v in values)
+
+
+BG_21 = discretize_prior(Prior.bernoulli_gaussian(0.05), 21)
+
+
+def _domain_points(rng, cfg, n):
+    """n seeded (q, r, omega) with h(q, r) > 0: q uniform, h log-uniform in [1e-12, 10]."""
+    points = []
+    while len(points) < n:
+        q = rng.uniform(-1.2, 1.2)
+        cfg_w = dc_replace(cfg, omega=rng.uniform(0.0, 2.0))
+        h = 10.0 ** rng.uniform(-12.0, 1.0)
+        r = cfg_w.tau * cfg_w.omega * q * q + g_scale(q, cfg_w) - 2.0 * h
+        if h_curvature(q, r, cfg_w) > 0:
+            points.append((q, r, cfg_w))
+    return points
+
+
+class TestScalarKernel:
+    @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
+    @pytest.mark.parametrize("prior", [PRIOR, BG_21], ids=["two_point", "bg21"])
+    def test_bitwise_equal_to_per_atom_form(self, cfg, prior):
+        # 2 x (4000 + 1000) = 10^4 points over the four cases
+        rng = np.random.default_rng(20261018)
+        n = 4000 if prior is PRIOR else 1000
+        ms = []
+        for q, r, cfg_w in _domain_points(rng, cfg, n):
+            want = _oracle_fixed_point_map(q, r, cfg_w, prior, ms)
+            got = fixed_point_map(q, r, cfg_w, prior)
+            assert _bits(*got) == _bits(*want), (q, r, cfg_w.omega)
+            assert all(type(v) is float for v in got)
+        # the points reach past the M >= 700 cut, where exp(-M) reads 0
+        assert sum(m >= 700 for m in ms) >= n // 10
+
+    def test_zero_arguments(self):
+        # z = 0 (beta = 0, q = 0) and z = -0.0 (beta = -0.0) on both priors
+        for threshold in (None, SoftThreshold(0.0), SoftThreshold(-0.0)):
+            cfg = SteadyConfig(tau=0.5, omega=1.0, threshold=threshold)
+            for prior in (PRIOR, BG_21, Prior.signed_two_point(0.05)):
+                for q in (0.0, -0.0):
+                    for r in (-0.3, 0.0, 0.1):
+                        got = fixed_point_map(q, r, cfg, prior)
+                        assert _bits(*got) == _bits(*_oracle_fixed_point_map(q, r, cfg, prior))
+        for z_minus, z_plus in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                                (-0.0, 1.5), (-2.0, -0.0), (-30.0, 0.0), (-0.0, -40.0)):
+            m, e, t_minus, t_plus = steady._scaled_terms(
+                z_minus, z_plus, float(steady._erfcx(abs(z_minus))),
+                float(steady._erfcx(abs(z_plus))))
+            want = _oracle_scaled_pair(z_minus, z_plus)
+            assert _bits(m, t_minus, t_plus) == _bits(*want), (z_minus, z_plus)
+            assert _bits(e) == _bits(math.exp(-m) if m < 700 else 0.0)
+
+    def test_log_z_equals_per_atom_form(self):
+        rng = np.random.default_rng(7)
+        for cfg in (CFG, CFG_OJA):
+            for q, r, cfg_w in _domain_points(rng, cfg, 500):
+                xi = rng.choice([0.0, 1.0, -2.0, 1.0 / math.sqrt(0.05)])
+                dens = steady_density(xi, q, r, cfg_w)
+                assert _bits(dens.log_z) == _bits(_oracle_log_z(xi, q, r, cfg_w)), (xi, q, r)
+
+    def test_sweep_identical_to_per_atom_form(self, monkeypatch):
+        grid = np.linspace(0.20, 0.26, 25)
+        kernel = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
+        monkeypatch.setattr(steady, "fixed_point_map", _oracle_fixed_point_map)
+        oracle = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
+        assert kernel.points == oracle.points
+        assert [_bits(pt.q_star, *pt.distinct_q) for pt in kernel.points] == \
+            [_bits(pt.q_star, *pt.distinct_q) for pt in oracle.points]
+        assert kernel.omega_c == oracle.omega_c
+        assert kernel.diagnostics() == oracle.diagnostics()
+
+    def test_map_calls_counts_every_call(self, monkeypatch):
+        # the sweep reaches the map only through its module-level name, so
+        # a wrapper there sees exactly the calls the manifest reports
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return fixed_point_map(*args)
+
+        monkeypatch.setattr(steady, "fixed_point_map", counted)
+        result = sweep_omega(CFG, PRIOR, np.linspace(0.20, 0.26, 25), tol=1e-9)
+        assert len(calls) == result.map_calls > 0
 
 
 class TestSolveFixedPoint:
