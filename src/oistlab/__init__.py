@@ -15,7 +15,7 @@ from .errors import (
     NumericError,
     OistlabError,
 )
-from .nonlinearity import SoftThreshold, eta_map, phi_eval
+from .nonlinearity import Dynamics, SoftThreshold, eta_map, phi_eval
 from .oja import OjaParams, closed_form_q, ode_q, steady_state_q
 from .priors import (
     Prior,
@@ -52,6 +52,7 @@ __all__ = [
     "AlgoConfig",
     "ConfigError",
     "DegenerateStateError",
+    "Dynamics",
     "EstimateState",
     "FixedPoint",
     "NonNormalizableError",

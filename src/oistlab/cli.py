@@ -219,7 +219,7 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
     return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
-def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
+def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
     pde_cfg = cfgmod.build_pde_config(cfg, prior)
     sim = cfg["simulation"]
@@ -250,8 +250,7 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path]
                     density_cols, fmt),
     ]
     diagnostics = {key: getattr(solution, key) for key in (
-        "n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error",
-        "clipped_mass", "min_pre_clip")}
+        "n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error")}
     return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             files, extras = cmd_simulate(cfg, outdir, fmt, args.threads)
         elif args.command == "pde":
-            files, extras = cmd_pde(cfg, outdir, fmt, args.threads)
+            files, extras = cmd_pde(cfg, outdir, fmt)
         elif args.command == "oja-theory":
             files, extras = cmd_oja_theory(cfg, outdir, fmt, args.q0)
         elif args.command == "steady":

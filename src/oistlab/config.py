@@ -100,16 +100,26 @@ DEFAULT_CONFIG = {
 PRIOR_KINDS = ("two_point", "signed_two_point", "bernoulli_gaussian", "discrete")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """``base`` updated from ``override``; a section must stay an object, a number a number."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if isinstance(base[key], dict):
+            _require(isinstance(value, dict), where, "must be an object")
             out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
+            continue
+        if _is_number(base[key]):
+            _require(_is_number(value), where, "must be a number")
+        elif isinstance(base[key], bool):
+            _require(isinstance(value, bool), where, "must be true or false")
+        out[key] = copy.deepcopy(value)
     return out
 
 
@@ -135,6 +145,22 @@ def _require(cond: bool, field: str, message: str):
         raise ConfigError(f"{field}: {message}")
 
 
+def _require_numbers(values, field: str, length: int | None = None):
+    """``values`` is null or a list of numbers (of ``length`` items, if given)."""
+    if values is not None:
+        _require(isinstance(values, (list, tuple)) and all(map(_is_number, values))
+                 and length in (None, len(values)), field,
+                 "must be a list of numbers" if length is None else f"must be {length} numbers")
+
+
+def _require_pairs(values, field: str, message: str, null_second: bool = False):
+    """``values`` is a nonempty list of [number, number] pairs; the second may be null."""
+    _require(isinstance(values, (list, tuple)) and bool(values), field, message)
+    for pair in values:
+        _require(isinstance(pair, (list, tuple)) and len(pair) == 2 and _is_number(pair[0])
+                 and (_is_number(pair[1]) or (null_second and pair[1] is None)), field, message)
+
+
 def validate_config(cfg: dict) -> dict:
     """Check every field the subcommands rely on; returns cfg unchanged."""
     m = cfg["model"]
@@ -144,7 +170,8 @@ def validate_config(cfg: dict) -> dict:
     _require(int(m["p"]) >= 2, "model.p", "must be >= 2")
     _require(int(m["gh_nodes"]) >= 1, "model.gh_nodes", "must be >= 1")
     if m["prior"] == "discrete":
-        _require(bool(m["atoms"]), "model.atoms", "required for a discrete prior")
+        _require_pairs(m["atoms"], "model.atoms",
+                       "a discrete prior needs a list of [value, weight] pairs of numbers")
 
     a = cfg["algorithm"]
     _require(a["tau"] > 0, "algorithm.tau", "must be > 0")
@@ -158,6 +185,9 @@ def validate_config(cfg: dict) -> dict:
     _require(s["x0_var"] > 0, "simulation.x0_var", "must be > 0")
     if s["theta"] is not None:
         _require(s["theta"] > 0, "simulation.theta", "must be > 0")
+    _require_numbers(s["record_times"], "simulation.record_times")
+    _require_numbers(s["histogram_times"], "simulation.histogram_times")
+    _require_numbers(s["histogram_range"], "simulation.histogram_range", 2)
     if s["histogram_range"] is not None:
         lo, hi = s["histogram_range"]
         _require(hi > lo, "simulation.histogram_range", "must satisfy hi > lo")
@@ -166,21 +196,23 @@ def validate_config(cfg: dict) -> dict:
     _require(p["x_max"] > p["x_min"], "pde.x_min/x_max", "must satisfy x_max > x_min")
     _require(int(p["n"]) >= 50, "pde.n", "must be >= 50")
     _require(p["t_max"] >= 0, "pde.t_max", "must be >= 0")
-    if isinstance(p["dt"], str):
-        _require(p["dt"] == "auto", "pde.dt", "must be a positive number or 'auto'")
-    else:
-        _require(p["dt"] > 0, "pde.dt", "must be a positive number or 'auto'")
+    _require(p["dt"] == "auto" or (_is_number(p["dt"]) and p["dt"] > 0), "pde.dt",
+             "must be a positive number or 'auto'")
+    _require_numbers(p["record_times"], "pde.record_times")
+    _require_numbers(p["density_times"], "pde.density_times")
 
     st = cfg["steady"]
     _require(0.0 < st["damping"] <= 1.0, "steady.damping", "must lie in (0, 1]")
     _require(st["tol"] > 0, "steady.tol", "must be > 0")
     _require(int(st["max_iter"]) >= 1, "steady.max_iter", "must be >= 1")
-    _require(bool(st["inits"]), "steady.inits", "must list at least one [q, r] start")
+    _require_pairs(st["inits"], "steady.inits", "must list [q, r] or [q, null] starts",
+                   null_second=True)
 
     sw = cfg["sweep"]
     _require(sw["omega_min"] >= 0, "sweep.omega_min", "must be >= 0")
     _require(sw["omega_max"] > sw["omega_min"], "sweep.omega_max", "must exceed omega_min")
     _require(int(sw["n_points"]) >= 2, "sweep.n_points", "must be >= 2")
+    _require_numbers(sw["starts"], "sweep.starts")
     _require(bool(sw["starts"]), "sweep.starts", "must list at least one overlap start")
     _require(0.0 < sw["damping"] <= 1.0, "sweep.damping", "must lie in (0, 1]")
     _require(sw["tol"] > 0, "sweep.tol", "must be > 0")
@@ -188,6 +220,7 @@ def validate_config(cfg: dict) -> dict:
 
     o = cfg["output"]
     _require(o["format"] in ("csv", "json"), "output.format", "must be 'csv' or 'json'")
+    _require(isinstance(o["directory"], str), "output.directory", "must be a string")
     return cfg
 
 

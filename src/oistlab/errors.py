@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all oistlab modules.
 
 Configuration problems (bad priors, grids, parameter ranges) raise
-``ConfigError``; failures that occur while a computation is running
-(degenerate states, non-normalizable densities) raise a ``NumericError``
-subclass. The CLI maps the two families to distinct exit codes.
+``ConfigError``, which is also a ``ValueError``; failures that occur
+while a computation is running (degenerate states, non-normalizable
+densities) raise a ``NumericError`` subclass. The CLI maps the two
+families to distinct exit codes.
 """
 
 
@@ -11,7 +12,7 @@ class OistlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(OistlabError):
+class ConfigError(OistlabError, ValueError):
     """Invalid configuration or violated setup precondition."""
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class SoftThreshold:
@@ -23,7 +25,7 @@ class SoftThreshold:
 
     def __post_init__(self):
         if self.beta < 0:
-            raise ValueError(f"soft threshold beta must be >= 0, got {self.beta}")
+            raise ConfigError(f"soft threshold beta must be >= 0, got {self.beta}")
 
 
 def phi_eval(x, threshold):
@@ -54,3 +56,22 @@ def eta_map(x_vec, threshold, p: int):
 def beta_of(threshold) -> float:
     """Shrinkage strength as a plain float (0 when thresholding is off)."""
     return 0.0 if threshold is None else threshold.beta
+
+
+@dataclass(frozen=True)
+class Dynamics:
+    """Step size tau > 0, SNR omega >= 0 and shrinkage (None: plain Oja) of the limit equations."""
+
+    tau: float
+    omega: float
+    threshold: SoftThreshold | None
+
+    def __post_init__(self):
+        if self.tau <= 0:
+            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if self.omega < 0:
+            raise ConfigError(f"omega must be >= 0, got {self.omega}")
+
+    @property
+    def beta(self) -> float:
+        return beta_of(self.threshold)

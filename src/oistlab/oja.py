@@ -15,23 +15,18 @@ estimate asymptotically uncorrelated with the signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .nonlinearity import Dynamics
 
 ALPHA2_SWITCH = 1e-12
 
 
 @dataclass(frozen=True)
-class OjaParams:
-    """Step size tau > 0 and SNR omega >= 0."""
+class OjaParams(Dynamics):
+    """Step size tau > 0 and SNR omega >= 0, without thresholding."""
 
-    tau: float
-    omega: float
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
+    threshold: None = field(default=None, init=False)
 
     @property
     def alpha1(self) -> float:

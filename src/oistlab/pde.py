@@ -38,9 +38,8 @@ of I + dt A sums to 1, with a positive diagonal and nonpositive
 off-diagonals: for any dt it is an M-matrix, strictly column
 diagonally dominant. Elimination never pivots and adds only
 nonnegative terms, so the densities stay nonnegative and each atom's
-mass is conserved to rounding. The clip guard of ``step`` records any
-negative value, which this scheme does not produce. The systems of all
-atoms are chained into one tridiagonal solve (LAPACK dgtsv).
+mass is conserved to rounding. The systems of all atoms are chained
+into one tridiagonal solve (LAPACK dgtsv).
 
 Step size: a numeric dt is taken as given, capped to land on record
 times. "auto" controls the error of each step instead. From one state
@@ -62,14 +61,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from .errors import ConfigError, NumericError
-from .nonlinearity import SoftThreshold, phi_eval, phi_mean
+from .nonlinearity import Dynamics, phi_eval, phi_mean
 from .priors import Prior, discretize_prior
 
 MASS_TOL = 1e-8
@@ -110,8 +109,7 @@ class ConditionalDensitySet:
     """Per-atom densities on a shared grid plus the macroscopic pair (q, r).
 
     Each row of ``densities`` integrates to 1 (midpoint rule); (q, r)
-    always equals the moments of the stored densities. ``clipped_mass``
-    and ``min_pre_clip`` accumulate clipping diagnostics over a run.
+    always equals the moments of the stored densities.
     """
 
     atoms: np.ndarray
@@ -121,39 +119,22 @@ class ConditionalDensitySet:
     t: float
     q: float
     r: float
-    clipped_mass: float = 0.0
-    min_pre_clip: float = 0.0
 
     def copy(self) -> "ConditionalDensitySet":
-        return ConditionalDensitySet(
-            atoms=self.atoms.copy(),
-            weights=self.weights.copy(),
-            densities=self.densities.copy(),
-            grid=self.grid,
-            t=self.t,
-            q=self.q,
-            r=self.r,
-            clipped_mass=self.clipped_mass,
-            min_pre_clip=self.min_pre_clip,
-        )
+        return replace(self, atoms=self.atoms.copy(), weights=self.weights.copy(),
+                       densities=self.densities.copy())
 
 
 @dataclass(frozen=True)
-class PdeConfig:
+class PdeConfig(Dynamics):
     """Dynamics parameters, grid and stepping policy for the limit solver."""
 
-    tau: float
-    omega: float
-    threshold: SoftThreshold | None
     grid: Grid
     dt: float | str = "auto"
     t_max: float = 15.0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.omega < 0:
-            raise ConfigError(f"omega must be >= 0, got {self.omega}")
+        super().__post_init__()
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise ConfigError(f"dt must be a positive number or 'auto', got {self.dt!r}")
@@ -173,10 +154,14 @@ def drift(x, xi, q, r, tau, omega, threshold):
     return _drift(x, xi, phi_eval(x, threshold), q, r, tau, omega)
 
 
+def restoring_coefficient(tau: float, omega: float, q: float, r: float) -> float:
+    """Linear confinement tau*omega*q^2 - r + D(q) of the drift; twice the stationary h."""
+    return tau * omega * q * q - r + diffusion_coefficient(tau, omega, q)
+
+
 def _drift(x, xi, phi, q, r, tau, omega):
     """The drift with phi given: phi(x), or its mean over a cell."""
-    restoring = tau * omega * q * q - r + diffusion_coefficient(tau, omega, q)
-    return tau * omega * q * xi - phi - np.asarray(x) * restoring
+    return tau * omega * q * xi - phi - np.asarray(x) * restoring_coefficient(tau, omega, q, r)
 
 
 @functools.lru_cache(maxsize=16)
@@ -333,27 +318,7 @@ def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
                                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise NumericError(f"implicit step: tridiagonal solve failed (LAPACK info {info})")
-    new_p = solved.reshape(n_atoms, n)
-
-    min_pre = float(new_p.min())
-    clipped = 0.0
-    if min_pre < 0.0:
-        neg = new_p < 0.0
-        clipped = float(-new_p[neg].sum()) * dx
-        new_p[neg] = 0.0
-        new_p /= new_p.sum(axis=1, keepdims=True) * dx
-
-    new_state = ConditionalDensitySet(
-        atoms=state.atoms,
-        weights=state.weights,
-        densities=new_p,
-        grid=state.grid,
-        t=state.t + dt,
-        q=state.q,
-        r=state.r,
-        clipped_mass=state.clipped_mass + clipped,
-        min_pre_clip=min(state.min_pre_clip, min_pre),
-    )
+    new_state = replace(state, densities=solved.reshape(n_atoms, n), t=state.t + dt)
     new_state.q, new_state.r = moments(new_state, cfg.threshold)
     return new_state
 
@@ -377,8 +342,6 @@ class PdeSolution:
     n_steps: int
     n_rejected: int
     n_first_order: int
-    clipped_mass: float
-    min_pre_clip: float
     dt_min: float
     dt_max: float
     mass_error: float
@@ -405,17 +368,7 @@ def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
         return None, err, False
     densities = 2.0 * fine.densities - coarse.densities
     first_order = bool(densities.min() < 0.0)
-    accepted = ConditionalDensitySet(
-        atoms=state.atoms,
-        weights=state.weights,
-        densities=fine.densities if first_order else densities,
-        grid=state.grid,
-        t=coarse.t,
-        q=fine.q,
-        r=fine.r,
-        clipped_mass=coarse.clipped_mass + fine.clipped_mass - state.clipped_mass,
-        min_pre_clip=min(coarse.min_pre_clip, fine.min_pre_clip),
-    )
+    accepted = replace(fine, densities=fine.densities if first_order else densities, t=coarse.t)
     if not first_order:
         accepted.q, accepted.r = moments(accepted, cfg.threshold)
     return accepted, err, first_order
@@ -435,7 +388,7 @@ def solve(
     on record times). "auto" takes error-controlled extrapolated steps
     (``_extrapolated_step``) at the tolerance STEP_TOL * dx^2, starting
     from ``auto_dt``. Pass ``initial_state`` to start from an arbitrary
-    density (e.g. a stationary profile) instead of the Gaussian.
+    nonnegative density (e.g. a stationary profile) instead of the Gaussian.
     """
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times.size == 0:
@@ -445,6 +398,8 @@ def solve(
 
     if initial_state is None:
         state = initial_density(x0_mean, x0_var, cfg.grid, prior, cfg.threshold)
+    elif initial_state.densities.min() < 0.0:
+        raise ConfigError("initial_state has a negative density cell")
     else:
         state = initial_state.copy()
 
@@ -492,8 +447,6 @@ def solve(
         n_steps=n_steps,
         n_rejected=n_rejected,
         n_first_order=n_first_order,
-        clipped_mass=state.clipped_mass,
-        min_pre_clip=state.min_pre_clip,
         dt_min=dt_min if n_steps else 0.0,
         dt_max=dt_max,
         mass_error=float(np.max(np.abs(masses - 1.0))),

@@ -47,8 +47,8 @@ import numpy as np
 from scipy.special import erfcx as _erfcx
 
 from .errors import ConfigError, NonNormalizableError
-from .nonlinearity import SoftThreshold, beta_of
-from .pde import diffusion_coefficient
+from .nonlinearity import Dynamics
+from .pde import diffusion_coefficient, restoring_coefficient
 from .priors import Prior
 
 SQRT_PI = math.sqrt(math.pi)
@@ -63,23 +63,7 @@ MIN_CONTINUATION_STEP = 1e-8
 DAMPED_FALLBACK_ITERATIONS = 200
 
 
-@dataclass(frozen=True)
-class SteadyConfig:
-    """Dynamics parameters the stationary analysis depends on."""
-
-    tau: float
-    omega: float
-    threshold: SoftThreshold | None
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.omega < 0:
-            raise ConfigError(f"omega must be >= 0, got {self.omega}")
-
-    @property
-    def beta(self) -> float:
-        return beta_of(self.threshold)
+SteadyConfig = Dynamics  # the stationary analysis needs only (tau, omega, threshold)
 
 
 def erfcx_scaled(x):
@@ -99,7 +83,7 @@ def g_scale(q: float, cfg: SteadyConfig) -> float:
 
 def h_curvature(q: float, r: float, cfg: SteadyConfig) -> float:
     """Quadratic-confinement coefficient h = (tau*omega*q^2 - r + g)/2."""
-    return 0.5 * (cfg.tau * cfg.omega * q * q - r + diffusion_coefficient(cfg.tau, cfg.omega, q))
+    return 0.5 * restoring_coefficient(cfg.tau, cfg.omega, q, r)
 
 
 def _scaled_terms(z_minus: float, z_plus: float, ex_minus: float,
@@ -300,7 +284,7 @@ class FixedPoint:
 
 def _project_h(q: float, r: float, cfg: SteadyConfig) -> float:
     """Pull r back so that h(q, r) >= H_MIN."""
-    r_cap = cfg.tau * cfg.omega * q * q + g_scale(q, cfg) - 2.0 * H_MIN
+    r_cap = restoring_coefficient(cfg.tau, cfg.omega, q, 0.0) - 2.0 * H_MIN
     return min(r, r_cap)
 
 

@@ -323,7 +323,7 @@ def test_criterion_9d_mass_conservation():
     worst = float(np.max(np.abs(masses - 1.0)))
     report(9, worst <= 1e-8,
            f"(d) per-atom mass after 1e5 steps off by {worst:.2e} <= 1e-8 "
-           f"(min pre-clip density {state.min_pre_clip:.1e})")
+           f"(min density {state.densities.min():.1e})")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oistlab import ConfigError, Prior
+from oistlab import ConfigError, OjaParams, Prior, SteadyConfig
 from oistlab.config import (
     DEFAULT_CONFIG,
     build_discrete_prior,
@@ -15,6 +15,7 @@ from oistlab.config import (
     resolve_theta,
     validate_config,
 )
+from oistlab.pde import Grid, PdeConfig
 
 
 def default_cfg():
@@ -110,3 +111,15 @@ def test_sweep_max_iter_message():
     cfg["sweep"]["max_iter"] = 0
     with pytest.raises(ConfigError, match="sweep.max_iter"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("make", [
+    lambda tau, omega: SteadyConfig(tau, omega, None),
+    lambda tau, omega: PdeConfig(tau, omega, None, Grid(-1.0, 1.0, 50)),
+    lambda tau, omega: OjaParams(tau, omega),
+], ids=["SteadyConfig", "PdeConfig", "OjaParams"])
+@pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.1)])
+def test_dynamics_parameters_rejected(make, tau, omega):
+    with pytest.raises(ConfigError) as excinfo:
+        make(tau, omega)
+    assert isinstance(excinfo.value, ValueError)

@@ -239,7 +239,7 @@ class TestStep:
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         for _ in range(2000):
             state = step(state, cfg)
-        assert state.min_pre_clip >= -1e-14
+            assert state.densities.min() >= 0.0
 
 
 class TestSolve:
@@ -330,6 +330,14 @@ class TestSolve:
             solve(cfg, PRIOR, [])
         with pytest.raises(ConfigError):
             solve(cfg, PRIOR, [2.0])
+
+    def test_negative_initial_state_refused(self):
+        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+                        grid=make_grid(), dt="auto", t_max=1.0)
+        state = initial_density(1.0 / math.sqrt(2.0), 0.5, cfg.grid, PRIOR, SOFT)
+        state.densities[0, 0] = -1e-300
+        with pytest.raises(ConfigError, match="negative"):
+            solve(cfg, PRIOR, [1.0], initial_state=state)
 
 
 def reference_config(dt="auto", t_max=15.0):
