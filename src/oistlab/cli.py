@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -101,43 +102,100 @@ def _json_cells(values) -> list[str]:
     return [json.dumps(_native(v)) for v in values]
 
 
-def _cells(column, convert) -> list:
-    if not isinstance(column, Repeat):
-        return convert(column)
-    cells = convert(column.values)
-    if column.each != 1:
-        cells = [c for c in cells for _ in range(column.each)]
-    return cells * column.tile
+# A plain (not `Repeat`) column of these kinds is formatted by the row
+# template itself: "%.17g" % v equals format(float(v), ".17g") and
+# "%r" % v equals float.__repr__(v).
+_PLACEHOLDERS = {"csv": ({float, np.float64}, "%.17g"), "json": ({float}, "%r")}
+_BLOCK_ROWS = 4096
 
 
-def _json_text(header: list[str], columns: list) -> str:
-    """The bytes of `json.dumps` with `indent=1` over one dict per row, and a newline.
+def _row_count(columns: list) -> int:
+    lengths = [len(col.values) * col.each * col.tile if isinstance(col, Repeat) else len(col)
+               for col in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of unequal lengths {lengths}")
+    return lengths[0] if lengths else 0
 
-    Each row is ' {', then '\\n  "key": cell' per column with commas
-    between, then '\\n }'; rows are separated by ',\\n'. Keys are encoded once.
+
+def _template_column(column, fmt: str):
+    """One column of the row template.
+
+    Returns (placeholder, values) for a plain float column, whose values
+    the template formats, or (None, its cells in row order, with `%`
+    escaped) for any other column, whose cells go into the template as
+    text. A JSON float column that holds nan or +-inf is text, so that
+    `_json_cells` writes json's constants for them.
     """
-    cells = [_cells(col, _json_cells) for col in columns]
-    if len(set(map(len, cells))) > 1:
-        raise ValueError(f"columns of unequal lengths {[len(c) for c in cells]}")
-    if not cells or not cells[0]:
-        return "[]\n"
-    leads = [f"{',' if j else ' {'}\n  {json.dumps(name)}: " for j, name in enumerate(header)]
-    pieces = [part for lead, col in zip(leads, cells) for part in (repeat(lead), col)]
-    parts = chain.from_iterable(zip(repeat(",\n"), *pieces, repeat("\n }")))
-    next(parts)  # no separator before the first row
-    return "".join(chain(["[\n"], parts, ["\n]\n"]))
+    values = column.values if isinstance(column, Repeat) else column
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if not isinstance(column, Repeat):
+        kinds, placeholder = _PLACEHOLDERS[fmt]
+        # a finite sum rules out nan and +-inf; an overflowing one only costs speed
+        if set(map(type, values)) <= kinds and (fmt == "csv" or math.isfinite(sum(values))):
+            return placeholder, values
+    convert = _strings if fmt == "csv" else _json_cells
+    cells = [cell.replace("%", "%%") for cell in convert(values)]
+    if not isinstance(column, Repeat):
+        return None, cells
+    if column.each != 1:
+        cells = list(chain.from_iterable(map(repeat, cells, repeat(column.each))))
+    return None, chain.from_iterable(repeat(cells, column.tile))
+
+
+def _blocks(columns: list, n_rows: int, leads: list[str], tail: str, fmt: str):
+    """Yield the text of every row, leads[j] before cell j and `tail` after
+    the last, `_BLOCK_ROWS` rows at a time, each block formatted by one `%`."""
+    # the row template is text pieces, with a text column's cells between each two
+    pieces, texts, floats = [""], [], []
+    for lead, column in zip(leads, columns):
+        placeholder, values = _template_column(column, fmt)
+        pieces[-1] += lead.replace("%", "%%")
+        if placeholder is None:
+            texts.append(values)
+            pieces.append("")
+        else:
+            pieces[-1] += placeholder
+            floats.append(values)
+    pieces[-1] += tail
+    rows = zip(*chain.from_iterable(zip(map(repeat, pieces), texts)), repeat(pieces[-1]))
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        template = "".join(chain.from_iterable(islice(rows, stop - start)))
+        if len(floats) == 1:
+            values = tuple(floats[0][start:stop])
+        else:
+            values = tuple(chain.from_iterable(zip(*(col[start:stop] for col in floats))))
+        yield template % values
 
 
 def write_table(path: Path, header: list[str], columns: list, fmt: str) -> Path:
-    """Write a table given one sequence (or `Repeat`) of values per header column."""
+    """Write a table given one sequence (or `Repeat`) of values per header column.
+
+    JSON has the bytes of `json.dumps` with `indent=1` over one dict per
+    row, and a newline.
+    """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
+    n_rows = _row_count(columns)
     if fmt == "json":
         path = path.with_suffix(".json")
-        path.write_text(_json_text(header, columns))
+        leads = [(",\n  " if j else ",\n {\n  ") + json.dumps(name) + ": "
+                 for j, name in enumerate(header)]
+        with path.open("w") as out:
+            blocks = _blocks(columns, n_rows, leads, "\n }", fmt)
+            first = next(blocks, None)
+            if first is None:
+                out.write("[]\n")
+            else:
+                out.write("[\n" + first[2:])  # no ",\n" before the first row
+                out.writelines(blocks)
+                out.write("\n]\n")
     else:
-        lines = map(",".join, zip(*(_cells(col, _strings) for col in columns), strict=True))
-        path.write_text("\n".join([",".join(header), *lines]) + "\n")
+        with path.open("w") as out:
+            out.write(",".join(header) + "\n")
+            out.writelines(_blocks(columns, n_rows, ["," if j else "" for j in range(len(header))],
+                                   "\n", fmt))
     return path
 
 

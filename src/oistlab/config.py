@@ -319,14 +319,14 @@ def resolve_bin_edges(cfg: dict) -> np.ndarray:
     if s["histogram_range"] is not None:
         lo, hi = (float(v) for v in s["histogram_range"])
         return np.linspace(lo, hi, n_bins + 1)
-    return default_bin_edges(cfg["model"]["rho"], n_bins)
+    return default_bin_edges(build_prior(cfg).rho, n_bins)
 
 
 def resolve_theta(cfg: dict) -> float:
     s = cfg["simulation"]
     if s["theta"] is not None:
         return float(s["theta"])
-    return default_theta(cfg["model"]["rho"])
+    return default_theta(build_prior(cfg).rho)
 
 
 def initial_overlap(cfg: dict, prior: Prior | None = None) -> float:

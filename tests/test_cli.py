@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oistlab
 from oistlab import config as cfgmod, pde
@@ -143,6 +145,51 @@ class TestWriteTable:
             write_table(tmp_path / "table.csv", ["t", "x"], [[0.0, 1.0], [2.0]], "csv")
         with pytest.raises(ValueError):
             write_table(tmp_path / "table.csv", ["t", "x"], [[0.0]], "csv")
+
+
+FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+CELL_KINDS = {
+    "float": (FLOAT_CELLS, [list, np.array, lambda vs: list(map(np.float64, vs))]),
+    "int": (st.integers(-2**63, 2**63 - 1), [list, np.array, lambda vs: list(map(np.int64, vs))]),
+    "bool": (st.booleans(), [list, np.array, lambda vs: list(map(np.bool_, vs))]),
+    "str": (st.text(alphabet="ab%,;.-9 \u00e9", max_size=6), [list]),
+    "mixed": (st.one_of(FLOAT_CELLS, st.integers(-9, 9), st.booleans()), [list]),
+}
+
+
+@st.composite
+def tables(draw):
+    """A header and columns of `len_outer * len_mid * len_inner` rows each,
+    plain or `Repeat`ed over those three factors, of mixed cell kinds."""
+    outer, mid, inner = (draw(st.integers(0, 4)) for _ in range(3))
+    n_rows = outer * mid * inner
+    shapes = [(n_rows, None), (n_rows, (1, 1)), (outer, (mid * inner, 1)),
+              (mid, (inner, outer)), (inner, (1, outer * mid))]
+    header = draw(st.lists(st.text(alphabet="tx%,_", min_size=1, max_size=3),
+                           max_size=5, unique=True))
+    columns = []
+    for _ in header:
+        cells, containers = CELL_KINDS[draw(st.sampled_from(sorted(CELL_KINDS)))]
+        length, repeat = draw(st.sampled_from(shapes))
+        values = draw(st.sampled_from(containers))(draw(st.lists(cells, min_size=length,
+                                                                 max_size=length)))
+        columns.append(values if repeat is None else Repeat(values, *repeat))
+    return header, columns
+
+
+def expand(column):
+    if not isinstance(column, Repeat):
+        return list(column)
+    return [v for _ in range(column.tile) for v in column.values for _ in range(column.each)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), fmt=st.sampled_from(["csv", "json"]))
+def test_write_table_matches_row_wise_rendering(tmp_path_factory, table, fmt):
+    header, columns = table
+    path = write_table(tmp_path_factory.mktemp("table") / "table.csv", header, columns, fmt)
+    rows = list(zip(*map(expand, columns)))
+    assert path.read_text() == render_rows(header, rows, fmt)
 
 
 class TestSimulateCommand:

@@ -99,6 +99,16 @@ def test_discrete_prior_requires_atoms():
     assert prior.rho == pytest.approx(0.5)
 
 
+def test_discrete_prior_sets_threshold_and_bins():
+    # rho of an explicit prior is its nonzero mass, not the unused model.rho
+    cfg = default_cfg()
+    cfg["model"]["prior"] = "discrete"
+    cfg["model"]["atoms"] = [[0.0, 0.5], [math.sqrt(2.0), 0.5]]
+    validate_config(cfg)
+    assert resolve_theta(cfg) == 1.0 / (2.0 * math.sqrt(0.5))
+    assert resolve_bin_edges(cfg)[-1] == pytest.approx(2.0 + 1.0 / math.sqrt(0.5))
+
+
 def test_default_config_unchanged_by_load():
     before = DEFAULT_CONFIG["pde"]["n"]
     cfg = default_cfg()

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 
 from oistlab import (
     ConfigError,
@@ -25,6 +27,8 @@ from oistlab.pde import (
     solve,
     step,
 )
+from oistlab import pde as pdemod
+from oistlab.priors import discretize_prior
 from oistlab.steady import default_r_init
 
 PRIOR = Prior.two_point(0.05)
@@ -392,3 +396,119 @@ class TestAutoStep:
         assert np.array_equal(sol.snapshots[0].densities, fine.densities)
         assert sol.q_values[0] == fine.q and sol.r_values[0] == fine.r
 
+
+
+# The kernel before the shared flux operator and the lighter moments, kept
+# verbatim as the oracle that `solve` must reproduce bit for bit.
+def oracle_moments(state, threshold):
+    dx = state.grid.dx
+    masses = state.densities.sum(axis=1) * dx
+    if np.any(np.abs(masses - 1.0) > pdemod.MASS_TOL):
+        worst = float(np.max(np.abs(masses - 1.0)))
+        raise NumericError(f"conditional density mass off by {worst:.3e} (> {pdemod.MASS_TOL})")
+    x, xphi, _, _ = pdemod._grid_tables(state.grid, threshold)
+    first = state.densities @ x * dx
+    q = float(np.sum(state.weights * state.atoms * first))
+    r = float(np.sum(state.weights * (state.densities @ xphi)) * dx)
+    return q, r
+
+
+def oracle_step(state, cfg, dt=None, gamma=None):
+    if gamma is None:
+        gamma = pdemod._interface_drift(state, cfg)
+    if dt is None:
+        dt = pdemod.auto_dt(state, cfg, gamma) if cfg.dt == "auto" else float(cfg.dt)
+    dx = state.grid.dx
+    diffusion = pdemod.diffusion_coefficient(cfg.tau, cfg.omega, state.q)
+
+    v = gamma[:, 1:-1]
+    fitted = pdemod._fitted_diffusion(v, diffusion, dx)
+    w_right = np.maximum(v, 0.0)
+    w_left = w_right - v
+    lam = dt / dx
+    w_right += fitted
+    w_right *= lam
+    w_left += fitted
+    w_left *= lam
+
+    p = state.densities
+    n_atoms, n = p.shape
+    diag = np.ones((n_atoms, n))
+    diag[:, :-1] += w_right
+    diag[:, 1:] += w_left
+    upper = np.zeros((n_atoms, n))
+    np.negative(w_left, out=upper[:, :-1])
+    lower = np.zeros((n_atoms, n))
+    np.negative(w_right, out=lower[:, 1:])
+    _, _, _, solved, info = dgtsv(lower.reshape(-1)[1:], diag.reshape(-1),
+                                  upper.reshape(-1)[:-1], p.reshape(-1, 1),
+                                  overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise NumericError(f"implicit step: tridiagonal solve failed (LAPACK info {info})")
+    new_state = replace(state, densities=solved.reshape(n_atoms, n), t=state.t + dt)
+    new_state.q, new_state.r = oracle_moments(new_state, cfg.threshold)
+    return new_state
+
+
+def oracle_extrapolated_step(state, cfg, dt, tol):
+    gamma = pdemod._interface_drift(state, cfg)
+    coarse = oracle_step(state, cfg, dt, gamma)
+    fine = oracle_step(oracle_step(state, cfg, 0.5 * dt, gamma), cfg, 0.5 * dt)
+    err = max(abs(coarse.q - fine.q), abs(coarse.r - fine.r))
+    if math.isnan(err):
+        raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
+    if err > tol:
+        return None, err, False
+    densities = 2.0 * fine.densities - coarse.densities
+    first_order = bool(densities.min() < 0.0)
+    accepted = replace(fine, densities=fine.densities if first_order else densities, t=coarse.t)
+    if not first_order:
+        accepted.q, accepted.r = oracle_moments(accepted, cfg.threshold)
+    return accepted, err, first_order
+
+
+def narrow_start(cfg):
+    return initial_density(0.7, 1e-3, cfg.grid, PRIOR, SOFT)
+
+
+def bernoulli_gaussian_start(cfg):
+    # the prior is symmetric, so a start independent of xi has no overlap
+    prior = discretize_prior(Prior.bernoulli_gaussian(0.05), 21)
+    x = cfg.grid.centers
+    densities = np.exp(-(x[None, :] - 0.1 * prior.atom_values[:, None]) ** 2)
+    densities /= densities.sum(axis=1, keepdims=True) * cfg.grid.dx
+    state = ConditionalDensitySet(prior.atom_values, prior.atom_weights, densities,
+                                  cfg.grid, 0.0, 0.0, 0.0)
+    state.q, state.r = pdemod.moments(state, cfg.threshold)
+    return state
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("cfg, prior, times, start", [
+        (reference_config(t_max=2.0), PRIOR, np.arange(0.0, 2.5, 0.5), None),
+        (reference_config(dt=0.03, t_max=1.0), PRIOR, [0.0, 0.25, 0.5, 1.0], None),
+        (PdeConfig(tau=0.5, omega=1.0, threshold=None, grid=make_grid(n=900), t_max=2.0),
+         PRIOR, [1.0, 2.0], None),
+        (PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=make_grid(n=200, lo=-8.0),
+                   t_max=0.5), Prior.bernoulli_gaussian(0.05), [0.25, 0.5],
+         bernoulli_gaussian_start),
+        (reference_config(t_max=0.5), PRIOR, [0.1, 0.5], narrow_start),
+    ], ids=["reference-auto", "numeric-dt", "plain-oja", "bernoulli-gaussian-21", "narrow-start"])
+    def test_solve_matches_oracle_bit_for_bit(self, monkeypatch, cfg, prior, times, start):
+        initial = start(cfg) if start else None
+        got = solve(cfg, prior, times, initial_state=initial)
+        with monkeypatch.context() as patch:
+            patch.setattr(pdemod, "moments", oracle_moments)
+            patch.setattr(pdemod, "step", oracle_step)
+            patch.setattr(pdemod, "_extrapolated_step", oracle_extrapolated_step)
+            want = solve(cfg, prior, times, initial_state=start(cfg) if start else None)
+        assert len(got.snapshots[0].atoms) == (21 if start is bernoulli_gaussian_start else 2)
+        if start is narrow_start:
+            assert got.n_first_order > 0
+        for key in ("n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error"):
+            assert getattr(got, key) == getattr(want, key), key
+        for values in ("times", "q_values", "r_values"):
+            assert getattr(got, values).tobytes() == getattr(want, values).tobytes()
+        for mine, theirs in zip(got.snapshots, want.snapshots, strict=True):
+            assert mine.densities.tobytes() == theirs.densities.tobytes()
+            assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
