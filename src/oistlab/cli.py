@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericError
 from .oja import OjaParams, closed_form_q
 from .simulate import run_trajectory
 from .steady import (
-    default_r_init,
+    nullcline_r,
     solve_fixed_point,
     steady_density,
     sweep_omega,
@@ -342,11 +342,13 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     st = cfg["steady"]
     inits = []
     results = []
+    nullcline_calls = []
     started = time.perf_counter()
     for init in st["inits"]:
         q0 = float(init[0])
-        r0 = default_r_init(q0, steady_cfg, prior) if init[1] is None else float(init[1])
+        r0, calls = nullcline_r(q0, steady_cfg, prior) if init[1] is None else (float(init[1]), 0)
         inits.append((q0, r0))
+        nullcline_calls.append(calls)
         results.append(solve_fixed_point(steady_cfg, prior, (q0, r0),
                                          damping=float(st["damping"]), tol=float(st["tol"]),
                                          max_iter=int(st["max_iter"])))
@@ -360,6 +362,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     ]
     diagnostics = {
         "iterations": [fp.iterations for fp in results],
+        "nullcline_map_calls": nullcline_calls,
         "max_residual": max(fp.residual for fp in results),
         "unconverged": sum(not fp.converged for fp in results),
     }

@@ -172,6 +172,10 @@ def validate_config(cfg: dict) -> dict:
     if m["prior"] == "discrete":
         _require_pairs(m["atoms"], "model.atoms",
                        "a discrete prior needs a list of [value, weight] pairs of numbers")
+        try:
+            Prior.from_atoms(m["atoms"])
+        except ConfigError as exc:
+            raise ConfigError(f"model.atoms: {exc}") from None
 
     a = cfg["algorithm"]
     _require(a["tau"] > 0, "algorithm.tau", "must be > 0")

@@ -37,6 +37,14 @@ short damped iteration wherever Newton fails from a start, and reports
 the exact uninformative solution where every start collapses onto it.
 The solvers call ``fixed_point_map`` through its module-level name, and
 ``SweepResult.map_calls`` counts every one of those calls.
+
+Each search starts with r on the r-nullcline of its overlap start: the
+NULLCLINE_ITERATIONS-th iterate of a damped r-only recurrence at fixed
+q (``default_r_init``). The recurrence is a deterministic map of r
+alone, so ``nullcline_r`` stops at the first iterate that repeats an
+earlier one bit for bit and reads the last iterate off the cycle. The
+start is the same bits as the full iteration, at a fraction of its map
+calls wherever a repeat comes early.
 """
 from __future__ import annotations
 
@@ -295,16 +303,43 @@ def default_r_init(q: float, cfg: SteadyConfig, prior: Prior | None = None) -> f
     (damped r-only iterations at fixed q): near the transition the
     overlap collapses faster than r can equilibrate, so joint iterates
     launched far off the nullcline can escape the informative basin
-    that the fixed-overlap map would retain.
+    that the fixed-overlap map would retain. The result is the
+    NULLCLINE_ITERATIONS-th iterate, bit for bit; see ``nullcline_r``
+    for how it is reached in fewer map calls.
+    """
+    if prior is None:
+        return 0.5 * g_scale(q, cfg)
+    return nullcline_r(q, cfg, prior)[0]
+
+
+def nullcline_r(q: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, int]:
+    """``default_r_init``'s r-nullcline start and the map calls it took.
+
+    The iteration r <- (proj(r) + F_r(q, proj(r))) / 2 at fixed q is a
+    deterministic map of r alone. Once an iterate repeats one seen
+    before bit for bit (float.hex keys keep -0.0 apart from 0.0, and a
+    NaN never repeats), all later iterates cycle with that period, so
+    the NULLCLINE_ITERATIONS-th is read off the history without the
+    remaining map calls. Most starts land on an exact fixed point, a
+    pin on the h floor or a short cycle well before the last step; a
+    start that never repeats takes all NULLCLINE_ITERATIONS calls.
     """
     r = 0.5 * g_scale(q, cfg)
-    if prior is None:
-        return r
-    for _ in range(NULLCLINE_ITERATIONS):
+    history = [r]
+    seen = {r.hex(): 0}
+    for step in range(1, NULLCLINE_ITERATIONS + 1):
         r = _project_h(q, r, cfg)
         _, r_new = fixed_point_map(q, r, cfg, prior)
         r = 0.5 * r + 0.5 * r_new
-    return _project_h(q, r, cfg)
+        key = r.hex()
+        first = seen.get(key) if r == r else None
+        if first is not None:
+            period = step - first
+            r = history[first + (NULLCLINE_ITERATIONS - first) % period]
+            return _project_h(q, r, cfg), step
+        seen[key] = step
+        history.append(r)
+    return _project_h(q, r, cfg), NULLCLINE_ITERATIONS
 
 
 def solve_fixed_point(
@@ -374,12 +409,15 @@ class SweepResult:
 
     ``branch_ends`` holds one (omega_failed, omega_last_root) bracket, a
     few 1e-8 wide, for each traced branch that ended inside the grid.
+    ``nullcline_map_calls`` is the share of ``map_calls`` spent on the
+    searches' r-nullcline starts.
     """
 
     points: list
     omega_c: float | None
     newton_iterations: int
     map_calls: int
+    nullcline_map_calls: int
     max_residual: float
     branch_ends: list
 
@@ -387,6 +425,7 @@ class SweepResult:
         return {
             "newton_iterations": self.newton_iterations,
             "map_calls": self.map_calls,
+            "nullcline_map_calls": self.nullcline_map_calls,
             "max_residual": self.max_residual,
             "uninformative_points": sum(pt.converged and pt.branch == "uninformative"
                                         for pt in self.points),
@@ -422,6 +461,7 @@ class _Newton:
         self.margin = max(100.0 * H_MIN, 10.0 * tol)
         self.iterations = 0
         self.map_calls = 0
+        self.nullcline_map_calls = 0
 
     def _map(self, q: float, r: float, cfg: SteadyConfig) -> tuple[float, float]:
         self.map_calls += 1
@@ -483,8 +523,9 @@ class _Newton:
         yields the exact uninformative solution; an informative iterate
         that Newton cannot accept comes back with converged=False.
         """
-        r0 = default_r_init(q0, cfg, self.prior)
-        self.map_calls += NULLCLINE_ITERATIONS
+        r0, calls = nullcline_r(q0, cfg, self.prior)
+        self.map_calls += calls
+        self.nullcline_map_calls += calls
         fp = self.solve(cfg, (q0, r0))
         if fp is not None:
             return fp
@@ -586,5 +627,6 @@ def sweep_omega(
     omega_c = next((pt.omega for pt in points
                     if pt.converged and pt.q_star > EPS_TRANSITION), None)
     return SweepResult(points=points, omega_c=omega_c, newton_iterations=newton.iterations,
-                       map_calls=newton.map_calls, max_residual=max_residual,
-                       branch_ends=branch_ends)
+                       map_calls=newton.map_calls,
+                       nullcline_map_calls=newton.nullcline_map_calls,
+                       max_residual=max_residual, branch_ends=branch_ends)

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oistlab
-from oistlab import config as cfgmod, pde
+from oistlab import cli, config as cfgmod, pde, steady
 from oistlab.cli import Repeat, main, write_table
+from oistlab.steady import NULLCLINE_ITERATIONS, nullcline_r
 
 TINY = {
     "model": {"rho": 0.2, "p": 64, "omega": 1.0},
@@ -391,6 +392,27 @@ class TestSteadyCommand:
         assert diagnostics["unconverged"] == sum(row[6] == "false" for row in rows)
         assert diagnostics["unconverged"] >= 1
 
+    def test_manifest_nullcline_map_calls(self, tmp_path, monkeypatch):
+        # one count per init, from the call that set its init_R; 0 where init_R is given
+        made = []
+
+        def recorded(*args):
+            made.append(nullcline_r(*args))
+            return made[-1]
+
+        monkeypatch.setattr(cli, "nullcline_r", recorded)
+        cfg = write_config(tmp_path, {"model": {"omega": 0.26},
+                                      "steady": {"inits": [[0.2, None], [0.5, 0.1], [0.9, None]]}})
+        code, out = run(tmp_path, "steady", "--config", cfg)
+        assert code == 0
+        rows = [line.split(",") for line in
+                (out / "fixed_point.csv").read_text().splitlines()[1:]]
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        (r_a, calls_a), (r_b, calls_b) = made
+        assert diagnostics["nullcline_map_calls"] == [calls_a, 0, calls_b]
+        assert 0 < calls_a <= NULLCLINE_ITERATIONS and 0 < calls_b <= NULLCLINE_ITERATIONS
+        assert [float(row[1]) for row in rows] == [r_a, 0.1, r_b]
+
     def test_manifest_stage_times(self, tmp_path):
         code, out = run(tmp_path, "steady", "--config", write_config(tmp_path), "--density")
         assert code == 0
@@ -453,6 +475,24 @@ class TestSweepCommand:
         assert 0 < diagnostics["newton_iterations"] < diagnostics["map_calls"]
         assert len(diagnostics["branch_ends"]) == 1
 
+    def test_manifest_nullcline_map_calls(self, tmp_path, monkeypatch):
+        # the total over every search's r-nullcline start, a part of map_calls
+        made = []
+
+        def recorded(*args):
+            r, calls = nullcline_r(*args)
+            made.append(calls)
+            return r, calls
+
+        monkeypatch.setattr(steady, "nullcline_r", recorded)
+        code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path))
+        assert code == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert made and diagnostics["nullcline_map_calls"] == sum(made)
+        assert 0 < diagnostics["nullcline_map_calls"] < diagnostics["map_calls"]
+        assert (out / "sweep.csv").read_text().splitlines()[0] == \
+            "omega,Q_star,converged,branch,distinct_Q"
+
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path)
         _, out_a = run(tmp_path / "a", "sweep", "--config", cfg)
@@ -492,6 +532,15 @@ class TestValidation:
         code, _ = run(tmp_path, "steady", "--config", str(path))
         assert code == 2
         assert f"configuration error: {field}: " in capsys.readouterr().err
+
+    def test_discrete_prior_checked_with_field_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"model": {"prior": "discrete", "atoms": [[0, 0.5], [1.41421356, 0.5]]}}))
+        code, out = run(tmp_path, "simulate", "--config", str(path))
+        assert code == 2
+        assert "configuration error: model.atoms: prior second moment" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -99,6 +99,18 @@ def test_discrete_prior_requires_atoms():
     assert prior.rho == pytest.approx(0.5)
 
 
+def test_discrete_prior_checked_against_prior_rules():
+    # 1.41421356 is sqrt(2) to 8 digits: second moment 1 - 3.4e-9, outside 1e-10
+    cfg = default_cfg()
+    cfg["model"]["prior"] = "discrete"
+    cfg["model"]["atoms"] = [[0, 0.5], [1.41421356, 0.5]]
+    with pytest.raises(ConfigError, match=r"^model\.atoms: prior second moment is "):
+        validate_config(cfg)
+    cfg["model"]["atoms"] = [[0, 0.25], [math.sqrt(2.0), 0.5]]
+    with pytest.raises(ConfigError, match=r"^model\.atoms: prior atom weights sum to "):
+        validate_config(cfg)
+
+
 def test_discrete_prior_sets_threshold_and_bins():
     # rho of an explicit prior is its nonzero mass, not the unused model.rho
     cfg = default_cfg()

@@ -315,6 +315,95 @@ class TestScalarKernel:
         assert len(calls) == result.map_calls > 0
 
 
+# The r-nullcline pre-iteration before its cycle short-cut: the oracle
+# `nullcline_r` must equal bit for bit.
+def _oracle_default_r_init(q, cfg, prior=None):
+    r = 0.5 * g_scale(q, cfg)
+    if prior is None:
+        return r
+    for _ in range(steady.NULLCLINE_ITERATIONS):
+        r = steady._project_h(q, r, cfg)
+        _, r_new = fixed_point_map(q, r, cfg, prior)
+        r = 0.5 * r + 0.5 * r_new
+    return steady._project_h(q, r, cfg)
+
+
+def _counted_nullcline_r(monkeypatch, q, cfg, prior):
+    """nullcline_r's (r, calls), checking calls against the map calls it made."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fixed_point_map(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady, "fixed_point_map", counted)
+        r, reported = steady.nullcline_r(q, cfg, prior)
+    assert reported == len(calls) <= steady.NULLCLINE_ITERATIONS
+    return r, reported
+
+
+class TestNullclineShortcut:
+    @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
+    @pytest.mark.parametrize("prior", [PRIOR, BG_21], ids=["two_point", "bg21"])
+    def test_bitwise_equal_to_full_iteration(self, monkeypatch, cfg, prior):
+        rng = np.random.default_rng(20261019)
+        n = 150 if prior is PRIOR else 40
+        cut_short = 0
+        for _ in range(n):
+            q = rng.uniform(-1.2, 1.2)
+            cfg_w = dc_replace(cfg, omega=rng.uniform(0.0, 2.0))
+            want = _oracle_default_r_init(q, cfg_w, prior)
+            r, calls = _counted_nullcline_r(monkeypatch, q, cfg_w, prior)
+            assert _bits(r) == _bits(want), (q, cfg_w.omega, calls)
+            assert _bits(default_r_init(q, cfg_w, prior)) == _bits(want)
+            cut_short += calls < steady.NULLCLINE_ITERATIONS
+        if cfg.beta > 0:
+            assert cut_short >= n // 2
+        else:
+            # r' = 0 without shrinkage: r halves every step and never repeats
+            assert cut_short == 0
+
+    @pytest.mark.parametrize("q, calls", [(0.2, 100), (0.5, 19), (0.9, 94)],
+                             ids=["cycle", "floor_pin", "fixed_point"])
+    def test_top_of_transition_grid(self, monkeypatch, q, calls):
+        cfg = dc_replace(CFG, omega=0.26)
+        r, made = _counted_nullcline_r(monkeypatch, q, cfg, PRIOR)
+        assert made == calls
+        assert _bits(r) == _bits(_oracle_default_r_init(q, cfg, PRIOR))
+        if q == 0.5:
+            assert r == steady._project_h(q, math.inf, cfg)
+
+    def test_no_repeat_takes_every_step(self, monkeypatch):
+        cfg = dc_replace(CFG, omega=0.2325)
+        r, made = _counted_nullcline_r(monkeypatch, 0.5, cfg, PRIOR)
+        assert made == steady.NULLCLINE_ITERATIONS
+        assert _bits(r) == _bits(_oracle_default_r_init(0.5, cfg, PRIOR))
+
+    def test_nan_never_repeats(self, monkeypatch):
+        monkeypatch.setattr(steady, "fixed_point_map", lambda q, r, cfg, prior: (q, math.nan))
+        r, calls = steady.nullcline_r(0.5, CFG, PRIOR)
+        assert math.isnan(r) and calls == steady.NULLCLINE_ITERATIONS
+
+    def test_sweep_identical_to_full_iteration(self, monkeypatch):
+        grid = np.linspace(0.20, 0.26, 25)
+        short = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
+        monkeypatch.setattr(steady, "nullcline_r", lambda q, cfg, prior: (
+            _oracle_default_r_init(q, cfg, prior), steady.NULLCLINE_ITERATIONS))
+        full = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
+        assert short.points == full.points
+        assert [_bits(pt.q_star, *pt.distinct_q) for pt in short.points] == \
+            [_bits(pt.q_star, *pt.distinct_q) for pt in full.points]
+        assert short.omega_c == full.omega_c
+        counts = ("map_calls", "nullcline_map_calls")
+        assert {k: v for k, v in short.diagnostics().items() if k not in counts} == \
+            {k: v for k, v in full.diagnostics().items() if k not in counts}
+        assert (short.map_calls, full.map_calls) == (814, 1201)
+        assert full.nullcline_map_calls == 3 * steady.NULLCLINE_ITERATIONS
+        assert full.map_calls - full.nullcline_map_calls == \
+            short.map_calls - short.nullcline_map_calls
+
+
 class TestSolveFixedPoint:
     def test_uninformative_branch(self):
         tau = CFG.tau
