@@ -24,13 +24,7 @@ from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
 from .oja import OjaParams, closed_form_q
 from .simulate import run_trajectory
-from .steady import (
-    nullcline_r,
-    solve_fixed_point,
-    steady_density,
-    sweep_omega,
-    uninformative_fixed_point,
-)
+from .steady import _Newton, nullcline_r, steady_density, sweep_omega
 
 
 def _fmt(value) -> str:
@@ -340,6 +334,8 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     prior = cfgmod.build_discrete_prior(cfg)
     steady_cfg = cfgmod.build_steady_config(cfg)
     st = cfg["steady"]
+    # the sweep's own search, so each init is accepted by the rules of a searched SNR
+    newton = _Newton(prior, float(st["tol"]), int(st["max_iter"]))
     inits = []
     results = []
     nullcline_calls = []
@@ -349,9 +345,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
         r0, calls = nullcline_r(q0, steady_cfg, prior) if init[1] is None else (float(init[1]), 0)
         inits.append((q0, r0))
         nullcline_calls.append(calls)
-        results.append(solve_fixed_point(steady_cfg, prior, (q0, r0),
-                                         damping=float(st["damping"]), tol=float(st["tol"]),
-                                         max_iter=int(st["max_iter"])))
+        results.append(newton.search(steady_cfg, q0, r0))
     solved = time.perf_counter()
     fields = ("q", "r", "residual", "branch", "converged", "iterations")
     columns = [*zip(*inits), *([getattr(fp, key) for fp in results] for key in fields)]
@@ -368,14 +362,10 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     }
     if with_density or st["density"]:
         fp = _selected_fixed_point(results)
-        if fp.branch == "uninformative":
-            # the exact zero-overlap solution: a Laplace law, or a Gaussian without shrinkage
-            fp = uninformative_fixed_point(steady_cfg)
-        q_eval, r_eval = fp.q, fp.r
         centers = cfgmod.build_grid(cfg, prior).centers
         atoms = prior.atom_values
         density = [d for atom in atoms
-                   for d in steady_density(atom, q_eval, r_eval, steady_cfg)(centers).tolist()]
+                   for d in steady_density(atom, fp.q, fp.r, steady_cfg)(centers).tolist()]
         files.append(write_table(
             outdir / "steady_density.csv", ["xi_atom", "x", "density"],
             [Repeat(atoms, each=len(centers)), Repeat(centers, tile=len(atoms)), density], fmt))

@@ -35,6 +35,7 @@ and brackets to ~1e-8 the SNR where the traced branch ends. Where no
 branch is traced it searches from overlap starts, falling back to a
 short damped iteration wherever Newton fails from a start, and reports
 the exact uninformative solution where every start collapses onto it.
+``oistlab steady`` runs each of its inits through that same search.
 The solvers call ``fixed_point_map`` through its module-level name, and
 ``SweepResult.map_calls`` counts every one of those calls.
 
@@ -44,7 +45,7 @@ q (``default_r_init``). The recurrence is a deterministic map of r
 alone, so ``nullcline_r`` stops at the first iterate that repeats an
 earlier one bit for bit and reads the last iterate off the cycle. The
 start is the same bits as the full iteration, at a fraction of its map
-calls wherever a repeat comes early.
+calls wherever a repeat comes early; with beta = 0 it is a closed form.
 """
 from __future__ import annotations
 
@@ -325,6 +326,9 @@ def nullcline_r(q: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, int]:
     start that never repeats takes all NULLCLINE_ITERATIONS calls.
     """
     r = 0.5 * g_scale(q, cfg)
+    if cfg.beta == 0.0 and _project_h(q, r, cfg) == r:
+        # F_r = 0 without shrinkage, and a halved r stays below the cap: r halves exactly
+        return _project_h(q, math.ldexp(r, -NULLCLINE_ITERATIONS), cfg), 0
     history = [r]
     seen = {r.hex(): 0}
     for step in range(1, NULLCLINE_ITERATIONS + 1):
@@ -461,7 +465,6 @@ class _Newton:
         self.margin = max(100.0 * H_MIN, 10.0 * tol)
         self.iterations = 0
         self.map_calls = 0
-        self.nullcline_map_calls = 0
 
     def _map(self, q: float, r: float, cfg: SteadyConfig) -> tuple[float, float]:
         self.map_calls += 1
@@ -513,8 +516,8 @@ class _Newton:
                 return None
             q, r, fq, fr, residual = q_new, r_new, fq_new, fr_new, res_new
 
-    def search(self, cfg: SteadyConfig, q0: float) -> FixedPoint:
-        """The root reached from overlap start q0, with r on the r-nullcline.
+    def search(self, cfg: SteadyConfig, q0: float, r0: float) -> FixedPoint:
+        """The root reached from the start (q0, r0).
 
         Newton runs from the start first. Where it fails, a damped
         iteration of at most DAMPED_FALLBACK_ITERATIONS (and max_iter)
@@ -523,9 +526,6 @@ class _Newton:
         yields the exact uninformative solution; an informative iterate
         that Newton cannot accept comes back with converged=False.
         """
-        r0, calls = nullcline_r(q0, cfg, self.prior)
-        self.map_calls += calls
-        self.nullcline_map_calls += calls
         fp = self.solve(cfg, (q0, r0))
         if fp is not None:
             return fp
@@ -599,6 +599,7 @@ def sweep_omega(
     newton = _Newton(prior, tol, max_iter)
     points, branch_ends = [], []
     max_residual = 0.0
+    nullcline_calls = 0
     last = None  # (omega, root) of the last accepted root on the traced branch
     for omega in map(float, omega_grid[::-1]):
         cfg_w = dc_replace(cfg, omega=omega)
@@ -611,7 +612,9 @@ def sweep_omega(
                 branch_ends.append(end)
         if not roots:
             for q0 in starts:
-                fp = newton.search(cfg_w, q0)
+                r0, calls = nullcline_r(q0, cfg_w, prior)
+                nullcline_calls += calls
+                fp = newton.search(cfg_w, q0, r0)
                 (roots if fp.converged else unresolved).append(fp)
         if roots:
             top = max(roots, key=lambda fp: abs(fp.q))
@@ -627,6 +630,6 @@ def sweep_omega(
     omega_c = next((pt.omega for pt in points
                     if pt.converged and pt.q_star > EPS_TRANSITION), None)
     return SweepResult(points=points, omega_c=omega_c, newton_iterations=newton.iterations,
-                       map_calls=newton.map_calls,
-                       nullcline_map_calls=newton.nullcline_map_calls,
+                       map_calls=newton.map_calls + nullcline_calls,
+                       nullcline_map_calls=nullcline_calls,
                        max_residual=max_residual, branch_ends=branch_ends)

@@ -448,6 +448,57 @@ class TestSteadyCommand:
             assert np.sum(d) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-6)
 
 
+def run_steady_rows(tmp_path, config):
+    """`oistlab steady` on the defaults updated by `config`; its fixed_point.csv rows."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out = run(tmp_path, "steady", "--config", str(path))
+    assert code == 0
+    return [line.split(",") for line in (out / "fixed_point.csv").read_text().splitlines()[1:]]
+
+
+class TestSteadySearch:
+    """`oistlab steady` runs each init through the sweep's own root search."""
+
+    def test_h_floor_is_the_exact_uninformative_root(self, tmp_path):
+        # the damped iteration stopped on the h floor here, at R = 0.12499998
+        rows = run_steady_rows(tmp_path, {"model": {"omega": 0.2325}})
+        assert len(rows) == 4
+        assert all(row[2:] == ["0", "0.125", "0", "uninformative", "true", "0"]
+                   for row in rows), rows
+
+    def test_plain_oja_below_transition_is_exactly_zero(self, tmp_path):
+        rows = run_steady_rows(tmp_path, {"model": {"omega": 0.15},
+                                          "algorithm": {"threshold": "none"}})
+        assert all(row[2:] == ["0", "0", "0", "uninformative", "true", "0"]
+                   for row in rows), rows
+
+    @pytest.mark.parametrize("omega", [0.26, 0.2325, 1.0])
+    def test_agrees_with_one_point_sweep(self, tmp_path, omega):
+        cfg = cfgmod.load_config(None)
+        cfg["model"]["omega"] = omega
+        sw = cfg["sweep"]
+        rows = run_steady_rows(tmp_path, {
+            "model": {"omega": omega},
+            "steady": {"inits": [[q0, None] for q0 in sw["starts"]],
+                       "tol": sw["tol"], "max_iter": sw["max_iter"]}})
+        result = steady.sweep_omega(cfgmod.build_steady_config(cfg),
+                                    cfgmod.build_discrete_prior(cfg), [omega],
+                                    starts=tuple(sw["starts"]), tol=sw["tol"],
+                                    max_iter=sw["max_iter"])
+        (point,) = result.points
+        overlaps = sorted(abs(float(row[2])) for row in rows if row[6] == "true")
+        distinct = overlaps[:1]
+        for value in overlaps[1:]:
+            if value - distinct[-1] > 10.0 * sw["tol"]:
+                distinct.append(value)
+        assert point.converged and overlaps
+        assert point.q_star.hex() == overlaps[-1].hex()
+        assert [v.hex() for v in point.distinct_q] == [v.hex() for v in distinct]
+        top = max((row for row in rows if row[6] == "true"), key=lambda row: abs(float(row[2])))
+        assert point.branch == top[5]
+
+
 class TestSweepCommand:
     def test_writes_curve(self, tmp_path):
         code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path))
@@ -532,6 +583,19 @@ class TestValidation:
         code, _ = run(tmp_path, "steady", "--config", str(path))
         assert code == 2
         assert f"configuration error: {field}: " in capsys.readouterr().err
+
+    def test_removed_steady_damping_rejected(self, tmp_path, capsys):
+        # steady runs the sweep's search, which has no damping knob
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"steady": {"damping": 0.5}}))
+        code, out = run(tmp_path, "steady", "--config", str(path))
+        assert code == 2
+        assert "unknown config key: steady.damping" in capsys.readouterr().err
+        assert not out.exists()
+        # sweep.damping, unused too, is still accepted
+        cfg = write_config(tmp_path, {"sweep": {"damping": 0.5}})
+        code, _ = run(tmp_path, "sweep", "--config", cfg)
+        assert code == 0
 
     def test_discrete_prior_checked_with_field_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -77,7 +77,6 @@ def test_validate_rejects_bad_fields():
         ("simulation", "replicas", 0),
         ("pde", "n", 10),
         ("pde", "dt", -0.1),
-        ("steady", "damping", 0.0),
         ("sweep", "n_points", 1),
         ("output", "format", "xml"),
     ]:

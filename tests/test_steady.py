@@ -349,7 +349,7 @@ class TestNullclineShortcut:
     def test_bitwise_equal_to_full_iteration(self, monkeypatch, cfg, prior):
         rng = np.random.default_rng(20261019)
         n = 150 if prior is PRIOR else 40
-        cut_short = 0
+        cut_short = no_calls = 0
         for _ in range(n):
             q = rng.uniform(-1.2, 1.2)
             cfg_w = dc_replace(cfg, omega=rng.uniform(0.0, 2.0))
@@ -358,11 +358,18 @@ class TestNullclineShortcut:
             assert _bits(r) == _bits(want), (q, cfg_w.omega, calls)
             assert _bits(default_r_init(q, cfg_w, prior)) == _bits(want)
             cut_short += calls < steady.NULLCLINE_ITERATIONS
+            no_calls += calls == 0
         if cfg.beta > 0:
             assert cut_short >= n // 2
         else:
-            # r' = 0 without shrinkage: r halves every step and never repeats
-            assert cut_short == 0
+            # r' = 0 without shrinkage: r halves every step, read off in closed form
+            assert no_calls == n
+            # with a tiny tau the h projection binds at the first iterate, so the loop runs
+            tiny = dc_replace(cfg, tau=1e-4)
+            for q in (0.0, 0.005):
+                r, calls = _counted_nullcline_r(monkeypatch, q, tiny, prior)
+                assert calls > 0
+                assert _bits(r) == _bits(_oracle_default_r_init(q, tiny, prior)), q
 
     @pytest.mark.parametrize("q, calls", [(0.2, 100), (0.5, 19), (0.9, 94)],
                              ids=["cycle", "floor_pin", "fixed_point"])
