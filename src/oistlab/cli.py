@@ -24,7 +24,7 @@ from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
 from .oja import OjaParams, closed_form_q
 from .simulate import run_trajectory
-from .steady import _Newton, nullcline_r, steady_density, sweep_omega
+from .steady import g_scale, roots_from_inits, steady_density, sweep_omega
 
 
 def _fmt(value) -> str:
@@ -334,18 +334,12 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     prior = cfgmod.build_discrete_prior(cfg)
     steady_cfg = cfgmod.build_steady_config(cfg)
     st = cfg["steady"]
-    # the sweep's own search, so each init is accepted by the rules of a searched SNR
-    newton = _Newton(prior, float(st["tol"]), int(st["max_iter"]))
-    inits = []
-    results = []
-    nullcline_calls = []
+    inits = [(float(q0), 0.5 * g_scale(float(q0), steady_cfg) if r0 is None else float(r0))
+             for q0, r0 in st["inits"]]
     started = time.perf_counter()
-    for init in st["inits"]:
-        q0 = float(init[0])
-        r0, calls = nullcline_r(q0, steady_cfg, prior) if init[1] is None else (float(init[1]), 0)
-        inits.append((q0, r0))
-        nullcline_calls.append(calls)
-        results.append(newton.search(steady_cfg, q0, r0))
+    results = roots_from_inits(steady_cfg, prior, inits,
+                               starts=tuple(float(v) for v in cfg["sweep"]["starts"]),
+                               tol=float(st["tol"]), max_iter=int(st["max_iter"]))
     solved = time.perf_counter()
     fields = ("q", "r", "residual", "branch", "converged", "iterations")
     columns = [*zip(*inits), *([getattr(fp, key) for fp in results] for key in fields)]
@@ -356,7 +350,6 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     ]
     diagnostics = {
         "iterations": [fp.iterations for fp in results],
-        "nullcline_map_calls": nullcline_calls,
         "max_residual": max(fp.residual for fp in results),
         "unconverged": sum(not fp.converged for fp in results),
     }

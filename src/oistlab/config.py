@@ -24,10 +24,14 @@ Schema (all keys optional):
 null record/histogram times resolve to a 0.5-spaced grid on [0, t_max];
 null theta and histogram_range resolve from the prior sparsity.
 
-`steady` runs the sweep's root search, so `tol` and `max_iter` mean the
-same in both sections. `sweep.damping` has no effect, but configs set it
-(the benchmark's `sweep_transition` among them) and an unknown key is a
-configuration error, so it is still accepted and validated.
+`sweep.starts` are the overlaps Newton starts from at the sweep's anchor
+SNR, above the spinodal, with r = g(q)/2. A null r in `steady.inits` is
+that same g(q)/2. `steady` runs Newton from each init, and where Newton
+fails reports the root of the sweep's trace from `sweep.starts`, so
+`tol` and `max_iter` mean the same in both sections. `sweep.damping` has
+no effect, but configs set it (the benchmark's `sweep_transition` among
+them) and an unknown key is a configuration error, so it is still
+accepted and validated.
 """
 from __future__ import annotations
 

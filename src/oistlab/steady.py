@@ -24,28 +24,26 @@ negative arguments), so no term overflows.
 With beta > 0, (q, r) = (0, tau^2/2) always solves the system; its
 density is a signal-independent Laplace law with rate 2*beta/tau^2
 (uninformative, h = 0 there, handled in closed form); with beta = 0 the
-zero-overlap solution is (0, 0), a Gaussian. Above a critical SNR a
-second, informative solution with q != 0 appears.
+zero-overlap solution is (0, 0), a Gaussian. The prior has
+E[xi^2] = 1, so that root's q-multiplier dF_q/dq is omega / omega_s, with
+the spinodal omega_s = beta^2/tau^3 with shrinkage and tau/2 without
+(``omega_spinodal``): the zero root attracts iff omega < omega_s. Above a
+critical SNR a second, informative solution with q != 0 appears.
 
-``solve_fixed_point`` runs a damped fixed-point iteration from one
-start. ``sweep_omega`` locates the transition by Newton continuation on
-G = F - id from the top of an SNR grid down: it accepts only roots that
-attract the damped iteration's flow and keep clear of the h = 0 floor,
-and brackets to ~1e-8 the SNR where the traced branch ends. Where no
-branch is traced it searches from overlap starts, falling back to a
-short damped iteration wherever Newton fails from a start, and reports
-the exact uninformative solution where every start collapses onto it.
-``oistlab steady`` runs each of its inits through that same search.
-The solvers call ``fixed_point_map`` through its module-level name, and
-``SweepResult.map_calls`` counts every one of those calls.
-
-Each search starts with r on the r-nullcline of its overlap start: the
-NULLCLINE_ITERATIONS-th iterate of a damped r-only recurrence at fixed
-q (``default_r_init``). The recurrence is a deterministic map of r
-alone, so ``nullcline_r`` stops at the first iterate that repeats an
-earlier one bit for bit and reads the last iterate off the cycle. The
-start is the same bits as the full iteration, at a fraction of its map
-calls wherever a repeat comes early; with beta = 0 it is a closed form.
+``sweep_omega`` finds the informative root by Newton continuation on
+G = F - id, from one anchor SNR down. The anchor, max(grid top,
+2 omega_s), lies above the spinodal, where the informative root is the
+only attracting one. Newton alone searches it from each overlap start
+with r = g(q)/2, and the largest-overlap accepted root is continued down
+the grid. A root is accepted only if it attracts the damped iteration's
+flow and keeps clear of the h = 0 floor. Where the traced branch ends,
+bracketed to ~1e-8 in omega, every lower SNR reports the exact zero
+root, converged iff it attracts. ``oistlab steady`` runs Newton from each
+init and falls back on the same trace where Newton fails.
+``solve_fixed_point`` is a damped fixed-point iteration from one start;
+no search uses it. The solvers call ``fixed_point_map`` through its
+module-level name, and ``SweepResult.map_calls`` counts every one of
+those calls.
 """
 from __future__ import annotations
 
@@ -69,7 +67,6 @@ NULLCLINE_ITERATIONS = 200
 FD_STEP = 1.5e-8  # ~ sqrt(machine epsilon), relative to max(1, |x|)
 MAX_BACKTRACKS = 8
 MIN_CONTINUATION_STEP = 1e-8
-DAMPED_FALLBACK_ITERATIONS = 200
 
 
 SteadyConfig = Dynamics  # the stationary analysis needs only (tau, omega, threshold)
@@ -300,50 +297,28 @@ def _project_h(q: float, r: float, cfg: SteadyConfig) -> float:
 def default_r_init(q: float, cfg: SteadyConfig, prior: Prior | None = None) -> float:
     """An r start safely inside the h > 0 domain for a given q start.
 
-    With a prior at hand the start is pulled onto the r-nullcline
-    (damped r-only iterations at fixed q): near the transition the
-    overlap collapses faster than r can equilibrate, so joint iterates
-    launched far off the nullcline can escape the informative basin
-    that the fixed-overlap map would retain. The result is the
-    NULLCLINE_ITERATIONS-th iterate, bit for bit; see ``nullcline_r``
-    for how it is reached in fewer map calls.
-    """
-    if prior is None:
-        return 0.5 * g_scale(q, cfg)
-    return nullcline_r(q, cfg, prior)[0]
-
-
-def nullcline_r(q: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, int]:
-    """``default_r_init``'s r-nullcline start and the map calls it took.
-
-    The iteration r <- (proj(r) + F_r(q, proj(r))) / 2 at fixed q is a
-    deterministic map of r alone. Once an iterate repeats one seen
-    before bit for bit (float.hex keys keep -0.0 apart from 0.0, and a
-    NaN never repeats), all later iterates cycle with that period, so
-    the NULLCLINE_ITERATIONS-th is read off the history without the
-    remaining map calls. Most starts land on an exact fixed point, a
-    pin on the h floor or a short cycle well before the last step; a
-    start that never repeats takes all NULLCLINE_ITERATIONS calls.
+    Without a prior it is g(q)/2. With one the start is pulled onto the
+    r-nullcline by NULLCLINE_ITERATIONS damped r-only iterations at fixed
+    q: near the transition the overlap collapses faster than r can
+    equilibrate, so damped joint iterates launched far off the nullcline
+    can escape the informative basin that the fixed-overlap map would
+    retain.
     """
     r = 0.5 * g_scale(q, cfg)
-    if cfg.beta == 0.0 and _project_h(q, r, cfg) == r:
-        # F_r = 0 without shrinkage, and a halved r stays below the cap: r halves exactly
-        return _project_h(q, math.ldexp(r, -NULLCLINE_ITERATIONS), cfg), 0
-    history = [r]
-    seen = {r.hex(): 0}
-    for step in range(1, NULLCLINE_ITERATIONS + 1):
+    if prior is None:
+        return r
+    for _ in range(NULLCLINE_ITERATIONS):
         r = _project_h(q, r, cfg)
         _, r_new = fixed_point_map(q, r, cfg, prior)
         r = 0.5 * r + 0.5 * r_new
-        key = r.hex()
-        first = seen.get(key) if r == r else None
-        if first is not None:
-            period = step - first
-            r = history[first + (NULLCLINE_ITERATIONS - first) % period]
-            return _project_h(q, r, cfg), step
-        seen[key] = step
-        history.append(r)
-    return _project_h(q, r, cfg), NULLCLINE_ITERATIONS
+    return _project_h(q, r, cfg)
+
+
+def _fixed_point(q: float, r: float, residual: float, converged: bool,
+                 iterations: int) -> FixedPoint:
+    branch = "uninformative" if abs(q) <= EPS_UNINFORMATIVE else "informative"
+    return FixedPoint(q=q, r=r, residual=residual, branch=branch, converged=converged,
+                      iterations=iterations)
 
 
 def solve_fixed_point(
@@ -368,32 +343,36 @@ def solve_fixed_point(
     if h_curvature(q, r, cfg) <= 0:
         raise ConfigError(f"initial point (q={q}, r={r}) lies outside the h > 0 domain")
 
-    best = (math.inf, q, r, 0)
+    best = (math.inf, q, r)
     for iteration in range(1, max_iter + 1):
         q_new, r_new = fixed_point_map(q, r, cfg, prior)
         residual = max(abs(q_new - q), abs(r_new - r))
         if residual < best[0]:
-            best = (residual, q, r, iteration)
+            best = (residual, q, r)
         if residual <= tol:
-            branch = "uninformative" if abs(q) <= EPS_UNINFORMATIVE else "informative"
-            return FixedPoint(q=q, r=r, residual=residual, branch=branch,
-                              converged=True, iterations=iteration)
+            return _fixed_point(q, r, residual, True, iteration)
         q = (1.0 - damping) * q + damping * q_new
         r = (1.0 - damping) * r + damping * r_new
         r = _project_h(q, r, cfg)
 
-    residual, q, r, iteration = best
-    branch = "uninformative" if abs(q) <= EPS_UNINFORMATIVE else "informative"
-    return FixedPoint(q=q, r=r, residual=residual, branch=branch,
-                      converged=False, iterations=max_iter)
+    residual, q, r = best
+    return _fixed_point(q, r, residual, False, max_iter)
 
 
 def uninformative_fixed_point(cfg: SteadyConfig) -> FixedPoint:
     """The exact zero-overlap solution: (0, tau^2/2) on the h = 0 boundary
     when beta > 0 (a Laplace law), and (0, 0) when beta = 0 (a Gaussian)."""
-    r = 0.5 * cfg.tau ** 2 if cfg.beta > 0.0 else 0.0
-    return FixedPoint(q=0.0, r=r, residual=0.0, branch="uninformative",
-                      converged=True, iterations=0)
+    return _fixed_point(0.0, 0.5 * cfg.tau ** 2 if cfg.beta > 0.0 else 0.0, 0.0, True, 0)
+
+
+def omega_spinodal(cfg: SteadyConfig) -> float:
+    """The SNR below which the zero-overlap root attracts.
+
+    With E[xi^2] = 1 the root's q-multiplier dF_q/dq is tau^3 omega /
+    beta^2 with shrinkage and 2 omega / tau without, which is omega over
+    the value returned here.
+    """
+    return cfg.beta ** 2 / cfg.tau ** 3 if cfg.beta > 0.0 else 0.5 * cfg.tau
 
 
 @dataclass
@@ -411,25 +390,24 @@ class SweepPoint:
 class SweepResult:
     """Per-SNR fixed points, the detected transition and what the sweep cost.
 
-    ``branch_ends`` holds one (omega_failed, omega_last_root) bracket, a
-    few 1e-8 wide, for each traced branch that ended inside the grid.
-    ``nullcline_map_calls`` is the share of ``map_calls`` spent on the
-    searches' r-nullcline starts.
+    ``branch_ends`` holds the (omega_failed, omega_last_root) bracket, a
+    few 1e-8 wide, where the traced branch ended, if it ended above the
+    grid's lowest SNR.
     """
 
     points: list
     omega_c: float | None
+    omega_spinodal: float
     newton_iterations: int
     map_calls: int
-    nullcline_map_calls: int
     max_residual: float
     branch_ends: list
 
     def diagnostics(self) -> dict:
         return {
+            "omega_spinodal": self.omega_spinodal,
             "newton_iterations": self.newton_iterations,
             "map_calls": self.map_calls,
-            "nullcline_map_calls": self.nullcline_map_calls,
             "max_residual": self.max_residual,
             "uninformative_points": sum(pt.converged and pt.branch == "uninformative"
                                         for pt in self.points),
@@ -449,13 +427,15 @@ class _Newton:
        Jacobian of F have real part < 1: the root attracts the flow
        (q, r)' = F - id, which is what a converged damped iteration
        certifies;
-    4. |q| > EPS_UNINFORMATIVE.
+    4. |q| > EPS_UNINFORMATIVE, on the start's side of q = 0: the map
+       keeps q = 0, so the flow never crosses it.
     Close to the h = 0 floor the residual is about h, so (2) keeps a
     point on the floor from passing (1). The step test in (1) keeps a
     small |q| near a pitchfork, whose residual (1 - dF_q/dq) |q| is
     already below tol, from passing for the q = 0 root. An attempt stops
     as soon as no backtracked step lowers the residual while keeping the
-    margin, so a failed attempt costs a few dozen map calls.
+    margin, so a failed attempt costs a few dozen map calls. The zero
+    root itself is never searched for: ``omega_spinodal`` settles it.
     """
 
     def __init__(self, prior: Prior, tol: float, max_iter: int):
@@ -479,29 +459,32 @@ class _Newton:
         bq, br = self._map(q, r - dr, cfg)
         return (aq - fq) / dq - 1.0, (fq - bq) / dr, (ar - fr) / dq, (fr - br) / dr - 1.0
 
-    def solve(self, cfg: SteadyConfig, init: tuple[float, float]) -> FixedPoint | None:
-        """An accepted informative root near init, or None."""
+    def solve(self, cfg: SteadyConfig, init: tuple[float, float]) -> FixedPoint:
+        """The root reached from init, converged iff it is accepted.
+
+        Backtracking lowers the residual at every step, so a failed
+        attempt returns its least-residual iterate.
+        """
         q = float(init[0])
+        side = math.copysign(1.0, q)
         r = _project_h(q, float(init[1]), cfg)
         if h_curvature(q, r, cfg) < self.margin:
-            return None
+            return _fixed_point(q, r, math.inf, False, 0)
         fq, fr = self._map(q, r, cfg)
         residual = max(abs(fq - q), abs(fr - r))
         for iteration in range(self.max_iter + 1):
             a, b, c, d = self._jacobian_of_g(q, r, fq, fr, cfg)
             det = a * d - b * c
             if det == 0.0:
-                return None
+                break
             gq, gr = fq - q, fr - r
             step_q = (b * gr - d * gq) / det
             step_r = (c * gq - a * gr) / det
             if max(residual, abs(step_q), abs(step_r)) <= self.tol:
-                if abs(q) <= EPS_UNINFORMATIVE or a + d >= 0.0 or det <= 0.0:
-                    return None
-                return FixedPoint(q=q, r=r, residual=residual, branch="informative",
-                                  converged=True, iterations=iteration)
+                accepted = side * q > EPS_UNINFORMATIVE and a + d < 0.0 and det > 0.0
+                return _fixed_point(q, r, residual, accepted, iteration)
             if iteration == self.max_iter:
-                return None
+                break
             self.iterations += 1
             scale = 1.0
             for _ in range(MAX_BACKTRACKS):
@@ -513,33 +496,13 @@ class _Newton:
                         break
                 scale *= 0.5
             else:
-                return None
+                break
             q, r, fq, fr, residual = q_new, r_new, fq_new, fr_new, res_new
-
-    def search(self, cfg: SteadyConfig, q0: float, r0: float) -> FixedPoint:
-        """The root reached from the start (q0, r0).
-
-        Newton runs from the start first. Where it fails, a damped
-        iteration of at most DAMPED_FALLBACK_ITERATIONS (and max_iter)
-        steps runs from the same start, and Newton polishes its iterate.
-        A damped iterate that has collapsed to |q| <= EPS_UNINFORMATIVE
-        yields the exact uninformative solution; an informative iterate
-        that Newton cannot accept comes back with converged=False.
-        """
-        fp = self.solve(cfg, (q0, r0))
-        if fp is not None:
-            return fp
-        damped = solve_fixed_point(cfg, self.prior, (q0, r0), tol=self.tol,
-                                   max_iter=min(self.max_iter, DAMPED_FALLBACK_ITERATIONS))
-        self.map_calls += damped.iterations
-        if abs(damped.q) <= EPS_UNINFORMATIVE:
-            return uninformative_fixed_point(cfg)
-        fp = self.solve(cfg, (damped.q, damped.r))
-        return fp if fp is not None else dc_replace(damped, converged=False)
+        return _fixed_point(q, r, residual, False, iteration)
 
     def continue_root(self, cfg: SteadyConfig, start: FixedPoint, omega_from: float,
                       omega_to: float) -> tuple[FixedPoint | None, tuple[float, float] | None]:
-        """Carry an accepted root from omega_from down to omega_to < omega_from.
+        """Carry an accepted root from omega_from down to omega_to <= omega_from.
 
         A failed step is halved from the last root; once it is below
         MIN_CONTINUATION_STEP the branch has ended, and the bracket
@@ -550,7 +513,7 @@ class _Newton:
         while omega_ok != omega_to:
             omega_try = max(omega_to, omega_ok + step)
             found = self.solve(dc_replace(cfg, omega=omega_try), (fp.q, fp.r))
-            if found is not None:
+            if found.converged:
                 omega_ok, fp = omega_try, found
             elif omega_ok - omega_try < MIN_CONTINUATION_STEP:
                 return None, (omega_try, omega_ok)
@@ -558,15 +521,63 @@ class _Newton:
                 step = 0.5 * (omega_try - omega_ok)
         return fp, None
 
+    def trace(self, cfg: SteadyConfig, omegas: list[float],
+              starts: tuple[float, ...]) -> tuple[list[FixedPoint], list]:
+        """The attracting root at each SNR of a decreasing list, and where its branch ended.
 
-def _distinct_overlaps(roots: list, tol: float) -> tuple[float, ...]:
-    """|q| of each root, ascending, with values closer than 10 tol listed once."""
-    values = sorted(abs(fp.q) for fp in roots)
-    distinct = [values[0]]
-    for v in values[1:]:
-        if v - distinct[-1] > 10.0 * tol:
-            distinct.append(v)
-    return tuple(distinct)
+        Newton alone searches the anchor SNR max(omegas[0], 2 omega_s)
+        from each overlap start, with r = g(q)/2, and the largest-overlap
+        accepted root is continued down the list. Below the end of its
+        branch every SNR gets the exact zero root, converged iff it
+        attracts. If no start is accepted at the anchor, every SNR gets
+        the least-residual attempt, unconverged.
+        """
+        omega_s = omega_spinodal(cfg)
+        omega = max(omegas[0], 2.0 * omega_s)
+        cfg_a = dc_replace(cfg, omega=omega)
+        tries = [self.solve(cfg_a, (q0, 0.5 * g_scale(q0, cfg_a))) for q0 in starts]
+        fp = max((t for t in tries if t.converged), key=lambda t: abs(t.q), default=None)
+        if fp is None:
+            return [min(tries, key=lambda t: t.residual)] * len(omegas), []
+        roots, ends = [], []
+        for omega_to in omegas:
+            if fp is not None:
+                fp, end = self.continue_root(cfg, fp, omega, omega_to)
+                omega = omega_to
+                if end is not None:
+                    ends.append(end)
+            roots.append(fp if fp is not None else
+                         dc_replace(uninformative_fixed_point(cfg), converged=omega_to < omega_s))
+        return roots, ends
+
+
+def roots_from_inits(
+    cfg: SteadyConfig,
+    prior: Prior,
+    inits,
+    starts: tuple[float, ...] = (0.2, 0.5, 0.9),
+    tol: float = 1e-9,
+    max_iter: int = 10000,
+) -> list[FixedPoint]:
+    """The root reached from each (q0, r0) init at cfg.omega.
+
+    q0 = 0 gives the exact zero root, which the map never leaves.
+    Otherwise Newton runs from the init, and where it is not accepted
+    the init gets the root at cfg.omega of the trace ``sweep_omega``
+    runs from ``starts``, traced once for all inits. F_q is odd in q, so
+    a negative init gets that root's mirror image.
+    """
+    newton = _Newton(prior, tol, max_iter)
+    traced = None
+    results = []
+    for q0, r0 in inits:
+        fp = uninformative_fixed_point(cfg) if q0 == 0.0 else newton.solve(cfg, (q0, r0))
+        if not fp.converged:
+            if traced is None:
+                (traced,), _ = newton.trace(cfg, [cfg.omega], starts)
+            fp = traced if q0 > 0 or not traced.q else dc_replace(traced, q=-traced.q)
+        results.append(fp)
+    return results
 
 
 def sweep_omega(
@@ -579,57 +590,34 @@ def sweep_omega(
 ) -> SweepResult:
     """Attracting fixed point at each SNR of an increasing grid, by continuation.
 
-    Newton continuation from the top of the grid down. The largest SNR
-    is searched from each overlap start (``_Newton.search``) and reports
-    the largest-overlap root found; every next SNR continues the
-    previous informative root (``_Newton.continue_root``) and reports
-    that root alone. Where the traced branch ends, and at every SNR
-    after it, the starts are searched again to catch a disjoint branch.
-    ``distinct_q`` lists the roots found at an SNR: the continued root
-    on a traced branch, else every converged search result, with the
-    exact uninformative solution standing for starts that collapse onto
-    it. A searched SNR where no start converges reports its
-    least-residual iterate with converged=False. The transition SNR is
+    ``_Newton.trace`` continues the informative root from an anchor SNR
+    above the spinodal down the grid, and reports the exact zero root
+    below the end of its branch. ``distinct_q`` lists every attracting
+    root at an SNR, ascending: the traced root, and 0 where omega <
+    omega_s; it is empty at an unconverged point. The transition SNR is
     the smallest grid value whose converged overlap exceeds 1e-3, with
     the grid spacing as its uncertainty.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.size == 0:
+        raise ConfigError("omega_grid must hold at least one SNR")
     if np.any(np.diff(omega_grid) <= 0):
         raise ConfigError("omega_grid must be strictly increasing")
     newton = _Newton(prior, tol, max_iter)
-    points, branch_ends = [], []
-    max_residual = 0.0
-    nullcline_calls = 0
-    last = None  # (omega, root) of the last accepted root on the traced branch
-    for omega in map(float, omega_grid[::-1]):
-        cfg_w = dc_replace(cfg, omega=omega)
-        roots, unresolved = [], []
-        if last is not None:
-            fp, end = newton.continue_root(cfg, last[1], last[0], omega)
-            if fp is not None:
-                roots.append(fp)
-            else:
-                branch_ends.append(end)
-        if not roots:
-            for q0 in starts:
-                r0, calls = nullcline_r(q0, cfg_w, prior)
-                nullcline_calls += calls
-                fp = newton.search(cfg_w, q0, r0)
-                (roots if fp.converged else unresolved).append(fp)
-        if roots:
-            top = max(roots, key=lambda fp: abs(fp.q))
-            distinct = _distinct_overlaps(roots, tol)
-        else:
-            top = min(unresolved, key=lambda fp: fp.residual)
-            distinct = ()
-        last = (omega, top) if top.converged and top.branch == "informative" else None
-        max_residual = max(max_residual, float(top.residual))
-        points.append(SweepPoint(omega=omega, q_star=abs(top.q), converged=top.converged,
-                                 branch=top.branch, distinct_q=distinct))
+    omega_s = omega_spinodal(cfg)
+    omegas = omega_grid[::-1].tolist()
+    roots, branch_ends = newton.trace(cfg, omegas, starts)
+    points = []
+    for omega, fp in zip(omegas, roots):
+        distinct = ()
+        if fp.converged:
+            distinct = ((0.0,) if omega < omega_s else ()) + ((abs(fp.q),) if fp.q else ())
+        points.append(SweepPoint(omega=omega, q_star=abs(fp.q), converged=fp.converged,
+                                 branch=fp.branch, distinct_q=distinct))
     points.reverse()
     omega_c = next((pt.omega for pt in points
                     if pt.converged and pt.q_star > EPS_TRANSITION), None)
-    return SweepResult(points=points, omega_c=omega_c, newton_iterations=newton.iterations,
-                       map_calls=newton.map_calls + nullcline_calls,
-                       nullcline_map_calls=nullcline_calls,
-                       max_residual=max_residual, branch_ends=branch_ends)
+    return SweepResult(points=points, omega_c=omega_c, omega_spinodal=omega_s,
+                       newton_iterations=newton.iterations, map_calls=newton.map_calls,
+                       max_residual=max(fp.residual for fp in roots),
+                       branch_ends=branch_ends)

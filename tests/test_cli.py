@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import oistlab
 from oistlab import cli, config as cfgmod, pde, steady
 from oistlab.cli import Repeat, main, write_table
-from oistlab.steady import NULLCLINE_ITERATIONS, nullcline_r
 
 TINY = {
     "model": {"rho": 0.2, "p": 64, "omega": 1.0},
@@ -379,9 +378,9 @@ class TestSteadyCommand:
         assert "uninformative" in branches
 
     def test_manifest_diagnostics(self, tmp_path):
-        # three iterations leave at least one init unconverged
+        # one Newton step per attempt leaves at least one init unconverged
         cfg = write_config(tmp_path, {"steady": {"inits": [[0.0, None], [0.5, None]],
-                                                 "max_iter": 3}})
+                                                 "max_iter": 1}})
         code, out = run(tmp_path, "steady", "--config", cfg)
         assert code == 0
         rows = [line.split(",") for line in
@@ -391,27 +390,6 @@ class TestSteadyCommand:
         assert diagnostics["max_residual"] == max(float(row[4]) for row in rows)
         assert diagnostics["unconverged"] == sum(row[6] == "false" for row in rows)
         assert diagnostics["unconverged"] >= 1
-
-    def test_manifest_nullcline_map_calls(self, tmp_path, monkeypatch):
-        # one count per init, from the call that set its init_R; 0 where init_R is given
-        made = []
-
-        def recorded(*args):
-            made.append(nullcline_r(*args))
-            return made[-1]
-
-        monkeypatch.setattr(cli, "nullcline_r", recorded)
-        cfg = write_config(tmp_path, {"model": {"omega": 0.26},
-                                      "steady": {"inits": [[0.2, None], [0.5, 0.1], [0.9, None]]}})
-        code, out = run(tmp_path, "steady", "--config", cfg)
-        assert code == 0
-        rows = [line.split(",") for line in
-                (out / "fixed_point.csv").read_text().splitlines()[1:]]
-        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        (r_a, calls_a), (r_b, calls_b) = made
-        assert diagnostics["nullcline_map_calls"] == [calls_a, 0, calls_b]
-        assert 0 < calls_a <= NULLCLINE_ITERATIONS and 0 < calls_b <= NULLCLINE_ITERATIONS
-        assert [float(row[1]) for row in rows] == [r_a, 0.1, r_b]
 
     def test_manifest_stage_times(self, tmp_path):
         code, out = run(tmp_path, "steady", "--config", write_config(tmp_path), "--density")
@@ -458,20 +436,33 @@ def run_steady_rows(tmp_path, config):
 
 
 class TestSteadySearch:
-    """`oistlab steady` runs each init through the sweep's own root search."""
+    """`oistlab steady` runs Newton from each init, and the sweep's trace where it fails."""
 
     def test_h_floor_is_the_exact_uninformative_root(self, tmp_path):
-        # the damped iteration stopped on the h floor here, at R = 0.12499998
+        # init 0 is the exact zero root on the h floor; the other inits
+        # reach the attracting informative root (both attract at 0.2325)
         rows = run_steady_rows(tmp_path, {"model": {"omega": 0.2325}})
         assert len(rows) == 4
-        assert all(row[2:] == ["0", "0.125", "0", "uninformative", "true", "0"]
-                   for row in rows), rows
+        assert rows[0] == ["0", "0.0625", "0", "0.125", "0", "uninformative", "true", "0"]
+        for row in rows[1:]:
+            assert float(row[2]) == pytest.approx(0.660330, abs=1e-6), row
+            assert row[5:7] == ["informative", "true"] and float(row[4]) <= 1e-7
 
     def test_plain_oja_below_transition_is_exactly_zero(self, tmp_path):
         rows = run_steady_rows(tmp_path, {"model": {"omega": 0.15},
                                           "algorithm": {"threshold": "none"}})
         assert all(row[2:] == ["0", "0", "0", "uninformative", "true", "0"]
                    for row in rows), rows
+
+    def test_root_on_the_side_of_the_init(self, tmp_path):
+        # q = 0 is invariant, so no init reports a root across it; at 0.2 and
+        # -0.2 Newton fails, and the traced root is mirrored for the negative init
+        rows = run_steady_rows(tmp_path, {"steady": {"inits": [[0.2, None], [-0.2, None],
+                                                               [0.5, None], [-0.5, None]]}})
+        assert [row[6] for row in rows] == ["true"] * 4
+        q = [float(row[2]) for row in rows]
+        assert q[0] == -q[1] and q[2] == -q[3]
+        assert q[0] == pytest.approx(0.853864, abs=1e-6) and q[2] == pytest.approx(q[0], abs=1e-6)
 
     @pytest.mark.parametrize("omega", [0.26, 0.2325, 1.0])
     def test_agrees_with_one_point_sweep(self, tmp_path, omega):
@@ -487,16 +478,28 @@ class TestSteadySearch:
                                     starts=tuple(sw["starts"]), tol=sw["tol"],
                                     max_iter=sw["max_iter"])
         (point,) = result.points
-        overlaps = sorted(abs(float(row[2])) for row in rows if row[6] == "true")
-        distinct = overlaps[:1]
-        for value in overlaps[1:]:
-            if value - distinct[-1] > 10.0 * sw["tol"]:
-                distinct.append(value)
-        assert point.converged and overlaps
-        assert point.q_star.hex() == overlaps[-1].hex()
-        assert [v.hex() for v in point.distinct_q] == [v.hex() for v in distinct]
-        top = max((row for row in rows if row[6] == "true"), key=lambda row: abs(float(row[2])))
-        assert point.branch == top[5]
+        assert point.converged and point.branch == "informative"
+        for row in rows:
+            assert row[5:7] == ["informative", "true"], row
+            assert abs(float(row[2])) == pytest.approx(point.q_star, abs=10.0 * sw["tol"])
+
+    def test_newton_failure_reports_the_traced_root(self, tmp_path, monkeypatch):
+        # an init_R above the h cap is projected onto the h floor, inside
+        # Newton's margin, so Newton fails there and the row is the sweep's root
+        cfg = cfgmod.load_config(None)
+        cfg["model"]["omega"] = 0.2325
+        sw = cfg["sweep"]
+        (point,) = steady.sweep_omega(cfgmod.build_steady_config(cfg),
+                                      cfgmod.build_discrete_prior(cfg), [0.2325],
+                                      starts=tuple(sw["starts"]), tol=sw["tol"]).points
+        traces = []
+        trace = steady._Newton.trace
+        monkeypatch.setattr(steady._Newton, "trace",
+                            lambda *args: traces.append(args) or trace(*args))
+        rows = run_steady_rows(tmp_path, {"model": {"omega": 0.2325},
+                                          "steady": {"inits": [[0.5, 5.0], [0.9, 5.0]]}})
+        assert len(traces) == 1
+        assert all(float(row[2]).hex() == point.q_star.hex() for row in rows), rows
 
 
 class TestSweepCommand:
@@ -526,23 +529,18 @@ class TestSweepCommand:
         assert 0 < diagnostics["newton_iterations"] < diagnostics["map_calls"]
         assert len(diagnostics["branch_ends"]) == 1
 
-    def test_manifest_nullcline_map_calls(self, tmp_path, monkeypatch):
-        # the total over every search's r-nullcline start, a part of map_calls
-        made = []
-
-        def recorded(*args):
-            r, calls = nullcline_r(*args)
-            made.append(calls)
-            return r, calls
-
-        monkeypatch.setattr(steady, "nullcline_r", recorded)
-        code, out = run(tmp_path, "sweep", "--config", write_config(tmp_path))
+    def test_plain_oja_default_grid_converges_everywhere(self, tmp_path):
+        # just below tau/2 = 0.25 the zero root attracts, and is reported exactly
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"algorithm": {"threshold": "none"}}))
+        code, out = run(tmp_path, "sweep", "--config", str(path))
         assert code == 0
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
-        assert made and diagnostics["nullcline_map_calls"] == sum(made)
-        assert 0 < diagnostics["nullcline_map_calls"] < diagnostics["map_calls"]
-        assert (out / "sweep.csv").read_text().splitlines()[0] == \
-            "omega,Q_star,converged,branch,distinct_Q"
+        assert diagnostics["unconverged_points"] == 0
+        assert diagnostics["omega_spinodal"] == 0.25
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        (row,) = [row for row in rows if row[0].startswith("0.2448")]
+        assert row[1:] == ["0", "true", "uninformative", "0"]
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path)

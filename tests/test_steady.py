@@ -315,8 +315,8 @@ class TestScalarKernel:
         assert len(calls) == result.map_calls > 0
 
 
-# The r-nullcline pre-iteration before its cycle short-cut: the oracle
-# `nullcline_r` must equal bit for bit.
+# The plain r-nullcline pre-iteration: the oracle `default_r_init` must
+# equal bit for bit.
 def _oracle_default_r_init(q, cfg, prior=None):
     r = 0.5 * g_scale(q, cfg)
     if prior is None:
@@ -328,8 +328,8 @@ def _oracle_default_r_init(q, cfg, prior=None):
     return steady._project_h(q, r, cfg)
 
 
-def _counted_nullcline_r(monkeypatch, q, cfg, prior):
-    """nullcline_r's (r, calls), checking calls against the map calls it made."""
+def _counted_default_r_init(monkeypatch, q, cfg, prior):
+    """default_r_init's r, checking that it made every one of its map calls."""
     calls = []
 
     def counted(*args):
@@ -338,77 +338,56 @@ def _counted_nullcline_r(monkeypatch, q, cfg, prior):
 
     with monkeypatch.context() as patch:
         patch.setattr(steady, "fixed_point_map", counted)
-        r, reported = steady.nullcline_r(q, cfg, prior)
-    assert reported == len(calls) <= steady.NULLCLINE_ITERATIONS
-    return r, reported
+        r = default_r_init(q, cfg, prior)
+    assert len(calls) == steady.NULLCLINE_ITERATIONS
+    return r
+
+
+def _nullcline_step(q, r, cfg, prior):
+    r = steady._project_h(q, r, cfg)
+    return 0.5 * r + 0.5 * fixed_point_map(q, r, cfg, prior)[1]
 
 
 class TestNullclineShortcut:
+    """`default_r_init` runs every step of the r-nullcline iteration, wherever
+    it lands: on a fixed point, pinned to the h floor or on a cycle."""
+
     @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
     @pytest.mark.parametrize("prior", [PRIOR, BG_21], ids=["two_point", "bg21"])
     def test_bitwise_equal_to_full_iteration(self, monkeypatch, cfg, prior):
         rng = np.random.default_rng(20261019)
         n = 150 if prior is PRIOR else 40
-        cut_short = no_calls = 0
         for _ in range(n):
             q = rng.uniform(-1.2, 1.2)
             cfg_w = dc_replace(cfg, omega=rng.uniform(0.0, 2.0))
-            want = _oracle_default_r_init(q, cfg_w, prior)
-            r, calls = _counted_nullcline_r(monkeypatch, q, cfg_w, prior)
-            assert _bits(r) == _bits(want), (q, cfg_w.omega, calls)
-            assert _bits(default_r_init(q, cfg_w, prior)) == _bits(want)
-            cut_short += calls < steady.NULLCLINE_ITERATIONS
-            no_calls += calls == 0
-        if cfg.beta > 0:
-            assert cut_short >= n // 2
-        else:
-            # r' = 0 without shrinkage: r halves every step, read off in closed form
-            assert no_calls == n
-            # with a tiny tau the h projection binds at the first iterate, so the loop runs
-            tiny = dc_replace(cfg, tau=1e-4)
-            for q in (0.0, 0.005):
-                r, calls = _counted_nullcline_r(monkeypatch, q, tiny, prior)
-                assert calls > 0
-                assert _bits(r) == _bits(_oracle_default_r_init(q, tiny, prior)), q
+            r = _counted_default_r_init(monkeypatch, q, cfg_w, prior)
+            assert _bits(r) == _bits(_oracle_default_r_init(q, cfg_w, prior)), (q, cfg_w.omega)
 
-    @pytest.mark.parametrize("q, calls", [(0.2, 100), (0.5, 19), (0.9, 94)],
-                             ids=["cycle", "floor_pin", "fixed_point"])
-    def test_top_of_transition_grid(self, monkeypatch, q, calls):
+    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9], ids=["cycle", "floor_pin", "fixed_point"])
+    def test_top_of_transition_grid(self, monkeypatch, q):
         cfg = dc_replace(CFG, omega=0.26)
-        r, made = _counted_nullcline_r(monkeypatch, q, cfg, PRIOR)
-        assert made == calls
+        r = _counted_default_r_init(monkeypatch, q, cfg, PRIOR)
         assert _bits(r) == _bits(_oracle_default_r_init(q, cfg, PRIOR))
+        nxt = _nullcline_step(q, r, cfg, PRIOR)
         if q == 0.5:
-            assert r == steady._project_h(q, math.inf, cfg)
+            assert r == steady._project_h(q, math.inf, cfg) == steady._project_h(q, nxt, cfg)
+        elif q == 0.9:
+            assert nxt == r
+        else:
+            # a period-4 cycle of the iteration
+            cycle = [r]
+            for _ in range(4):
+                cycle.append(_nullcline_step(q, cycle[-1], cfg, PRIOR))
+            assert cycle[4] == r and r not in cycle[1:4]
 
     def test_no_repeat_takes_every_step(self, monkeypatch):
         cfg = dc_replace(CFG, omega=0.2325)
-        r, made = _counted_nullcline_r(monkeypatch, 0.5, cfg, PRIOR)
-        assert made == steady.NULLCLINE_ITERATIONS
+        r = _counted_default_r_init(monkeypatch, 0.5, cfg, PRIOR)
         assert _bits(r) == _bits(_oracle_default_r_init(0.5, cfg, PRIOR))
 
     def test_nan_never_repeats(self, monkeypatch):
         monkeypatch.setattr(steady, "fixed_point_map", lambda q, r, cfg, prior: (q, math.nan))
-        r, calls = steady.nullcline_r(0.5, CFG, PRIOR)
-        assert math.isnan(r) and calls == steady.NULLCLINE_ITERATIONS
-
-    def test_sweep_identical_to_full_iteration(self, monkeypatch):
-        grid = np.linspace(0.20, 0.26, 25)
-        short = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
-        monkeypatch.setattr(steady, "nullcline_r", lambda q, cfg, prior: (
-            _oracle_default_r_init(q, cfg, prior), steady.NULLCLINE_ITERATIONS))
-        full = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
-        assert short.points == full.points
-        assert [_bits(pt.q_star, *pt.distinct_q) for pt in short.points] == \
-            [_bits(pt.q_star, *pt.distinct_q) for pt in full.points]
-        assert short.omega_c == full.omega_c
-        counts = ("map_calls", "nullcline_map_calls")
-        assert {k: v for k, v in short.diagnostics().items() if k not in counts} == \
-            {k: v for k, v in full.diagnostics().items() if k not in counts}
-        assert (short.map_calls, full.map_calls) == (814, 1201)
-        assert full.nullcline_map_calls == 3 * steady.NULLCLINE_ITERATIONS
-        assert full.map_calls - full.nullcline_map_calls == \
-            short.map_calls - short.nullcline_map_calls
+        assert math.isnan(default_r_init(0.5, CFG, PRIOR))
 
 
 class TestSolveFixedPoint:
@@ -458,6 +437,23 @@ class TestSolveFixedPoint:
             solve_fixed_point(CFG, PRIOR, (0.5, 0.0), damping=0.0)
 
 
+class TestZeroRootMultiplier:
+    @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
+    @pytest.mark.parametrize("prior", [PRIOR, Prior.signed_two_point(0.05), BG_21],
+                             ids=["two_point", "signed", "bg21"])
+    @pytest.mark.parametrize("omega", [0.3, 1.0])
+    def test_closed_form_matches_finite_difference(self, cfg, prior, omega):
+        cfg = dc_replace(cfg, omega=omega)
+        zero = steady.uninformative_fixed_point(cfg)
+        delta = 1e-4
+        slope = fixed_point_map(delta, zero.r, cfg, prior)[0] / delta
+        assert slope == pytest.approx(omega / steady.omega_spinodal(cfg), rel=1e-4)
+
+    def test_spinodal_values(self):
+        assert steady.omega_spinodal(CFG) == pytest.approx(0.27 ** 2 / 0.5 ** 3)
+        assert steady.omega_spinodal(CFG_OJA) == 0.25
+
+
 class TestSweep:
     def test_oja_threshold_location(self):
         # the informative branch appears at omega = tau/2 for plain Oja
@@ -505,6 +501,29 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep_omega(CFG, PRIOR, np.array([0.5, 0.4]))
 
+    def test_newton_keeps_the_side_of_its_start(self):
+        # plain Oja at 0.5: Newton from q = 0.2 overshoots onto the mirror root
+        cfg = dc_replace(CFG_OJA, omega=0.5)
+        start = (0.2, 0.5 * g_scale(0.2, cfg))
+        fp = steady._Newton(PRIOR, 1e-7, 10000).solve(cfg, start)
+        assert fp.q == pytest.approx(-steady_state_q(OjaParams(tau=0.5, omega=0.5)), abs=1e-6)
+        assert fp.residual <= 1e-7 and not fp.converged
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ConfigError, match="at least one SNR"):
+            sweep_omega(CFG, PRIOR, [])
+
+    @pytest.mark.parametrize("omega, q_star", [(0.200, 0.550159), (0.225, 0.644080),
+                                               (0.2325, 0.660330)])
+    def test_one_point_sweep_finds_the_informative_root(self, omega, q_star):
+        # the zero root attracts here too, so multi-start searches settled on it
+        result = sweep_omega(CFG, PRIOR, [omega], tol=1e-7)
+        (pt,) = result.points
+        assert pt.converged and pt.branch == "informative"
+        assert pt.q_star == pytest.approx(q_star, abs=1e-6)
+        assert pt.distinct_q == (0.0, pt.q_star)
+        assert result.diagnostics()["omega_spinodal"] == steady.omega_spinodal(CFG)
+
     def test_transition_grid_converges_everywhere(self):
         grid = np.array([0.20, 0.215, 0.2325, 0.245, 0.26])
         result = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
@@ -512,7 +531,7 @@ class TestSweep:
         qs = [pt.q_star for pt in result.points]
         assert qs == sorted(qs)
         for pt in result.points[:-1]:
-            assert pt.distinct_q == (pt.q_star,)
+            assert pt.distinct_q == (0.0, pt.q_star)
         # at the top the starts that collapse onto q = 0 list that root too
         top = result.points[-1]
         assert top.distinct_q == pytest.approx((0.0, top.q_star), abs=1e-8)
