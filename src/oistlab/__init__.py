@@ -19,7 +19,6 @@ from .nonlinearity import Dynamics, SoftThreshold, eta_map, phi_eval
 from .oja import OjaParams, closed_form_q, ode_q, steady_state_q
 from .priors import (
     Prior,
-    SampleStreamConfig,
     SignalVector,
     discretize_prior,
     draw_samples,
@@ -27,7 +26,6 @@ from .priors import (
     next_sample,
 )
 from .simulate import (
-    AlgoConfig,
     EstimateState,
     TrajectoryRecord,
     cosine_similarity,
@@ -49,7 +47,6 @@ from .steady import (
 
 __all__ = [
     "__version__",
-    "AlgoConfig",
     "ConfigError",
     "DegenerateStateError",
     "Dynamics",
@@ -60,7 +57,6 @@ __all__ = [
     "OistlabError",
     "OjaParams",
     "Prior",
-    "SampleStreamConfig",
     "SignalVector",
     "SoftThreshold",
     "SteadyConfig",

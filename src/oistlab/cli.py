@@ -24,7 +24,7 @@ from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
 from .oja import OjaParams, closed_form_q
 from .simulate import run_trajectory
-from .steady import g_scale, roots_from_inits, steady_density, sweep_omega
+from .steady import default_r_init, roots_from_inits, steady_density, sweep_omega
 
 
 def _fmt(value) -> str:
@@ -223,8 +223,9 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
     started = time.perf_counter()
     records = run_trajectory(
         prior=prior,
-        stream_cfg=cfgmod.build_stream_config(cfg),
-        algo_cfg=cfgmod.build_algo_config(cfg),
+        dynamics=cfgmod.build_steady_config(cfg),
+        p=int(cfg["model"]["p"]),
+        seed=int(sim["seed"]),
         t_max=float(sim["t_max"]),
         record_times=record_times,
         replicas=int(sim["replicas"]),
@@ -334,7 +335,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
     prior = cfgmod.build_discrete_prior(cfg)
     steady_cfg = cfgmod.build_steady_config(cfg)
     st = cfg["steady"]
-    inits = [(float(q0), 0.5 * g_scale(float(q0), steady_cfg) if r0 is None else float(r0))
+    inits = [(float(q0), default_r_init(float(q0), steady_cfg) if r0 is None else float(r0))
              for q0, r0 in st["inits"]]
     started = time.perf_counter()
     results = roots_from_inits(steady_cfg, prior, inits,

@@ -42,11 +42,10 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .nonlinearity import SoftThreshold
+from .nonlinearity import Dynamics, SoftThreshold
 from .pde import Grid, PdeConfig
-from .priors import Prior, SampleStreamConfig, discretize_prior
-from .simulate import AlgoConfig, default_bin_edges, default_theta
-from .steady import SteadyConfig
+from .priors import Prior, discretize_prior
+from .simulate import default_bin_edges, default_theta
 
 DEFAULT_CONFIG = {
     "model": {
@@ -258,19 +257,10 @@ def build_threshold(cfg: dict) -> SoftThreshold | None:
     return SoftThreshold(beta=a["beta"])
 
 
-def build_algo_config(cfg: dict) -> AlgoConfig:
-    return AlgoConfig(tau=cfg["algorithm"]["tau"], threshold=build_threshold(cfg),
-                      p=int(cfg["model"]["p"]))
-
-
-def build_stream_config(cfg: dict) -> SampleStreamConfig:
-    return SampleStreamConfig(omega=cfg["model"]["omega"], p=int(cfg["model"]["p"]),
-                              seed=int(cfg["simulation"]["seed"]))
-
-
-def build_steady_config(cfg: dict) -> SteadyConfig:
-    return SteadyConfig(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"],
-                        threshold=build_threshold(cfg))
+def build_steady_config(cfg: dict) -> Dynamics:
+    """The configured model, as `simulate`, `steady` and `sweep` take it."""
+    return Dynamics(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"],
+                    threshold=build_threshold(cfg))
 
 
 def build_grid(cfg: dict, prior: Prior) -> Grid:

@@ -53,14 +53,13 @@ def eta_map(x_vec, threshold, p: int):
     return x_vec - phi_eval(x_vec, threshold) / p
 
 
-def beta_of(threshold) -> float:
-    """Shrinkage strength as a plain float (0 when thresholding is off)."""
-    return 0.0 if threshold is None else threshold.beta
-
-
 @dataclass(frozen=True)
 class Dynamics:
-    """Step size tau > 0, SNR omega >= 0 and shrinkage (None: plain Oja) of the limit equations."""
+    """Step size tau > 0, SNR omega >= 0 and shrinkage (None: plain Oja).
+
+    One model for every route: the Monte Carlo estimator and its limit
+    equations (PDE, closed-form Oja overlap, stationary system).
+    """
 
     tau: float
     omega: float
@@ -74,4 +73,5 @@ class Dynamics:
 
     @property
     def beta(self) -> float:
-        return beta_of(self.threshold)
+        """Shrinkage strength as a plain float (0 when thresholding is off)."""
+        return 0.0 if self.threshold is None else self.threshold.beta

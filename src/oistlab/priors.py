@@ -140,21 +140,6 @@ class SignalVector:
             raise ConfigError(f"signal vector shape {self.xi.shape} != ({self.p},)")
 
 
-@dataclass(frozen=True)
-class SampleStreamConfig:
-    """Stream parameters: SNR omega, dimension p, root seed."""
-
-    omega: float
-    p: int
-    seed: int
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ConfigError(f"omega must be >= 0, got {self.omega}")
-        if self.p < 2:
-            raise ConfigError(f"dimension p must be >= 2, got {self.p}")
-
-
 def make_rng(seed: int, replica: int | None = None) -> np.random.Generator:
     """Splittable generator stream keyed by (seed, replica); streams never collide."""
     if replica is None:

@@ -5,9 +5,13 @@ One update consumes one sample and never stores it:
     x_tilde = x + (tau / p) * y * (y . x)
     x'      = sqrt(p) * eta(x_tilde) / ||eta(x_tilde)||
 
-With thresholding off this is the classical Oja recursion. Metrics
-(overlap with the signal, conditional coordinate histograms, support
-misclassification) are recorded at requested rescaled times t = k / p.
+With thresholding off this is the classical Oja recursion. The model is
+one `nonlinearity.Dynamics` (tau, omega, threshold), the object every
+limit route takes too; `run_trajectory` adds the dimension p and the
+root seed as plain arguments, and `oist_step` reads p off the sample.
+Metrics (overlap with the signal, conditional coordinate histograms,
+support misclassification) are recorded at requested rescaled times
+t = k / p.
 
 Monte Carlo engine. `run_trajectory` advances a batch of replicas
 together as the rows of preallocated (rows, p) arrays and updates them
@@ -41,34 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateStateError
-from .nonlinearity import SoftThreshold, beta_of
-from .priors import (
-    Prior,
-    SampleStreamConfig,
-    SignalVector,
-    draw_signal_with_rng,
-    make_rng,
-)
+from .nonlinearity import Dynamics
+from .priors import Prior, SignalVector, draw_signal_with_rng, make_rng
 
 # doubles in one (rows, p) state or sample buffer of a batch
 BATCH_ELEMENTS = 2 ** 15
 # doubles in one batch's draw buffer: several steps per generator call
 DRAW_BLOCK_ELEMENTS = 2 ** 17
-
-
-@dataclass(frozen=True)
-class AlgoConfig:
-    """Step size, shrinkage choice and dimension of the online estimator."""
-
-    tau: float
-    threshold: SoftThreshold | None
-    p: int
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.p < 2:
-            raise ConfigError(f"dimension p must be >= 2, got {self.p}")
 
 
 @dataclass
@@ -154,11 +137,14 @@ def _update_rows(x: np.ndarray, y: np.ndarray, tau: float, shrink: float) -> np.
     return norms
 
 
-def oist_step(state: EstimateState, y: np.ndarray, cfg: AlgoConfig) -> EstimateState:
-    """One online update followed by renormalization to norm sqrt(p)."""
+def oist_step(state: EstimateState, y: np.ndarray, dynamics: Dynamics) -> EstimateState:
+    """One online update followed by renormalization to norm sqrt(p).
+
+    p is the length of the sample; the SNR of ``dynamics`` is not read.
+    """
     x = np.array(state.x, dtype=float, ndmin=2)
-    norms = _update_rows(x, np.array(y, dtype=float, ndmin=2), cfg.tau,
-                         beta_of(cfg.threshold) / cfg.p)
+    y = np.array(y, dtype=float, ndmin=2)
+    norms = _update_rows(x, y, dynamics.tau, dynamics.beta / y.shape[1])
     if norms[0] == 0.0:
         raise DegenerateStateError(
             f"estimate vanished after thresholding at step {state.k + 1}"
@@ -219,8 +205,9 @@ class _Run:
     """Everything the batches of one run share; pickled to worker processes."""
 
     prior: Prior
-    stream_cfg: SampleStreamConfig
-    algo_cfg: AlgoConfig
+    dynamics: Dynamics
+    p: int
+    seed: int
     k_final: int
     record_times: np.ndarray
     histogram_times: np.ndarray
@@ -244,9 +231,9 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     timings[1] and timings[2]; the clock is read once per draw block and
     once per record event.
     """
-    p = run.algo_cfg.p
+    p = run.p
     rows = len(replicas)
-    rngs = [make_rng(run.stream_cfg.seed, replica) for replica in replicas]
+    rngs = [make_rng(run.seed, replica) for replica in replicas]
     signals = [draw_signal_with_rng(run.prior, p, rng) for rng in rngs]
     x = np.empty((rows, p))
     for row, rng in zip(x, rngs):
@@ -255,8 +242,8 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     block = max(1, DRAW_BLOCK_ELEMENTS // (rows * (p + 1)))
     draws = np.empty((rows, block, p + 1))
     y = np.empty((rows, p))
-    spike = np.sqrt(run.stream_cfg.omega / p)
-    tau, shrink = run.algo_cfg.tau, beta_of(run.algo_cfg.threshold) / p
+    spike = np.sqrt(run.dynamics.omega / p)
+    tau, shrink = run.dynamics.tau, run.dynamics.beta / p
 
     record_steps = _steps_for(run.record_times, p)
     hist_steps = _steps_for(run.histogram_times, p)
@@ -309,7 +296,7 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     return [
         TrajectoryRecord(
             replica_id=replica,
-            seed=run.stream_cfg.seed,
+            seed=run.seed,
             times=run.record_times,
             q_values=q_values[row],
             misclass=misclass[row],
@@ -323,7 +310,7 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
 
 def _run_chunk(run: _Run, replicas: range) -> tuple[list[TrajectoryRecord], np.ndarray]:
     """Run a contiguous chunk of replicas in batches of near-equal size."""
-    max_rows = max(1, BATCH_ELEMENTS // run.algo_cfg.p)
+    max_rows = max(1, BATCH_ELEMENTS // run.p)
     timings = np.zeros(3)
     records = []
     for batch in _split(replicas, -(-len(replicas) // max_rows)):
@@ -345,8 +332,9 @@ def default_theta(rho: float) -> float:
 
 def run_trajectory(
     prior: Prior,
-    stream_cfg: SampleStreamConfig,
-    algo_cfg: AlgoConfig,
+    dynamics: Dynamics,
+    p: int,
+    seed: int,
     t_max: float,
     record_times,
     replicas: int,
@@ -359,9 +347,10 @@ def run_trajectory(
 ) -> list[TrajectoryRecord]:
     """Run independent replicas of the online estimator and record metrics.
 
-    Each replica draws a fresh signal and a fresh i.i.d. initial
-    estimate x0 ~ N(mean, var) from its own (seed, replica) stream,
-    then takes floor(p * t_max) updates. Metrics are recorded at the
+    Each replica draws a fresh signal of dimension p and a fresh i.i.d.
+    initial estimate x0 ~ N(mean, var) from its own (seed, replica)
+    stream, then takes floor(p * t_max) updates with the step size,
+    SNR and shrinkage of ``dynamics``. Metrics are recorded at the
     requested rescaled times (step k = floor(p * t)); histograms only
     at histogram_times (defaults to record_times). Replicas are
     deterministic functions of (seed, replica): with n_workers > 1 each
@@ -370,12 +359,12 @@ def run_trajectory(
     replica-steps, replica-steps per wall second, and the seconds spent
     drawing, updating and recording, summed over the workers.
     """
+    if p < 2:
+        raise ConfigError(f"dimension p must be >= 2, got {p}")
     if t_max < 0:
         raise ConfigError(f"t_max must be >= 0, got {t_max}")
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
-    if stream_cfg.p != algo_cfg.p:
-        raise ConfigError("stream and algorithm dimensions differ")
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size == 0:
         raise ConfigError("record_times must not be empty")
@@ -403,8 +392,8 @@ def run_trajectory(
             stacklevel=2,
         )
 
-    k_final = int(math.floor(t_max * algo_cfg.p + 1e-9))
-    run = _Run(prior, stream_cfg, algo_cfg, k_final, record_times, histogram_times,
+    k_final = int(math.floor(t_max * p + 1e-9))
+    run = _Run(prior, dynamics, p, seed, k_final, record_times, histogram_times,
                x0_mean, x0_var, np.asarray(bin_edges, dtype=float), theta)
     chunks = _split(range(replicas), max(1, min(n_workers, replicas)))
     started = time.perf_counter()

@@ -34,16 +34,17 @@ critical SNR a second, informative solution with q != 0 appears.
 G = F - id, from one anchor SNR down. The anchor, max(grid top,
 2 omega_s), lies above the spinodal, where the informative root is the
 only attracting one. Newton alone searches it from each overlap start
-with r = g(q)/2, and the largest-overlap accepted root is continued down
-the grid. A root is accepted only if it attracts the damped iteration's
-flow and keeps clear of the h = 0 floor. Where the traced branch ends,
-bracketed to ~1e-8 in omega, every lower SNR reports the exact zero
-root, converged iff it attracts. ``oistlab steady`` runs Newton from each
-init and falls back on the same trace where Newton fails.
-``solve_fixed_point`` is a damped fixed-point iteration from one start;
-no search uses it. The solvers call ``fixed_point_map`` through its
-module-level name, and ``SweepResult.map_calls`` counts every one of
-those calls.
+q with r = ``default_r_init(q)`` = g(q)/2, the one start rule, and the
+largest-overlap accepted root is continued down the grid, trying each
+grid SNR itself first. A root is accepted only if it attracts the damped
+iteration's flow and keeps clear of the h = 0 floor. Where the traced
+branch ends, bracketed to ~1e-8 in omega, every lower SNR reports the
+exact zero root, converged iff it attracts. ``oistlab steady`` runs
+Newton from each init and falls back on the same trace where Newton
+fails. ``solve_fixed_point`` is a damped fixed-point iteration from one
+start, kept as an independent check of the Newton roots; no search uses
+it. The solvers call ``fixed_point_map`` through its module-level name,
+and ``SweepResult.map_calls`` counts every one of those calls.
 """
 from __future__ import annotations
 
@@ -63,7 +64,6 @@ TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 H_MIN = 1e-8
 EPS_UNINFORMATIVE = 1e-6
 EPS_TRANSITION = 1e-3
-NULLCLINE_ITERATIONS = 200
 FD_STEP = 1.5e-8  # ~ sqrt(machine epsilon), relative to max(1, |x|)
 MAX_BACKTRACKS = 8
 MIN_CONTINUATION_STEP = 1e-8
@@ -294,24 +294,9 @@ def _project_h(q: float, r: float, cfg: SteadyConfig) -> float:
     return min(r, r_cap)
 
 
-def default_r_init(q: float, cfg: SteadyConfig, prior: Prior | None = None) -> float:
-    """An r start safely inside the h > 0 domain for a given q start.
-
-    Without a prior it is g(q)/2. With one the start is pulled onto the
-    r-nullcline by NULLCLINE_ITERATIONS damped r-only iterations at fixed
-    q: near the transition the overlap collapses faster than r can
-    equilibrate, so damped joint iterates launched far off the nullcline
-    can escape the informative basin that the fixed-overlap map would
-    retain.
-    """
-    r = 0.5 * g_scale(q, cfg)
-    if prior is None:
-        return r
-    for _ in range(NULLCLINE_ITERATIONS):
-        r = _project_h(q, r, cfg)
-        _, r_new = fixed_point_map(q, r, cfg, prior)
-        r = 0.5 * r + 0.5 * r_new
-    return _project_h(q, r, cfg)
+def default_r_init(q: float, cfg: SteadyConfig) -> float:
+    """The r start g(q)/2 for a q start: it keeps h = (tau omega q^2 + g/2)/2 > 0."""
+    return 0.5 * g_scale(q, cfg)
 
 
 def _fixed_point(q: float, r: float, residual: float, converged: bool,
@@ -504,14 +489,19 @@ class _Newton:
                       omega_to: float) -> tuple[FixedPoint | None, tuple[float, float] | None]:
         """Carry an accepted root from omega_from down to omega_to <= omega_from.
 
-        A failed step is halved from the last root; once it is below
-        MIN_CONTINUATION_STEP the branch has ended, and the bracket
-        (omega_failed, omega_last_root) is returned instead of a root.
+        The first try is omega_to itself. A failed step is halved from
+        the last root; once it is below MIN_CONTINUATION_STEP the branch
+        has ended, and the bracket (omega_failed, omega_last_root) is
+        returned instead of a root. A step that reaches omega_to up to a
+        millionth of its length lands on it, so rounding never adds a
+        solve an ulp above omega_to.
         """
         step = omega_to - omega_from
         omega_ok, fp = omega_from, start
         while omega_ok != omega_to:
-            omega_try = max(omega_to, omega_ok + step)
+            omega_try = omega_ok + step
+            if omega_try - omega_to <= -1e-6 * step:
+                omega_try = omega_to
             found = self.solve(dc_replace(cfg, omega=omega_try), (fp.q, fp.r))
             if found.converged:
                 omega_ok, fp = omega_try, found
@@ -532,10 +522,12 @@ class _Newton:
         attracts. If no start is accepted at the anchor, every SNR gets
         the least-residual attempt, unconverged.
         """
+        if not starts:
+            raise ConfigError("starts must hold at least one overlap")
         omega_s = omega_spinodal(cfg)
         omega = max(omegas[0], 2.0 * omega_s)
         cfg_a = dc_replace(cfg, omega=omega)
-        tries = [self.solve(cfg_a, (q0, 0.5 * g_scale(q0, cfg_a))) for q0 in starts]
+        tries = [self.solve(cfg_a, (q0, default_r_init(q0, cfg_a))) for q0 in starts]
         fp = max((t for t in tries if t.converged), key=lambda t: abs(t.q), default=None)
         if fp is None:
             return [min(tries, key=lambda t: t.residual)] * len(omegas), []

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from oistlab import (
-    AlgoConfig,
+    Dynamics,
     OjaParams,
     Prior,
-    SampleStreamConfig,
     SoftThreshold,
     SteadyConfig,
     closed_form_q,
@@ -60,8 +59,9 @@ def oja_batch():
     """Plain Oja, p=2000, 20 replicas, recorded out to t=100."""
     return run_trajectory(
         PRIOR,
-        SampleStreamConfig(omega=OMEGA, p=2000, seed=6001),
-        AlgoConfig(tau=TAU, threshold=None, p=2000),
+        Dynamics(tau=TAU, omega=OMEGA, threshold=None),
+        p=2000,
+        seed=6001,
         t_max=100.0,
         record_times=[0.0, 1.0, 5.0, 15.0, 100.0],
         histogram_times=[],
@@ -75,8 +75,9 @@ def oja_large_step_batch():
     """Plain Oja beyond the step-size threshold (tau > 2*omega)."""
     return run_trajectory(
         PRIOR,
-        SampleStreamConfig(omega=OMEGA, p=2000, seed=6002),
-        AlgoConfig(tau=2.5, threshold=None, p=2000),
+        Dynamics(tau=2.5, omega=OMEGA, threshold=None),
+        p=2000,
+        seed=6002,
         t_max=100.0,
         record_times=[0.0, 100.0],
         histogram_times=[],
@@ -90,8 +91,9 @@ def oist_band_batch():
     """Reference-parameter runs at p=2000 on the half-unit time grid."""
     return run_trajectory(
         PRIOR,
-        SampleStreamConfig(omega=OMEGA, p=2000, seed=6003),
-        AlgoConfig(tau=TAU, threshold=SOFT, p=2000),
+        Dynamics(tau=TAU, omega=OMEGA, threshold=SOFT),
+        p=2000,
+        seed=6003,
         t_max=15.0,
         record_times=np.arange(0.0, 15.5, 0.5),
         histogram_times=[],
@@ -105,8 +107,9 @@ def oist_hist_batch():
     """Reference-parameter runs at p=10^4 with pooled histograms."""
     return run_trajectory(
         PRIOR,
-        SampleStreamConfig(omega=OMEGA, p=10000, seed=6004),
-        AlgoConfig(tau=TAU, threshold=SOFT, p=10000),
+        Dynamics(tau=TAU, omega=OMEGA, threshold=SOFT),
+        p=10000,
+        seed=6004,
         t_max=15.0,
         record_times=[0.0, 1.0, 15.0],
         histogram_times=[1.0, 15.0],
@@ -126,7 +129,7 @@ def pde_solution():
 def informative_fixed_point():
     fp = solve_fixed_point(
         STEADY_CFG, PRIOR,
-        (0.5, default_r_init(0.5, STEADY_CFG, PRIOR)),
+        (0.5, default_r_init(0.5, STEADY_CFG)),
         tol=1e-12,
     )
     assert fp.converged and fp.branch == "informative"

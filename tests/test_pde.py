@@ -279,7 +279,7 @@ class TestSolve:
         # t in [0, 10]; a first-order upwind flux drifts by ~1.6e-3 here
         steady_cfg = SteadyConfig(tau=0.5, omega=1.0, threshold=SOFT)
         fp = solve_fixed_point(steady_cfg, PRIOR,
-                               (0.5, default_r_init(0.5, steady_cfg, PRIOR)), tol=1e-12)
+                               (0.5, default_r_init(0.5, steady_cfg)), tol=1e-12)
         assert fp.converged and fp.branch == "informative"
         grid = make_grid(n=900)
         dens = np.stack([steady_density(v, fp.q, fp.r, steady_cfg)(grid.centers)

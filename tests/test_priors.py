@@ -6,7 +6,6 @@ import pytest
 from oistlab import (
     ConfigError,
     Prior,
-    SampleStreamConfig,
     discretize_prior,
     draw_samples,
     draw_signal,
@@ -139,12 +138,6 @@ class TestNextSample:
         signal = draw_signal(Prior.two_point(0.5), 4, seed=1)
         with pytest.raises(ConfigError):
             next_sample(signal, -0.1, make_rng(0))
-
-    def test_stream_config_validation(self):
-        with pytest.raises(ConfigError):
-            SampleStreamConfig(omega=-1.0, p=10, seed=0)
-        with pytest.raises(ConfigError):
-            SampleStreamConfig(omega=1.0, p=1, seed=0)
 
 
 class TestDiscretizePrior:

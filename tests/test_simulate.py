@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oistlab import (
-    AlgoConfig,
     ConfigError,
     DegenerateStateError,
+    Dynamics,
     EstimateState,
     OjaParams,
     Prior,
-    SampleStreamConfig,
     SoftThreshold,
     closed_form_q,
     cosine_similarity,
@@ -63,14 +62,14 @@ class TestPhiEta:
 
 class TestOistStep:
     def test_zero_sample_no_threshold(self):
-        cfg = AlgoConfig(tau=0.7, threshold=None, p=2)
+        cfg = Dynamics(tau=0.7, omega=1.0, threshold=None)
         state = EstimateState(x=np.array([1.0, 1.0]), k=0)
         out = oist_step(state, np.zeros(2), cfg)
         assert np.allclose(out.x, state.x)
         assert out.k == 1
 
     def test_hand_computed_update(self):
-        cfg = AlgoConfig(tau=1.0, threshold=None, p=2)
+        cfg = Dynamics(tau=1.0, omega=1.0, threshold=None)
         state = EstimateState(x=np.array([1.0, 1.0]), k=0)
         out = oist_step(state, np.array([1.0, 0.0]), cfg)
         expected = math.sqrt(2.0) * np.array([1.5, 1.0]) / np.linalg.norm([1.5, 1.0])
@@ -80,7 +79,7 @@ class TestOistStep:
 
     def test_norm_invariant(self):
         p = 64
-        cfg = AlgoConfig(tau=0.5, threshold=SoftThreshold(0.27), p=p)
+        cfg = Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27))
         rng = make_rng(3)
         state = EstimateState(x=math.sqrt(p) * _unit(rng.standard_normal(p)), k=0)
         for _ in range(200):
@@ -91,7 +90,7 @@ class TestOistStep:
     def test_matches_reference_oja(self):
         # two-line reference recursion, update then normalize
         p = 16
-        cfg = AlgoConfig(tau=0.8, threshold=None, p=p)
+        cfg = Dynamics(tau=0.8, omega=1.0, threshold=None)
         rng = make_rng(4)
         x_ref = rng.standard_normal(p)
         x_ref *= math.sqrt(p) / np.linalg.norm(x_ref)
@@ -107,7 +106,7 @@ class TestOistStep:
     def test_matches_one_sample_formula_exactly(self, threshold):
         # the one-sample update as written in the module docstring, bit for bit
         p = 300
-        cfg = AlgoConfig(tau=0.5, threshold=threshold, p=p)
+        cfg = Dynamics(tau=0.5, omega=1.0, threshold=threshold)
         rng = make_rng(5)
         x_ref = rng.standard_normal(p)
         state = EstimateState(x=x_ref.copy(), k=0)
@@ -121,7 +120,7 @@ class TestOistStep:
     def test_degenerate_state(self):
         p = 2
         beta = 0.5
-        cfg = AlgoConfig(tau=1.0, threshold=SoftThreshold(beta), p=p)
+        cfg = Dynamics(tau=1.0, omega=1.0, threshold=SoftThreshold(beta))
         # coordinates exactly at the shrinkage magnitude vanish under eta
         state = EstimateState(x=np.array([beta / p, -beta / p]), k=0)
         with pytest.raises(DegenerateStateError):
@@ -248,8 +247,9 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.2)
         recs = run_trajectory(
             prior,
-            SampleStreamConfig(omega=1.0, p=50, seed=1),
-            AlgoConfig(tau=0.5, threshold=None, p=50),
+            Dynamics(tau=0.5, omega=1.0, threshold=None),
+            p=50,
+            seed=1,
             t_max=1.5,
             record_times=[0.0, 1.5],
             replicas=1,
@@ -262,8 +262,9 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.05)
         recs = run_trajectory(
             prior,
-            SampleStreamConfig(omega=1.0, p=10000, seed=21),
-            AlgoConfig(tau=0.5, threshold=SoftThreshold(0.27), p=10000),
+            Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27)),
+            p=10000,
+            seed=21,
             t_max=0.0,
             record_times=[0.0],
             replicas=8,
@@ -275,8 +276,9 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         kwargs = dict(
             prior=prior,
-            stream_cfg=SampleStreamConfig(omega=1.0, p=100, seed=77),
-            algo_cfg=AlgoConfig(tau=0.5, threshold=SoftThreshold(0.27), p=100),
+            dynamics=Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27)),
+            p=100,
+            seed=77,
             t_max=2.0,
             record_times=[0.0, 1.0, 2.0],
             replicas=3,
@@ -291,8 +293,9 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         recs = run_trajectory(
             prior,
-            SampleStreamConfig(omega=1.0, p=500, seed=5),
-            AlgoConfig(tau=0.5, threshold=SoftThreshold(0.27), p=500),
+            Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27)),
+            p=500,
+            seed=5,
             t_max=3.0,
             record_times=np.linspace(0, 3, 7),
             replicas=2,
@@ -311,7 +314,7 @@ class TestRunTrajectory:
         # the spike and the noise flip)
         prior = Prior.two_point(0.2)
         p = 40
-        cfg = AlgoConfig(tau=0.5, threshold=SoftThreshold(0.3), p=p)
+        cfg = Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.3))
         rng = make_rng(31)
         signal = draw_signal(prior, p, seed=32)
         x0 = 0.5 + rng.standard_normal(p)
@@ -333,8 +336,9 @@ class TestRunTrajectory:
         times = [0.0, 1.0, 5.0]
         recs = run_trajectory(
             prior,
-            SampleStreamConfig(omega=1.0, p=p, seed=2024),
-            AlgoConfig(tau=0.5, threshold=None, p=p),
+            Dynamics(tau=0.5, omega=1.0, threshold=None),
+            p=p,
+            seed=2024,
             t_max=5.0,
             record_times=times,
             replicas=n_rep,
@@ -355,22 +359,21 @@ class TestRunTrajectory:
         # fit a batch at this p, so 9 replicas span several batches
         p = BATCH_ELEMENTS // 4
         prior = Prior.two_point(0.1)
-        stream = SampleStreamConfig(omega=1.0, p=p, seed=17)
-        algo = AlgoConfig(tau=0.5, threshold=threshold, p=p)
+        dynamics, seed = Dynamics(tau=0.5, omega=1.0, threshold=threshold), 17
         record_times = [0.0, 10 / p, 30 / p]
-        recs = run_trajectory(prior, stream, algo, t_max=30 / p, record_times=record_times,
+        recs = run_trajectory(prior, dynamics, p, seed, t_max=30 / p, record_times=record_times,
                               replicas=9, histogram_times=[10 / p, 30 / p],
                               n_workers=n_workers)
         edges, theta = default_bin_edges(prior.rho), default_theta(prior.rho)
         for replica, rec in enumerate(recs):
             assert rec.replica_id == replica
-            rng = make_rng(stream.seed, replica)
+            rng = make_rng(seed, replica)
             signal = draw_signal_with_rng(prior, p, rng)
             state = EstimateState(x=1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p))
             q, mis, hists = [], [], []
             for k in range(31):
                 if k:
-                    state = oist_step(state, next_sample(signal, stream.omega, rng), algo)
+                    state = oist_step(state, next_sample(signal, dynamics.omega, rng), dynamics)
                 if k in (0, 10, 30):
                     q.append(cosine_similarity(state.x, signal.xi))
                     mis.append(misclassification_rate(state.x, signal, theta))
@@ -388,8 +391,9 @@ class TestRunTrajectory:
         with pytest.warns(UserWarning):
             run_trajectory(
                 prior,
-                SampleStreamConfig(omega=1.0, p=50, seed=1),
-                AlgoConfig(tau=0.5, threshold=None, p=50),
+                Dynamics(tau=0.5, omega=1.0, threshold=None),
+                p=50,
+                seed=1,
                 t_max=0.1,
                 record_times=[0.0],
                 replicas=1,
@@ -397,14 +401,15 @@ class TestRunTrajectory:
 
     def test_validation(self):
         prior = Prior.two_point(0.1)
-        stream = SampleStreamConfig(omega=1.0, p=50, seed=1)
-        algo = AlgoConfig(tau=0.5, threshold=None, p=50)
+        dynamics = Dynamics(tau=0.5, omega=1.0, threshold=None)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, stream, algo, t_max=1.0, record_times=[], replicas=1)
+            run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[], replicas=1)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, stream, algo, t_max=1.0, record_times=[2.0], replicas=1)
+            run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[2.0], replicas=1)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, stream, algo, t_max=1.0, record_times=[0.5], replicas=0)
+            run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[0.5], replicas=0)
+        with pytest.raises(ConfigError):
+            run_trajectory(prior, dynamics, 1, 1, t_max=1.0, record_times=[0.5], replicas=1)
 
 
 def _unit(v):

@@ -315,81 +315,6 @@ class TestScalarKernel:
         assert len(calls) == result.map_calls > 0
 
 
-# The plain r-nullcline pre-iteration: the oracle `default_r_init` must
-# equal bit for bit.
-def _oracle_default_r_init(q, cfg, prior=None):
-    r = 0.5 * g_scale(q, cfg)
-    if prior is None:
-        return r
-    for _ in range(steady.NULLCLINE_ITERATIONS):
-        r = steady._project_h(q, r, cfg)
-        _, r_new = fixed_point_map(q, r, cfg, prior)
-        r = 0.5 * r + 0.5 * r_new
-    return steady._project_h(q, r, cfg)
-
-
-def _counted_default_r_init(monkeypatch, q, cfg, prior):
-    """default_r_init's r, checking that it made every one of its map calls."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return fixed_point_map(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(steady, "fixed_point_map", counted)
-        r = default_r_init(q, cfg, prior)
-    assert len(calls) == steady.NULLCLINE_ITERATIONS
-    return r
-
-
-def _nullcline_step(q, r, cfg, prior):
-    r = steady._project_h(q, r, cfg)
-    return 0.5 * r + 0.5 * fixed_point_map(q, r, cfg, prior)[1]
-
-
-class TestNullclineShortcut:
-    """`default_r_init` runs every step of the r-nullcline iteration, wherever
-    it lands: on a fixed point, pinned to the h floor or on a cycle."""
-
-    @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
-    @pytest.mark.parametrize("prior", [PRIOR, BG_21], ids=["two_point", "bg21"])
-    def test_bitwise_equal_to_full_iteration(self, monkeypatch, cfg, prior):
-        rng = np.random.default_rng(20261019)
-        n = 150 if prior is PRIOR else 40
-        for _ in range(n):
-            q = rng.uniform(-1.2, 1.2)
-            cfg_w = dc_replace(cfg, omega=rng.uniform(0.0, 2.0))
-            r = _counted_default_r_init(monkeypatch, q, cfg_w, prior)
-            assert _bits(r) == _bits(_oracle_default_r_init(q, cfg_w, prior)), (q, cfg_w.omega)
-
-    @pytest.mark.parametrize("q", [0.2, 0.5, 0.9], ids=["cycle", "floor_pin", "fixed_point"])
-    def test_top_of_transition_grid(self, monkeypatch, q):
-        cfg = dc_replace(CFG, omega=0.26)
-        r = _counted_default_r_init(monkeypatch, q, cfg, PRIOR)
-        assert _bits(r) == _bits(_oracle_default_r_init(q, cfg, PRIOR))
-        nxt = _nullcline_step(q, r, cfg, PRIOR)
-        if q == 0.5:
-            assert r == steady._project_h(q, math.inf, cfg) == steady._project_h(q, nxt, cfg)
-        elif q == 0.9:
-            assert nxt == r
-        else:
-            # a period-4 cycle of the iteration
-            cycle = [r]
-            for _ in range(4):
-                cycle.append(_nullcline_step(q, cycle[-1], cfg, PRIOR))
-            assert cycle[4] == r and r not in cycle[1:4]
-
-    def test_no_repeat_takes_every_step(self, monkeypatch):
-        cfg = dc_replace(CFG, omega=0.2325)
-        r = _counted_default_r_init(monkeypatch, 0.5, cfg, PRIOR)
-        assert _bits(r) == _bits(_oracle_default_r_init(0.5, cfg, PRIOR))
-
-    def test_nan_never_repeats(self, monkeypatch):
-        monkeypatch.setattr(steady, "fixed_point_map", lambda q, r, cfg, prior: (q, math.nan))
-        assert math.isnan(default_r_init(0.5, CFG, PRIOR))
-
-
 class TestSolveFixedPoint:
     def test_uninformative_branch(self):
         tau = CFG.tau
@@ -512,6 +437,35 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError, match="at least one SNR"):
             sweep_omega(CFG, PRIOR, [])
+
+    def test_empty_starts_rejected(self):
+        with pytest.raises(ConfigError, match="at least one overlap"):
+            sweep_omega(CFG, PRIOR, [0.3], starts=())
+        # an init_R above the h cap makes Newton fail, so the init falls back on the trace
+        with pytest.raises(ConfigError, match="at least one overlap"):
+            steady.roots_from_inits(CFG, PRIOR, [(0.5, 5.0)], starts=())
+
+    @pytest.mark.parametrize("cfg, omega_to", [(CFG, 0.2325), (CFG, 0.3), (CFG_OJA, 0.2325)],
+                             ids=["soft-0.2325", "soft-0.3", "oja-0.2325"])
+    def test_continuation_solves_between_its_ends(self, monkeypatch, cfg, omega_to):
+        # from the anchor, omega_from + (omega_to - omega_from) rounds an ulp
+        # above omega_to at these SNRs; no solve may land there
+        starts = (0.2, 0.5, 0.9)
+        newton = steady._Newton(PRIOR, 1e-7, 10000)
+        solves = []
+        solve = newton.solve
+        monkeypatch.setattr(newton, "solve",
+                            lambda c, init: solves.append(c.omega) or solve(c, init))
+        (fp,), _ = newton.trace(dc_replace(cfg, omega=omega_to), [omega_to], starts)
+        omega_from = 2.0 * steady.omega_spinodal(cfg)
+        assert solves[:len(starts)] == [omega_from] * len(starts)
+        continuation = solves[len(starts):]
+        assert continuation[0] == omega_to
+        assert all(w == omega_to or omega_to + 1e-12 < w <= omega_from for w in continuation)
+        if cfg.threshold is not None:
+            # the first try reaches the root, and reports its Newton steps
+            assert continuation == [omega_to]
+            assert fp.converged and fp.iterations > 0
 
     @pytest.mark.parametrize("omega, q_star", [(0.200, 0.550159), (0.225, 0.644080),
                                                (0.2325, 0.660330)])
