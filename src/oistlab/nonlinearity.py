@@ -7,6 +7,10 @@ phi is the shrinkage force derived from the sparsity penalty:
     phi(x) = beta * sign(x)     (iterative soft thresholding)
 
 We fix sign(0) = 0, so eta always maps the origin to itself.
+
+``Dynamics`` is the model every route takes, and the diffusion and
+restoring coefficients of its limit equations live beside it, so the
+stationary analysis reads them without loading the PDE solver.
 """
 from __future__ import annotations
 
@@ -75,3 +79,13 @@ class Dynamics:
     def beta(self) -> float:
         """Shrinkage strength as a plain float (0 when thresholding is off)."""
         return 0.0 if self.threshold is None else self.threshold.beta
+
+
+def diffusion_coefficient(tau: float, omega: float, q: float) -> float:
+    """Shared diffusion scale D = tau^2 (1 + omega q^2) / 2 of the limit equations."""
+    return 0.5 * tau ** 2 * (1.0 + omega * q * q)
+
+
+def restoring_coefficient(tau: float, omega: float, q: float, r: float) -> float:
+    """Linear confinement tau*omega*q^2 - r + D(q) of the drift; twice the stationary h."""
+    return tau * omega * q * q - r + diffusion_coefficient(tau, omega, q)

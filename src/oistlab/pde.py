@@ -72,7 +72,8 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import ndtr
 
 from .errors import ConfigError, NumericError
-from .nonlinearity import Dynamics, phi_eval, phi_mean
+from .nonlinearity import (Dynamics, diffusion_coefficient, phi_eval, phi_mean,
+                           restoring_coefficient)
 from .priors import Prior, discretize_prior
 
 MASS_TOL = 1e-8
@@ -148,19 +149,9 @@ class PdeConfig(Dynamics):
             raise ConfigError(f"t_max must be >= 0, got {self.t_max}")
 
 
-def diffusion_coefficient(tau: float, omega: float, q: float) -> float:
-    """Shared diffusion scale D = tau^2 (1 + omega q^2) / 2 of the limit equations."""
-    return 0.5 * tau ** 2 * (1.0 + omega * q * q)
-
-
 def drift(x, xi, q, r, tau, omega, threshold):
     """Per-coordinate drift of the limiting dynamics (vectorized in x)."""
     return _drift(x, xi, phi_eval(x, threshold), q, r, tau, omega)
-
-
-def restoring_coefficient(tau: float, omega: float, q: float, r: float) -> float:
-    """Linear confinement tau*omega*q^2 - r + D(q) of the drift; twice the stationary h."""
-    return tau * omega * q * q - r + diffusion_coefficient(tau, omega, q)
 
 
 def _drift(x, xi, phi, q, r, tau, omega):

@@ -15,11 +15,14 @@ integrals turns the self-consistency into two closed-form equations in
     f(z) = (2/pi) exp(z^2) Integral_z^inf exp(-u^2) du = erfcx(z)/sqrt(pi)
 
 evaluated at z_pm = (beta +- tau*omega*xi*q) / (2 sqrt(g h)).
-``fixed_point_map`` is a scalar kernel: Python-float arithmetic over the
-prior's atoms and one erfcx call per map, on |z| for every atom's z-
-and z+. A negative z takes the reflection erfcx(z) = 2 exp(z^2) -
-erfcx(-z), and each atom's pair is rescaled by exp(-max z^2 over its
-negative arguments), so no term overflows.
+``fixed_point_map_with_jacobian`` is a scalar kernel: Python-float
+arithmetic over the prior's atoms and one erfcx call per evaluation, on
+|z| for every atom's z- and z+. A negative z takes the reflection
+erfcx(z) = 2 exp(z^2) - erfcx(-z), and each atom's pair is rescaled by
+exp(-max z^2 over its negative arguments), so no term overflows. From
+the same erfcx values it returns the map's exact 2x2 Jacobian, as
+covariances of each atom's law; ``fixed_point_map`` is its first two
+values.
 
 With beta > 0, (q, r) = (0, tau^2/2) always solves the system; its
 density is a signal-independent Laplace law with rate 2*beta/tau^2
@@ -37,14 +40,15 @@ only attracting one. Newton alone searches it from each overlap start
 q with r = ``default_r_init(q)`` = g(q)/2, the one start rule, and the
 largest-overlap accepted root is continued down the grid, trying each
 grid SNR itself first. A root is accepted only if it attracts the damped
-iteration's flow and keeps clear of the h = 0 floor. Where the traced
-branch ends, bracketed to ~1e-8 in omega, every lower SNR reports the
-exact zero root, converged iff it attracts. ``oistlab steady`` runs
-Newton from each init and falls back on the same trace where Newton
-fails. ``solve_fixed_point`` is a damped fixed-point iteration from one
-start, kept as an independent check of the Newton roots; no search uses
-it. The solvers call ``fixed_point_map`` through its module-level name,
-and ``SweepResult.map_calls`` counts every one of those calls.
+iteration's flow, judged by the exact Jacobian, and keeps clear of the
+h = 0 floor. Where the traced branch ends, bracketed to ~1e-8 in omega,
+every lower SNR reports the exact zero root, converged iff it attracts.
+``oistlab steady`` runs Newton from each init and falls back on the same
+trace where Newton fails. ``solve_fixed_point`` is a damped fixed-point
+iteration from one start, kept as an independent check of the Newton
+roots; no search uses it. Newton calls ``fixed_point_map_with_jacobian``
+through its module-level name, once per point it evaluates, and
+``SweepResult.map_calls`` counts every one of those calls.
 """
 from __future__ import annotations
 
@@ -55,16 +59,19 @@ import numpy as np
 from scipy.special import erfcx as _erfcx
 
 from .errors import ConfigError, NonNormalizableError
-from .nonlinearity import Dynamics
-from .pde import diffusion_coefficient, restoring_coefficient
+from .nonlinearity import Dynamics, diffusion_coefficient, restoring_coefficient
 from .priors import Prior
 
 SQRT_PI = math.sqrt(math.pi)
 TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
+INV_SQRT_PI = 1.0 / SQRT_PI
 H_MIN = 1e-8
 EPS_UNINFORMATIVE = 1e-6
 EPS_TRANSITION = 1e-3
-FD_STEP = 1.5e-8  # ~ sqrt(machine epsilon), relative to max(1, |x|)
+Z_TAIL = 6.0  # from here on the half-line moments of the Jacobian run downward
+# k/2 for k = depth .. 4, per depth of _tail_moments; a tuple loop beats range() there
+_HALF_KS = [tuple(0.5 * k for k in range(depth, 3, -1))
+            for depth in range(5 + int(60.0 / Z_TAIL))]
 MAX_BACKTRACKS = 8
 MIN_CONTINUATION_STEP = 1e-8
 
@@ -171,10 +178,32 @@ def steady_density(xi: float, q: float, r: float, cfg: SteadyConfig) -> SteadyDe
     return SteadyDensity(xi, q, r, cfg)
 
 
-def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, float]:
-    """One application of the self-consistency map (q, r) -> (q', r').
+def _tail_moments(z: float, t: float) -> tuple[float, float, float]:
+    """(p1, p2, p3) of one half-line at z >= Z_TAIL, in the units of its term t.
 
-    Closed form via erfcx ratios: with s = sqrt(g/h),
+    p_k = t phi_k(z) / phi_0(z), where phi_k(z) = Integral_0^inf u^k
+    exp(-u^2 - 2 z u) du. The upward recurrence 2 phi_{k+1} = k phi_{k-1}
+    - 2 z phi_k loses ~z^(2k) of the relative precision of erfcx here, so
+    the ratios phi_k / phi_{k-1} = (k/2) / (z + phi_{k+1} / phi_k) run
+    downward instead, from the asymptote (k + 1) / (2z + (k + 2)/z) at a
+    depth that keeps them to ~1e-13 from Z_TAIL on.
+    """
+    depth = 4 + int(60.0 / z)
+    y = z + (depth + 1) / (2.0 * z + (depth + 2) / z)  # z + phi_{k+1} / phi_k
+    for half_k in _HALF_KS[depth]:
+        y = z + half_k / y
+    r3 = 1.5 / y
+    r2 = 1.0 / (z + r3)
+    p1 = 0.5 * t / (z + r2)
+    p2 = r2 * p1
+    return p1, p2, r3 * p2
+
+
+def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: Prior
+                                  ) -> tuple[float, float, float, float, float, float]:
+    """The self-consistency map and its exact Jacobian at (q, r).
+
+    Returns (q', r', dq'/dq, dq'/dr, dr'/dq, dr'/dr). With s = sqrt(g/h),
 
         q' = s * E_xi[ xi * (z+ f(z+) - z- f(z-)) / (f(z+) + f(z-)) ]
         r' = beta * s * E_xi[ (2/pi - z+ f(z+) - z- f(z-)) / (f(z+) + f(z-)) ]
@@ -183,9 +212,29 @@ def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tupl
     overflow. Requires h(q, r) > 0.
 
     It loops over the prior's atoms as Python floats and calls erfcx
-    once, on |z| for every atom's z- and z+. Each atom's terms take the
-    float operations, in the order, of a direct per-atom evaluation
-    (kept in the tests as an oracle), so the results equal it bit for bit.
+    once, on |z| for every atom's z- and z+. Each atom's (q', r') terms
+    take the float operations, in the order, of a direct per-atom
+    evaluation (kept in the tests as an oracle), so they equal it bit
+    for bit.
+
+    The derivatives come from the same erfcx values. In the unit
+    u = x / s an atom's law is exp(-u^2 - 2 z- u) on u > 0 and
+    exp(-u^2 + 2 z+ u) on u < 0, and differentiating its moments in
+    (h, beta, tilt) gives covariances:
+
+        dq'/dr = s/(2h) E_xi[xi Cov(u, u^2)]
+        dq'/dq = (g_q/g) q' - s (g_q/g + h_q/h) E_xi[xi Cov(u, u^2)]
+                 + (tau omega / h) E_xi[xi^2 Var(u)]
+        dr'/dr = beta s/(2h) E_xi[Cov(|u|, u^2)]
+        dr'/dq = (g_q/g) r' - beta s (g_q/g + h_q/h) E_xi[Cov(|u|, u^2)]
+                 + beta (tau omega / h) E_xi[xi Cov(|u|, u)]
+
+    with g_q = tau^2 omega q and h_q = tau omega q + g_q/2. The
+    half-line moments p_k of u^k, in the units of the atom's rescaled
+    term t (``_scaled_terms``, which also gives e = exp(-M)), follow from
+    d erfcx/dz = 2z erfcx(z) - 2/sqrt(pi): p1 = e/sqrt(pi) - z t,
+    p2 = t/2 - z p1 and p3 = p1 - z p2, except where z >= Z_TAIL: there
+    that recurrence cancels, and ``_tail_moments`` runs it downward.
     """
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
@@ -205,6 +254,8 @@ def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tupl
     ex = _erfcx([abs(v) for v in z]).tolist()
     q_new = 0.0
     r_new = 0.0
+    # prior averages of xi Cov(u, u^2), xi^2 Var(u), Cov(|u|, u^2) and xi Cov(|u|, u)
+    cov_q = var_q = cov_r = cov_qr = 0.0
     for (xi, w), z_minus, z_plus, ex_minus, ex_plus in zip(prior.atoms, z[::2], z[1::2],
                                                            ex[::2], ex[1::2]):
         _, e, t_minus, t_plus = _scaled_terms(z_minus, z_plus, ex_minus, ex_plus)
@@ -215,7 +266,45 @@ def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tupl
         abs_ratio = (TWO_OVER_SQRT_PI * e - z_plus * t_plus - z_minus * t_minus) / den
         q_new += w * xi * scale * mean_ratio
         r_new += w * beta * scale * abs_ratio
-    return q_new, r_new
+        if z_minus < Z_TAIL:
+            p1_minus = INV_SQRT_PI * e - z_minus * t_minus
+            p2_minus = 0.5 * t_minus - z_minus * p1_minus
+            p3_minus = p1_minus - z_minus * p2_minus
+        else:
+            p1_minus, p2_minus, p3_minus = _tail_moments(z_minus, t_minus)
+        if z_plus < Z_TAIL:
+            p1_plus = INV_SQRT_PI * e - z_plus * t_plus
+            p2_plus = 0.5 * t_plus - z_plus * p1_plus
+            p3_plus = p1_plus - z_plus * p2_plus
+        else:
+            p1_plus, p2_plus, p3_plus = _tail_moments(z_plus, t_plus)
+        w_den = w / den
+        xi_w_den = xi * w_den
+        odd1 = p1_minus - p1_plus  # E[u] den
+        even2 = p2_minus + p2_plus  # E[u^2] den
+        cov_q += xi_w_den * (p3_minus - p3_plus - mean_ratio * even2)
+        var_q += xi * xi_w_den * (even2 - mean_ratio * odd1)
+        cov_r += w_den * (p3_minus + p3_plus - abs_ratio * even2)
+        cov_qr += xi_w_den * (p2_minus - p2_plus - abs_ratio * odd1)
+    g_q = cfg.tau * tau_omega * q
+    log_g_q = g_q / g
+    along_q = scale * (log_g_q + (tau_omega * q + 0.5 * g_q) / h)
+    along_r = 0.5 * scale / h
+    tilt_q = tau_omega / h
+    return (q_new, r_new,
+            log_g_q * q_new - along_q * cov_q + tilt_q * var_q,
+            along_r * cov_q,
+            log_g_q * r_new - beta * (along_q * cov_r - tilt_q * cov_qr),
+            beta * along_r * cov_r)
+
+
+def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, float]:
+    """One application of the self-consistency map (q, r) -> (q', r').
+
+    The first two values of ``fixed_point_map_with_jacobian``, the one
+    code path of the map.
+    """
+    return fixed_point_map_with_jacobian(q, r, cfg, prior)[:2]
 
 
 def _unnormalized_logpdf(x, g, h, beta, tilt, shift):
@@ -408,8 +497,8 @@ class _Newton:
     1. its max-norm residual, and the Newton step it would take next,
        are <= tol;
     2. every iterate kept h >= margin = max(100 H_MIN, 10 tol);
-    3. trace(J_G) < 0 and det(J_G) > 0, i.e. both eigenvalues of the
-       Jacobian of F have real part < 1: the root attracts the flow
+    3. trace(J_G) < 0 and det(J_G) > 0 for the exact J_G = J_F - I, i.e.
+       both eigenvalues of J_F have real part < 1: the root attracts the flow
        (q, r)' = F - id, which is what a converged damped iteration
        certifies;
     4. |q| > EPS_UNINFORMATIVE, on the start's side of q = 0: the map
@@ -419,7 +508,9 @@ class _Newton:
     small |q| near a pitchfork, whose residual (1 - dF_q/dq) |q| is
     already below tol, from passing for the q = 0 root. An attempt stops
     as soon as no backtracked step lowers the residual while keeping the
-    margin, so a failed attempt costs a few dozen map calls. The zero
+    margin, so a failed attempt costs a few dozen map calls. Every
+    evaluated point, backtracking trials included, costs one kernel call,
+    whose Jacobian serves the next step and the test in (3). The zero
     root itself is never searched for: ``omega_spinodal`` settles it.
     """
 
@@ -431,18 +522,9 @@ class _Newton:
         self.iterations = 0
         self.map_calls = 0
 
-    def _map(self, q: float, r: float, cfg: SteadyConfig) -> tuple[float, float]:
+    def _evaluate(self, q: float, r: float, cfg: SteadyConfig) -> tuple[float, ...]:
         self.map_calls += 1
-        return fixed_point_map(q, r, cfg, self.prior)
-
-    def _jacobian_of_g(self, q, r, fq, fr, cfg):
-        """One-sided differences; stepping |q| up and r down both raise h,
-        so both probes stay inside the domain."""
-        dq = FD_STEP * max(1.0, abs(q)) * (1.0 if q >= 0.0 else -1.0)
-        dr = FD_STEP * max(1.0, abs(r))
-        aq, ar = self._map(q + dq, r, cfg)
-        bq, br = self._map(q, r - dr, cfg)
-        return (aq - fq) / dq - 1.0, (fq - bq) / dr, (ar - fr) / dq, (fr - br) / dr - 1.0
+        return fixed_point_map_with_jacobian(q, r, cfg, self.prior)
 
     def solve(self, cfg: SteadyConfig, init: tuple[float, float]) -> FixedPoint:
         """The root reached from init, converged iff it is accepted.
@@ -455,10 +537,10 @@ class _Newton:
         r = _project_h(q, float(init[1]), cfg)
         if h_curvature(q, r, cfg) < self.margin:
             return _fixed_point(q, r, math.inf, False, 0)
-        fq, fr = self._map(q, r, cfg)
+        fq, fr, fq_q, fq_r, fr_q, fr_r = self._evaluate(q, r, cfg)
         residual = max(abs(fq - q), abs(fr - r))
         for iteration in range(self.max_iter + 1):
-            a, b, c, d = self._jacobian_of_g(q, r, fq, fr, cfg)
+            a, b, c, d = fq_q - 1.0, fq_r, fr_q, fr_r - 1.0  # J_G = J_F - I
             det = a * d - b * c
             if det == 0.0:
                 break
@@ -475,14 +557,15 @@ class _Newton:
             for _ in range(MAX_BACKTRACKS):
                 q_new, r_new = q + scale * step_q, r + scale * step_r
                 if h_curvature(q_new, r_new, cfg) >= self.margin:
-                    fq_new, fr_new = self._map(q_new, r_new, cfg)
-                    res_new = max(abs(fq_new - q_new), abs(fr_new - r_new))
+                    trial = self._evaluate(q_new, r_new, cfg)
+                    res_new = max(abs(trial[0] - q_new), abs(trial[1] - r_new))
                     if res_new < residual:
                         break
                 scale *= 0.5
             else:
                 break
-            q, r, fq, fr, residual = q_new, r_new, fq_new, fr_new, res_new
+            q, r, residual = q_new, r_new, res_new
+            fq, fr, fq_q, fq_r, fr_q, fr_r = trial
         return _fixed_point(q, r, residual, False, iteration)
 
     def continue_root(self, cfg: SteadyConfig, start: FixedPoint, omega_from: float,

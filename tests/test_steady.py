@@ -259,8 +259,10 @@ class TestScalarKernel:
         for q, r, cfg_w in _domain_points(rng, cfg, n):
             want = _oracle_fixed_point_map(q, r, cfg_w, prior, ms)
             got = fixed_point_map(q, r, cfg_w, prior)
-            assert _bits(*got) == _bits(*want), (q, r, cfg_w.omega)
+            full = steady.fixed_point_map_with_jacobian(q, r, cfg_w, prior)
+            assert _bits(*got) == _bits(*want) == _bits(*full[:2]), (q, r, cfg_w.omega)
             assert all(type(v) is float for v in got)
+            assert all(math.isfinite(v) for v in full), (q, r, cfg_w.omega)
         # the points reach past the M >= 700 cut, where exp(-M) reads 0
         assert sum(m >= 700 for m in ms) >= n // 10
 
@@ -293,7 +295,10 @@ class TestScalarKernel:
     def test_sweep_identical_to_per_atom_form(self, monkeypatch):
         grid = np.linspace(0.20, 0.26, 25)
         kernel = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
-        monkeypatch.setattr(steady, "fixed_point_map", _oracle_fixed_point_map)
+        with_jacobian = steady.fixed_point_map_with_jacobian
+        monkeypatch.setattr(steady, "fixed_point_map_with_jacobian",
+                            lambda q, r, cfg, prior: _oracle_fixed_point_map(q, r, cfg, prior)
+                            + with_jacobian(q, r, cfg, prior)[2:])
         oracle = sweep_omega(CFG, PRIOR, grid, tol=1e-9)
         assert kernel.points == oracle.points
         assert [_bits(pt.q_star, *pt.distinct_q) for pt in kernel.points] == \
@@ -302,17 +307,90 @@ class TestScalarKernel:
         assert kernel.diagnostics() == oracle.diagnostics()
 
     def test_map_calls_counts_every_call(self, monkeypatch):
-        # the sweep reaches the map only through its module-level name, so
+        # the sweep reaches the kernel only through its module-level name, so
         # a wrapper there sees exactly the calls the manifest reports
         calls = []
+        with_jacobian = steady.fixed_point_map_with_jacobian
 
         def counted(*args):
             calls.append(args)
-            return fixed_point_map(*args)
+            return with_jacobian(*args)
 
-        monkeypatch.setattr(steady, "fixed_point_map", counted)
+        monkeypatch.setattr(steady, "fixed_point_map_with_jacobian", counted)
         result = sweep_omega(CFG, PRIOR, np.linspace(0.20, 0.26, 25), tol=1e-9)
         assert len(calls) == result.map_calls > 0
+
+
+def _central_jacobian(q, r, cfg, prior, step):
+    """dF/d(q, r) by the five-point central difference, with steps the
+    arguments represent exactly."""
+    def derivative(f, x, dx):
+        dx = (x + dx) - x
+        return (8.0 * (f(x + dx) - f(x - dx)) - (f(x + 2.0 * dx) - f(x - 2.0 * dx))) / (12.0 * dx)
+
+    along_q = derivative(lambda x: np.array(fixed_point_map(x, r, cfg, prior)), q, step)
+    along_r = derivative(lambda x: np.array(fixed_point_map(q, x, cfg, prior)), r, step)
+    return np.array([along_q[0], along_r[0], along_q[1], along_r[1]])
+
+
+def _assert_jacobian_matches(q, r, cfg, prior, step):
+    got = np.array(steady.fixed_point_map_with_jacobian(q, r, cfg, prior)[2:])
+    want = _central_jacobian(q, r, cfg, prior, step)
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), (q, r, got, want)
+    return got
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
+    @pytest.mark.parametrize("prior", [PRIOR, Prior.signed_two_point(0.05), BG_21],
+                             ids=["two_point", "signed", "bg21"])
+    def test_matches_central_differences(self, cfg, prior):
+        for omega in (0.22, 1.0):
+            cfg_w = dc_replace(cfg, omega=omega)
+            for q in (-0.6, 0.0, 0.05, 0.3, 0.6, 0.9):
+                for h in (0.3, 0.03, 3e-3):
+                    r = cfg_w.tau * omega * q * q + g_scale(q, cfg_w) - 2.0 * h
+                    got = _assert_jacobian_matches(q, r, cfg_w, prior, 1e-3 * h)
+                    if cfg.beta == 0.0:
+                        # r' = 0 for every (q, r), so its row is exactly zero
+                        assert got[2] == got[3] == 0.0
+
+    @pytest.mark.parametrize("q", [0.6, -0.6, 0.9])
+    @pytest.mark.parametrize("h", [1e-6, 1e-7])
+    def test_matches_on_the_reflection_branch_at_the_h_margin(self, q, h):
+        # z- of the informative atom is ~ -1e3: its erfcx takes the reflection
+        r = CFG.tau * CFG.omega * q * q + g_scale(q, CFG) - 2.0 * h
+        tilt = CFG.tau * CFG.omega * abs(q) / math.sqrt(PRIOR.rho)
+        z_minus = (CFG.beta - tilt) / (2.0 * math.sqrt(g_scale(q, CFG) * h_curvature(q, r, CFG)))
+        assert z_minus < -1e3
+        for prior in (PRIOR, BG_21):
+            _assert_jacobian_matches(q, r, CFG, prior, 1e-3 * h)
+
+    @pytest.mark.parametrize("omega", [0.3, 1.0])
+    def test_zero_overlap_limit_at_the_h_margin(self, omega):
+        # at q = 0 every z is ~ +1e3, where 2z erfcx(z) - 2/sqrt(pi)
+        # cancels, and the map's own rounding swamps its differences. As
+        # h -> 0 the law turns Laplace and J tends, linearly in h, to
+        # diag(omega / omega_s, tau^4 / (2 beta^2))
+        cfg = dc_replace(CFG, omega=omega)
+        assert cfg.beta / (2.0 * math.sqrt(g_scale(0.0, cfg) * 1e-7)) > 1e3
+        for prior in (PRIOR, BG_21):
+            near, far = (np.array(steady.fixed_point_map_with_jacobian(
+                0.0, g_scale(0.0, cfg) - 2.0 * h, cfg, prior)[2:]) for h in (1e-7, 2e-7))
+            assert near[1] == near[2] == 0.0
+            limit = 2.0 * near - far
+            assert limit[0] == pytest.approx(omega / steady.omega_spinodal(cfg), rel=1e-9)
+            assert limit[3] == pytest.approx(cfg.tau ** 4 / (2.0 * cfg.beta ** 2), rel=1e-9)
+
+    def test_tail_moments_continue_the_recurrence(self):
+        # either side of Z_TAIL the downward ratios and the upward
+        # recurrence agree to the latter's precision there
+        for z in (steady.Z_TAIL, 1.01 * steady.Z_TAIL):
+            t = float(steady._erfcx(z))
+            p1 = steady.INV_SQRT_PI - z * t
+            p2 = 0.5 * t - z * p1
+            p3 = p1 - z * p2
+            assert steady._tail_moments(z, t) == pytest.approx((p1, p2, p3), rel=1e-10)
 
 
 class TestSolveFixedPoint:
@@ -506,6 +584,27 @@ class TestSweep:
         # the traced branch ends where its roots stop attracting (~0.19728)
         (lo, hi), = result.branch_ends
         assert 0.19615 < lo < hi < lo + 1e-7 and 0.1972 < hi < 0.1974
+
+    def test_branch_ends_where_its_roots_stop_attracting(self):
+        # the exact J_G ends the default grid's branch where its trace
+        # crosses 0, with det J_G ~ 0.033 > 0: the roots stop attracting
+        # there, and the fold (det J_G -> 0, near 0.19668) lies below
+        result = sweep_omega(CFG, PRIOR, np.linspace(0.05, 1.0, 40), tol=1e-7)
+        (lo, hi), = result.branch_ends
+        assert lo == pytest.approx(0.1972771816, abs=1e-9)
+        assert hi == pytest.approx(0.1972771874, abs=1e-9)
+        (start,), _ = steady._Newton(PRIOR, 1e-7, 10000).trace(CFG, [0.2], (0.2, 0.5, 0.9))
+        polish = steady._Newton(PRIOR, 1e-13, 100)
+        traces = []
+        for omega in (lo, hi):
+            cfg = dc_replace(CFG, omega=omega)
+            root = polish.solve(cfg, (start.q, start.r))
+            assert root.residual <= 1e-13
+            _, _, a, b, c, d = steady.fixed_point_map_with_jacobian(root.q, root.r, cfg, PRIOR)
+            a, d = a - 1.0, d - 1.0
+            assert a * d - b * c == pytest.approx(0.033, abs=1e-3)
+            traces.append(a + d)
+        assert traces[0] > 0.0 > traces[1]
 
     def test_repelling_root_not_reported(self):
         cfg = dc_replace(CFG, omega=0.1970)
