@@ -276,9 +276,7 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
     pde_cfg = cfgmod.build_pde_config(cfg, prior)
     sim = cfg["simulation"]
-    moment_times = cfgmod.resolve_record_times(cfg["pde"])
-    density_times = [float(t) for t in (cfg["pde"]["density_times"] or [])
-                     if 0.0 <= float(t) <= pde_cfg.t_max]
+    moment_times, density_times = cfgmod.resolve_pde_times(cfg)
     all_times = sorted(set(moment_times) | set(density_times))
     started = time.perf_counter()
     solution = pdemod.solve(pde_cfg, prior, all_times,

@@ -302,6 +302,21 @@ def resolve_record_times(section: dict) -> list[float]:
     return grid_times(float(section["t_max"]))
 
 
+def resolve_pde_times(cfg: dict) -> tuple[list[float], list[float]]:
+    """The `pde` section's moment (record) times and density times.
+
+    Each must lie in [0, t_max], within the solver's 1e-12 of rounding.
+    """
+    p = cfg["pde"]
+    record_times = resolve_record_times(p)
+    density_times = [float(t) for t in p["density_times"] or []]
+    t_max = float(p["t_max"])
+    for field, times in (("record_times", record_times), ("density_times", density_times)):
+        if any(t < 0.0 or t > t_max + 1e-12 for t in times):
+            raise ConfigError(f"pde.{field}: must lie in [0, t_max]")
+    return record_times, density_times
+
+
 def resolve_histogram_times(cfg: dict) -> list[float]:
     s = cfg["simulation"]
     raw = s["histogram_times"]

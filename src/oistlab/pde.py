@@ -80,6 +80,7 @@ MASS_TOL = 1e-8
 DEFAULT_GH_NODES = 21
 COURANT = 1.0
 STEP_TOL = 0.04  # "auto" step: error allowed per step in (q, r), in units of dx^2
+_LEAST_DOUBLE = math.ulp(0.0)  # 5e-324
 
 
 @dataclass(frozen=True)
@@ -151,12 +152,8 @@ class PdeConfig(Dynamics):
 
 def drift(x, xi, q, r, tau, omega, threshold):
     """Per-coordinate drift of the limiting dynamics (vectorized in x)."""
-    return _drift(x, xi, phi_eval(x, threshold), q, r, tau, omega)
-
-
-def _drift(x, xi, phi, q, r, tau, omega):
-    """The drift with phi given: phi(x), or its mean over a cell."""
-    return tau * omega * q * xi - phi - np.asarray(x) * restoring_coefficient(tau, omega, q, r)
+    return (tau * omega * q * xi - phi_eval(x, threshold)
+            - np.asarray(x) * restoring_coefficient(tau, omega, q, r))
 
 
 @functools.lru_cache(maxsize=16)
@@ -253,10 +250,14 @@ def initial_density(
 
 
 def _interface_drift(state: ConditionalDensitySet, cfg: PdeConfig) -> np.ndarray:
-    """Mean drift between the cell centres beside every interface, shape (n_atoms, n+1)."""
+    """Mean drift between the cell centres beside every interface, shape (n_atoms, n+1).
+
+    It is ``drift`` with phi(x) replaced by its mean between the centres.
+    """
     _, _, x_if, phi_bar = _grid_tables(state.grid, cfg.threshold)
-    return _drift(x_if[None, :], state.atoms[:, None], phi_bar[None, :],
-                  state.q, state.r, cfg.tau, cfg.omega)
+    gamma = np.subtract((cfg.tau * cfg.omega * state.q) * state.atoms[:, None], phi_bar)
+    gamma -= x_if * restoring_coefficient(cfg.tau, cfg.omega, state.q, state.r)
+    return gamma
 
 
 def auto_dt(state: ConditionalDensitySet, cfg: PdeConfig,
@@ -279,41 +280,46 @@ def _fitted_diffusion(v: np.ndarray, diffusion: float, dx: float) -> np.ndarray:
     """(D/dx) B(|v| dx/D) with B(z) = z / (e^z - 1), B(0) = 1; zero when D = 0."""
     if diffusion <= 0.0:
         return np.zeros_like(v)
-    z = np.abs(v) * (dx / diffusion)
+    z = np.abs(v)
+    z *= dx / diffusion
+    # B of the least positive double is exactly 1: it stands in for z = 0 (and NaN)
+    np.fmax(z, _LEAST_DOUBLE, out=z)
     with np.errstate(over="ignore"):  # expm1 -> inf gives B = 0, its limit
-        bern = np.divide(z, np.expm1(z), out=np.ones_like(z), where=z > 0.0)
-    return (diffusion / dx) * bern
+        bern = np.expm1(z)
+    np.divide(z, bern, out=bern)
+    bern *= diffusion / dx
+    return bern
 
 
 class _FluxOperator(NamedTuple):
     """The flux operator A of one state's drift, before scaling by dt/dx.
 
     With the flux J = w+ P_i - w- P_{i+1} through the interface right of
-    cell i, ``lower`` holds -w+ and ``upper`` holds -w- per cell, flat over
-    the chained atoms, and 0 at each atom's last cell, which has no flux
-    on its right. ``gamma`` is the interface drift they come from.
+    cell i, ``weights[0]`` holds w+ and ``weights[1]`` holds w- per cell,
+    flat over the chained atoms, and 0 at each atom's last cell, which has
+    no flux on its right. ``gamma`` is the interface drift they come from.
     """
 
     gamma: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
+    weights: np.ndarray
 
 
 def _flux_operator(state: ConditionalDensitySet, cfg: PdeConfig) -> _FluxOperator:
     """The fitted flux weights of ``state``'s drift, shared by every step from ``state``."""
     gamma = _interface_drift(state, cfg)
-    v = gamma[:, 1:-1]
+    # the interface right of every cell, the domain's end included, so that
+    # every array below is contiguous; the end's weights are zeroed last
+    v = gamma[:, 1:].copy()
     fitted = _fitted_diffusion(v, diffusion_coefficient(cfg.tau, cfg.omega, state.q),
                                state.grid.dx)
-    w_right = np.maximum(v, 0.0)
-    w_left = w_right - v  # max(-v, 0), exactly
+    weights = np.empty((2, *v.shape))
+    w_right, w_left = weights
+    np.maximum(v, 0.0, out=w_right)
+    np.subtract(w_right, v, out=w_left)  # max(-v, 0), exactly
     w_right += fitted
     w_left += fitted
-    lower = np.zeros(state.densities.shape)
-    np.negative(w_right, out=lower[:, :-1])
-    upper = np.zeros(state.densities.shape)
-    np.negative(w_left, out=upper[:, :-1])
-    return _FluxOperator(gamma, lower.reshape(-1), upper.reshape(-1))
+    weights[:, :, -1] = 0.0
+    return _FluxOperator(gamma, weights.reshape(2, -1))
 
 
 def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
@@ -323,18 +329,19 @@ def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
     (q, r) stay frozen at their start-of-step values while the step is
     solved and are recomputed from the new densities before returning.
     ``operator`` is ``_flux_operator(state, cfg)``, when the caller has it.
+    ``state`` is left as it was.
     """
     if operator is None:
         operator = _flux_operator(state, cfg)
     if dt is None:
         dt = auto_dt(state, cfg, operator.gamma) if cfg.dt == "auto" else float(cfg.dt)
     # (I + dt A) P_new = P_old: row i is P_i + (dt/dx) (J_{i+1/2} - J_{i-1/2}),
-    # so its diagonal is (1 + lam w+_i) + lam w-_{i-1}. The atoms' systems are
-    # chained into one; the ends carry no flux, so the entries coupling one
-    # atom's block to the next are zero.
-    lam = dt / state.grid.dx
-    lower = operator.lower * lam
-    upper = operator.upper * lam
+    # so its sub- and super-diagonal hold -lam w+_{i-1} and -lam w-_i, and its
+    # diagonal is (1 + lam w+_i) + lam w-_{i-1}. Rounding is symmetric, so
+    # w (-lam) is -(w lam) exactly. The atoms' systems are chained into one;
+    # the ends carry no flux, so the entries coupling one atom's block to the
+    # next are zero (-0.0, which the solve treats as 0).
+    lower, upper = operator.weights * (-dt / state.grid.dx)
     diag = np.subtract(1.0, lower)
     diag[1:] -= upper[:-1]
     p = state.densities
@@ -342,7 +349,8 @@ def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
                                   overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise NumericError(f"implicit step: tridiagonal solve failed (LAPACK info {info})")
-    new_state = replace(state, densities=solved.reshape(p.shape), t=state.t + dt)
+    new_state = ConditionalDensitySet(state.atoms, state.weights, solved.reshape(p.shape),
+                                      state.grid, state.t + dt, state.q, state.r)
     new_state.q, new_state.r = moments(new_state, cfg.threshold)
     return new_state
 
@@ -390,12 +398,14 @@ def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
         raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
     if err > tol:
         return None, err, False
-    densities = 2.0 * fine.densities - coarse.densities
+    densities = 2.0 * fine.densities
+    densities -= coarse.densities
     first_order = bool(densities.min() < 0.0)
-    accepted = replace(fine, densities=fine.densities if first_order else densities, t=coarse.t)
+    fine.t = coarse.t  # fine is this step's own: it becomes the accepted state
     if not first_order:
-        accepted.q, accepted.r = moments(accepted, cfg.threshold)
-    return accepted, err, first_order
+        fine.densities = densities
+        fine.q, fine.r = moments(fine, cfg.threshold)
+    return fine, err, first_order
 
 
 def solve(

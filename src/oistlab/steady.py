@@ -236,6 +236,22 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: 
     p2 = t/2 - z p1 and p3 = p1 - z p2, except where z >= Z_TAIL: there
     that recurrence cancels, and ``_tail_moments`` runs it downward.
     """
+    return _self_consistency(q, r, cfg, prior, True)
+
+
+def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, float]:
+    """One application of the self-consistency map (q, r) -> (q', r').
+
+    The first two values of ``fixed_point_map_with_jacobian``, by the same
+    code path, without the derivative work.
+    """
+    return _self_consistency(q, r, cfg, prior, False)
+
+
+def _self_consistency(q: float, r: float, cfg: SteadyConfig, prior: Prior, jacobian: bool
+                      ) -> tuple[float, ...]:
+    """The body of ``fixed_point_map_with_jacobian``; returns (q', r') alone
+    unless ``jacobian``."""
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
     g = g_scale(q, cfg)
@@ -266,6 +282,8 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: 
         abs_ratio = (TWO_OVER_SQRT_PI * e - z_plus * t_plus - z_minus * t_minus) / den
         q_new += w * xi * scale * mean_ratio
         r_new += w * beta * scale * abs_ratio
+        if not jacobian:
+            continue
         if z_minus < Z_TAIL:
             p1_minus = INV_SQRT_PI * e - z_minus * t_minus
             p2_minus = 0.5 * t_minus - z_minus * p1_minus
@@ -286,6 +304,8 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: 
         var_q += xi * xi_w_den * (even2 - mean_ratio * odd1)
         cov_r += w_den * (p3_minus + p3_plus - abs_ratio * even2)
         cov_qr += xi_w_den * (p2_minus - p2_plus - abs_ratio * odd1)
+    if not jacobian:
+        return q_new, r_new
     g_q = cfg.tau * tau_omega * q
     log_g_q = g_q / g
     along_q = scale * (log_g_q + (tau_omega * q + 0.5 * g_q) / h)
@@ -296,15 +316,6 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: 
             along_r * cov_q,
             log_g_q * r_new - beta * (along_q * cov_r - tilt_q * cov_qr),
             beta * along_r * cov_r)
-
-
-def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, float]:
-    """One application of the self-consistency map (q, r) -> (q', r').
-
-    The first two values of ``fixed_point_map_with_jacobian``, the one
-    code path of the map.
-    """
-    return fixed_point_map_with_jacobian(q, r, cfg, prior)[:2]
 
 
 def _unnormalized_logpdf(x, g, h, beta, tilt, shift):

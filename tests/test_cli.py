@@ -326,6 +326,22 @@ class TestPdeCommand:
         assert (out_a / "moments.csv").read_bytes() == (out_b / "moments.csv").read_bytes()
         assert (out_a / "densities.csv").read_bytes() == (out_b / "densities.csv").read_bytes()
 
+    @pytest.mark.parametrize("field, times", [
+        ("density_times", [0.2, 0.3]),
+        ("density_times", [-0.1]),
+        ("record_times", [0.0, 0.3]),
+        ("record_times", [-0.1, 0.2]),
+    ])
+    def test_times_outside_the_run_rejected(self, tmp_path, capsys, field, times):
+        # t_max is 0.2: a time past it is an error with its field path,
+        # not a row left out
+        cfg = write_config(tmp_path, {"pde": {field: times}})
+        code, out = run(tmp_path, "pde", "--config", cfg)
+        assert code == 2
+        assert (f"configuration error: pde.{field}: must lie in [0, t_max]"
+                in capsys.readouterr().err)
+        assert not (out / "densities.csv").exists()
+
     def test_zero_initial_overlap_rejected(self, tmp_path, capsys):
         # symmetric prior forces a vanishing starting overlap
         cfg = write_config(tmp_path, {"model": {"prior": "signed_two_point"}})

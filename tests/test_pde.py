@@ -512,3 +512,74 @@ class TestKernelOracle:
         for mine, theirs in zip(got.snapshots, want.snapshots, strict=True):
             assert mine.densities.tobytes() == theirs.densities.tobytes()
             assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
+
+
+def reference_start(cfg):
+    return initial_density(1.0 / math.sqrt(2.0), 0.5, cfg.grid, PRIOR, SOFT)
+
+
+def later_start(cfg):
+    # past the first steps, which keep their half-step results
+    return solve(cfg, PRIOR, [0.5]).snapshots[-1]
+
+
+class TestNoAliasing:
+    # each step writes only into arrays it allocates itself: no state the
+    # caller holds, and no recorded snapshot, may share memory with another
+
+    @pytest.mark.parametrize("start", [reference_start, narrow_start],
+                             ids=["reference", "narrow-start"])
+    def test_repeated_solve_is_byte_identical(self, start):
+        cfg = reference_config(t_max=1.0)
+        times = [0.0, 0.1, 0.5, 1.0]
+        first, second = (solve(cfg, PRIOR, times, initial_state=start(cfg)) for _ in range(2))
+        for key in ("n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error"):
+            assert getattr(first, key) == getattr(second, key), key
+        for values in ("times", "q_values", "r_values"):
+            assert getattr(first, values).tobytes() == getattr(second, values).tobytes()
+        for mine, theirs in zip(first.snapshots, second.snapshots, strict=True):
+            assert mine.densities.tobytes() == theirs.densities.tobytes()
+            assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
+
+    @pytest.mark.parametrize("start", [reference_start, narrow_start],
+                             ids=["reference", "narrow-start"])
+    def test_snapshots_share_no_memory(self, start):
+        cfg = reference_config(t_max=1.0)
+        initial = start(cfg)
+        before = initial.densities.tobytes()
+        sol = solve(cfg, PRIOR, [0.0, 0.1, 0.5, 1.0], initial_state=initial)
+        # the run records both extrapolated and kept half-step results
+        assert 0 < sol.n_first_order < sol.n_steps
+        arrays = [initial.densities, initial.atoms, initial.weights]
+        for snap in sol.snapshots:
+            arrays += [snap.densities, snap.atoms, snap.weights]
+        for i, mine in enumerate(arrays):
+            for theirs in arrays[i + 1:]:
+                assert not np.shares_memory(mine, theirs)
+        assert initial.densities.tobytes() == before
+
+    @pytest.mark.parametrize("start", [later_start, narrow_start],
+                             ids=["extrapolated", "half-steps"])
+    def test_step_leaves_its_input_unchanged(self, start):
+        cfg = reference_config()
+        state = start(cfg)
+        before = (state.densities.tobytes(), state.t, state.q, state.r)
+        operator = pdemod._flux_operator(state, cfg)
+        weights = operator.weights.tobytes()
+        dt = auto_dt(state, cfg)
+        new = step(state, cfg, dt)
+        step(state, cfg, 0.5 * dt, operator)
+        step(state, cfg)
+        accepted, _, first_order = pdemod._extrapolated_step(state, cfg, dt, math.inf)
+        assert first_order == (start is narrow_start)
+        kept = accepted.densities.tobytes()
+        again, _, _ = pdemod._extrapolated_step(state, cfg, 0.5 * dt, math.inf)
+        rejected, _, _ = pdemod._extrapolated_step(state, cfg, dt, 0.0)
+        assert rejected is None
+        assert (state.densities.tobytes(), state.t, state.q, state.r) == before
+        assert operator.weights.tobytes() == weights
+        assert accepted.densities.tobytes() == kept
+        arrays = [state.densities, new.densities, accepted.densities, again.densities]
+        for i, mine in enumerate(arrays):
+            for theirs in arrays[i + 1:]:
+                assert not np.shares_memory(mine, theirs)

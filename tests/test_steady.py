@@ -382,6 +382,27 @@ class TestJacobian:
             assert limit[0] == pytest.approx(omega / steady.omega_spinodal(cfg), rel=1e-9)
             assert limit[3] == pytest.approx(cfg.tau ** 4 / (2.0 * cfg.beta ** 2), rel=1e-9)
 
+    def test_map_alone_runs_no_tail_moments(self, monkeypatch):
+        # q = 0.9, h = 0.03: z+ of the informative atom is past Z_TAIL, so
+        # the Jacobian needs _tail_moments there and the map alone does not
+        q = 0.9
+        r = CFG.tau * CFG.omega * q * q + g_scale(q, CFG) - 2.0 * 0.03
+        calls = []
+
+        def counted(z, t):
+            calls.append(z)
+            return tail_moments(z, t)
+
+        tail_moments = steady._tail_moments
+        monkeypatch.setattr(steady, "_tail_moments", counted)
+        for prior in (PRIOR, BG_21):
+            calls.clear()
+            full = steady.fixed_point_map_with_jacobian(q, r, CFG, prior)
+            assert calls and min(calls) >= steady.Z_TAIL
+            calls.clear()
+            assert _bits(*fixed_point_map(q, r, CFG, prior)) == _bits(*full[:2])
+            assert calls == []
+
     def test_tail_moments_continue_the_recurrence(self):
         # either side of Z_TAIL the downward ratios and the upward
         # recurrence agree to the latter's precision there
