@@ -218,7 +218,7 @@ def _with_stage_times(diagnostics: dict, started: float, solved: float) -> dict:
 def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
     prior = cfgmod.build_prior(cfg)
     sim = cfg["simulation"]
-    record_times = cfgmod.resolve_record_times(sim)
+    record_times, histogram_times = cfgmod.resolve_simulation_times(cfg)
     diagnostics: dict = {}
     started = time.perf_counter()
     records = run_trajectory(
@@ -230,7 +230,7 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         record_times=record_times,
         replicas=int(sim["replicas"]),
         x0_spec=(float(sim["x0_mean"]), float(sim["x0_var"])),
-        histogram_times=cfgmod.resolve_histogram_times(cfg),
+        histogram_times=histogram_times,
         bin_edges=cfgmod.resolve_bin_edges(cfg),
         theta=cfgmod.resolve_theta(cfg),
         n_workers=threads,

@@ -302,6 +302,12 @@ def resolve_record_times(section: dict) -> list[float]:
     return grid_times(float(section["t_max"]))
 
 
+def _check_within_run(section: str, times: dict, t_max: float, slack: float = 0.0) -> None:
+    for field, values in times.items():
+        if any(t < 0.0 or t > t_max + slack for t in values):
+            raise ConfigError(f"{section}.{field}: must lie in [0, t_max]")
+
+
 def resolve_pde_times(cfg: dict) -> tuple[list[float], list[float]]:
     """The `pde` section's moment (record) times and density times.
 
@@ -310,22 +316,25 @@ def resolve_pde_times(cfg: dict) -> tuple[list[float], list[float]]:
     p = cfg["pde"]
     record_times = resolve_record_times(p)
     density_times = [float(t) for t in p["density_times"] or []]
-    t_max = float(p["t_max"])
-    for field, times in (("record_times", record_times), ("density_times", density_times)):
-        if any(t < 0.0 or t > t_max + 1e-12 for t in times):
-            raise ConfigError(f"pde.{field}: must lie in [0, t_max]")
+    _check_within_run("pde", {"record_times": record_times, "density_times": density_times},
+                      float(p["t_max"]), slack=1e-12)
     return record_times, density_times
 
 
-def resolve_histogram_times(cfg: dict) -> list[float]:
+def resolve_simulation_times(cfg: dict) -> tuple[list[float], list[float]]:
+    """The `simulation` section's record times and histogram times.
+
+    A null histogram_times means the record times. Each must lie in
+    [0, t_max].
+    """
     s = cfg["simulation"]
+    record_times = resolve_record_times(s)
     raw = s["histogram_times"]
-    if raw is None:
-        return resolve_record_times(s)
-    times = [float(t) for t in raw]
-    if any(t < 0.0 or t > s["t_max"] for t in times):
-        raise ConfigError("simulation.histogram_times: must lie in [0, t_max]")
-    return times
+    histogram_times = record_times if raw is None else [float(t) for t in raw]
+    _check_within_run("simulation",
+                      {"record_times": record_times, "histogram_times": histogram_times},
+                      float(s["t_max"]))
+    return record_times, histogram_times
 
 
 def resolve_bin_edges(cfg: dict) -> np.ndarray:

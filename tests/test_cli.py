@@ -239,6 +239,22 @@ class TestSimulateCommand:
         _, out_b = run(tmp_path / "b", "simulate", "--config", cfg, "--seed", "100")
         assert (out_a / "trajectory.csv").read_bytes() != (out_b / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize("field, times", [
+        ("record_times", [0.0, 1.0]),
+        ("record_times", [-0.1, 0.5]),
+        ("histogram_times", [1.0]),
+    ])
+    def test_times_outside_the_run_rejected(self, tmp_path, capsys, field, times):
+        # t_max is 0.5: the error names its field, as the pde section's do
+        cfg = write_config(tmp_path, {"simulation": {"t_max": 0.5, "replicas": 1,
+                                                     "record_times": [0.0, 0.5],
+                                                     "histogram_times": [], field: times}})
+        code, out = run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        assert (f"configuration error: simulation.{field}: must lie in [0, t_max]"
+                in capsys.readouterr().err)
+        assert not (out / "trajectory.csv").exists()
+
     def test_json_format(self, tmp_path):
         code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path),
                         "--format", "json")

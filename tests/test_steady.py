@@ -566,6 +566,56 @@ class TestSweep:
             assert continuation == [omega_to]
             assert fp.converged and fp.iterations > 0
 
+    def test_prediction_extrapolates_the_recorded_roots(self):
+        fp = steady.FixedPoint(q=0.3, r=0.1, residual=0.0, branch="informative",
+                               converged=True, iterations=0)
+        # one recorded root is the start itself, bit for bit
+        assert steady._predict([(0.5, fp)], 0.4) == (0.3, 0.1)
+        # three roots on a quadratic in omega predict it exactly; older ones are ignored
+        branch = [(w, dc_replace(fp, q=1.0 + w * w, r=2.0 - w))
+                  for w in (0.9, 0.8, 0.7, 0.6)]
+        branch[0] = (0.9, dc_replace(fp, q=-5.0, r=-5.0))
+        q, r = steady._predict(branch, 0.5)
+        assert q == pytest.approx(1.25, abs=1e-14) and r == pytest.approx(1.5, abs=1e-14)
+
+    @pytest.mark.parametrize("grid, tol, max_calls", [
+        (np.linspace(0.20, 0.26, 25), 1e-9, 95),
+        (np.linspace(0.05, 1.0, 40), 1e-7, 235),
+    ], ids=["transition", "default"])
+    def test_predicted_starts_cut_map_calls(self, grid, tol, max_calls):
+        # restarting from the last root took 121 and 283 calls on these grids
+        result = sweep_omega(CFG, PRIOR, grid, tol=tol)
+        assert result.map_calls <= max_calls
+        assert result.diagnostics()["unconverged_points"] == 0
+
+    @pytest.mark.parametrize("cfg, grid, tol", [
+        (CFG, np.linspace(0.20, 0.26, 25), 1e-9),
+        (CFG, np.linspace(0.05, 1.0, 40), 1e-7),
+        (CFG_OJA, np.linspace(0.05, 1.0, 40), 1e-7),
+    ], ids=["soft-transition", "soft-default", "oja-default"])
+    def test_traced_roots_hold_under_polishing(self, cfg, grid, tol):
+        # a start predicted along the branch must still end on the root, to tol
+        omegas = grid[::-1].tolist()
+        roots, _ = steady._Newton(PRIOR, tol, 10000).trace(cfg, omegas, (0.2, 0.5, 0.9))
+        polish = steady._Newton(PRIOR, 1e-13, 100)
+        informative = [(w, fp) for w, fp in zip(omegas, roots) if fp.branch == "informative"]
+        assert len(informative) > 20
+        for omega, fp in informative:
+            root = polish.solve(dc_replace(cfg, omega=omega), (fp.q, fp.r))
+            assert root.converged
+            assert abs(root.q - fp.q) <= 2.0 * tol, omega
+
+    @pytest.mark.parametrize("omega", [0.198, 0.200, 0.2325, 0.26, 0.5])
+    def test_one_point_sweep_makes_one_continuation_solve(self, monkeypatch, omega):
+        solves = []
+        solve = steady._Newton.solve
+        monkeypatch.setattr(steady._Newton, "solve",
+                            lambda self, c, init: solves.append(c.omega) or solve(self, c, init))
+        starts = (0.2, 0.5, 0.9)
+        result = sweep_omega(CFG, PRIOR, [omega], starts=starts, tol=1e-7)
+        assert result.points[0].branch == "informative"
+        assert solves[len(starts):] == [omega]
+
     @pytest.mark.parametrize("omega, q_star", [(0.200, 0.550159), (0.225, 0.644080),
                                                (0.2325, 0.660330)])
     def test_one_point_sweep_finds_the_informative_root(self, omega, q_star):
