@@ -27,35 +27,24 @@ from .simulate import run_trajectory
 from .steady import default_r_init, roots_from_inits, steady_density, sweep_omega
 
 
-def _fmt(value) -> str:
+def _cell(value, fmt: str) -> str:
+    """The text of one cell, for the value as a plain bool, int, float or str.
+
+    JSON cells are what `json.dumps` writes (nan and +-inf as NaN and
+    Infinity). CSV cells are `true`/`false`, the int, the float to 17
+    significant digits, or the text.
+    """
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _native(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return str(value)
-
-
-# One formatter per single-kind column, each byte-identical to `_fmt` on
-# that kind ("%.17g" % v equals format(float(v), ".17g")). bool is not
-# in the int set: a column of bools and ints is mixed.
-_COLUMN_FORMATS = (
-    ({bool, np.bool_}, lambda v: "true" if v else "false"),
-    ({int, np.int64}, str),
-    ({float, np.float64}, "%.17g".__mod__),
-    ({str}, str),
-)
+        value = bool(value)
+    elif isinstance(value, (int, np.integer)):
+        value = int(value)
+    elif isinstance(value, (float, np.floating)):
+        value = float(value)
+    else:
+        value = str(value)
+    if fmt == "json" or isinstance(value, int):  # bools and ints read the same in both
+        return json.dumps(value)
+    return format(value, ".17g") if isinstance(value, float) else value
 
 
 class Repeat(NamedTuple):
@@ -67,33 +56,6 @@ class Repeat(NamedTuple):
     values: Sequence
     each: int = 1
     tile: int = 1
-
-
-def _strings(values) -> list[str]:
-    """CSV cells of one column: one formatter for a single-kind column, `_fmt` per value else."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    kinds = set(map(type, values))
-    for types, fmt in _COLUMN_FORMATS:
-        if kinds <= types:
-            return list(map(fmt, values))
-    return list(map(_fmt, values))
-
-
-# float.__repr__ gives these where json writes its constants
-_JSON_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_cells(values) -> list[str]:
-    """JSON cells of one column, each the bytes `json.dumps` writes for `_native` of the value."""
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    if set(map(type, values)) <= {float}:
-        cells = list(map(float.__repr__, values))
-        if not _JSON_CONSTANTS.keys().isdisjoint(cells):
-            cells = [_JSON_CONSTANTS.get(c, c) for c in cells]
-        return cells
-    return [json.dumps(_native(v)) for v in values]
 
 
 # A plain (not `Repeat`) column of these kinds is formatted by the row
@@ -118,7 +80,7 @@ def _template_column(column, fmt: str):
     the template formats, or (None, its cells in row order, with `%`
     escaped) for any other column, whose cells go into the template as
     text. A JSON float column that holds nan or +-inf is text, so that
-    `_json_cells` writes json's constants for them.
+    `_cell` writes json's constants for them.
     """
     values = column.values if isinstance(column, Repeat) else column
     if isinstance(values, np.ndarray):
@@ -128,8 +90,7 @@ def _template_column(column, fmt: str):
         # a finite sum rules out nan and +-inf; an overflowing one only costs speed
         if set(map(type, values)) <= kinds and (fmt == "csv" or math.isfinite(sum(values))):
             return placeholder, values
-    convert = _strings if fmt == "csv" else _json_cells
-    cells = [cell.replace("%", "%%") for cell in convert(values)]
+    cells = [_cell(value, fmt).replace("%", "%%") for value in values]
     if not isinstance(column, Repeat):
         return None, cells
     if column.each != 1:
@@ -314,7 +275,10 @@ def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
             "initial overlap q0 is zero for this configuration; the overlap "
             "dynamics are only defined for a nonzero starting overlap"
         )
+    # only the record times: no histogram is written, so histogram_times need not fit t_max
     times = cfgmod.resolve_record_times(cfg["simulation"])
+    cfgmod._check_within_run("simulation", {"record_times": times},
+                             float(cfg["simulation"]["t_max"]))
     started = time.perf_counter()
     q_values = [closed_form_q(t, q0, params) for t in times]
     solved = time.perf_counter()

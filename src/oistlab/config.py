@@ -151,6 +151,13 @@ def _require(cond: bool, field: str, message: str):
         raise ConfigError(f"{field}: {message}")
 
 
+def _require_whole(value, field: str, minimum: int):
+    """``value`` is a whole number (an integral float such as 1e4 too) of at least ``minimum``."""
+    _require(_is_number(value) and (isinstance(value, int) or value.is_integer()), field,
+             "must be a whole number")
+    _require(value >= minimum, field, f"must be >= {minimum}")
+
+
 def _require_numbers(values, field: str, length: int | None = None):
     """``values`` is null or a list of numbers (of ``length`` items, if given)."""
     if values is not None:
@@ -173,8 +180,8 @@ def validate_config(cfg: dict) -> dict:
     _require(m["prior"] in PRIOR_KINDS, "model.prior", f"must be one of {PRIOR_KINDS}")
     _require(0.0 < m["rho"] <= 1.0, "model.rho", "must lie in (0, 1]")
     _require(m["omega"] >= 0, "model.omega", "must be >= 0")
-    _require(int(m["p"]) >= 2, "model.p", "must be >= 2")
-    _require(int(m["gh_nodes"]) >= 1, "model.gh_nodes", "must be >= 1")
+    _require_whole(m["p"], "model.p", 2)
+    _require_whole(m["gh_nodes"], "model.gh_nodes", 1)
     if m["prior"] == "discrete":
         _require_pairs(m["atoms"], "model.atoms",
                        "a discrete prior needs a list of [value, weight] pairs of numbers")
@@ -190,8 +197,9 @@ def validate_config(cfg: dict) -> dict:
 
     s = cfg["simulation"]
     _require(s["t_max"] >= 0, "simulation.t_max", "must be >= 0")
-    _require(int(s["replicas"]) >= 1, "simulation.replicas", "must be >= 1")
-    _require(int(s["histogram_bins"]) >= 1, "simulation.histogram_bins", "must be >= 1")
+    _require_whole(s["replicas"], "simulation.replicas", 1)
+    _require_whole(s["seed"], "simulation.seed", 0)
+    _require_whole(s["histogram_bins"], "simulation.histogram_bins", 1)
     _require(s["x0_var"] > 0, "simulation.x0_var", "must be > 0")
     if s["theta"] is not None:
         _require(s["theta"] > 0, "simulation.theta", "must be > 0")
@@ -204,7 +212,7 @@ def validate_config(cfg: dict) -> dict:
 
     p = cfg["pde"]
     _require(p["x_max"] > p["x_min"], "pde.x_min/x_max", "must satisfy x_max > x_min")
-    _require(int(p["n"]) >= 50, "pde.n", "must be >= 50")
+    _require_whole(p["n"], "pde.n", 50)
     _require(p["t_max"] >= 0, "pde.t_max", "must be >= 0")
     _require(p["dt"] == "auto" or (_is_number(p["dt"]) and p["dt"] > 0), "pde.dt",
              "must be a positive number or 'auto'")
@@ -213,19 +221,19 @@ def validate_config(cfg: dict) -> dict:
 
     st = cfg["steady"]
     _require(st["tol"] > 0, "steady.tol", "must be > 0")
-    _require(int(st["max_iter"]) >= 1, "steady.max_iter", "must be >= 1")
+    _require_whole(st["max_iter"], "steady.max_iter", 1)
     _require_pairs(st["inits"], "steady.inits", "must list [q, r] or [q, null] starts",
                    null_second=True)
 
     sw = cfg["sweep"]
     _require(sw["omega_min"] >= 0, "sweep.omega_min", "must be >= 0")
     _require(sw["omega_max"] > sw["omega_min"], "sweep.omega_max", "must exceed omega_min")
-    _require(int(sw["n_points"]) >= 2, "sweep.n_points", "must be >= 2")
+    _require_whole(sw["n_points"], "sweep.n_points", 2)
     _require_numbers(sw["starts"], "sweep.starts")
     _require(bool(sw["starts"]), "sweep.starts", "must list at least one overlap start")
     _require(0.0 < sw["damping"] <= 1.0, "sweep.damping", "must lie in (0, 1]")
     _require(sw["tol"] > 0, "sweep.tol", "must be > 0")
-    _require(int(sw["max_iter"]) >= 1, "sweep.max_iter", "must be >= 1")
+    _require_whole(sw["max_iter"], "sweep.max_iter", 1)
 
     o = cfg["output"]
     _require(o["format"] in ("csv", "json"), "output.format", "must be 'csv' or 'json'")

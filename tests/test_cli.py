@@ -154,6 +154,10 @@ CELL_KINDS = {
     "bool": (st.booleans(), [list, np.array, lambda vs: list(map(np.bool_, vs))]),
     "str": (st.text(alphabet="ab%,;.-9 \u00e9", max_size=6), [list]),
     "mixed": (st.one_of(FLOAT_CELLS, st.integers(-9, 9), st.booleans()), [list]),
+    "np_scalars": (st.one_of(st.floats(width=32).map(np.float32),
+                             st.integers(-9, 9).map(np.int32), st.booleans().map(np.bool_),
+                             st.text(alphabet="a%,", max_size=3)),
+                   [list]),
 }
 
 
@@ -399,6 +403,23 @@ class TestOjaTheoryCommand:
         assert code == 0
         assert all(t >= 0.0 for t in stage_times(out))
 
+    @pytest.mark.parametrize("times", [[-1.0, 0.0, 2.0], [0.0, 0.75]])
+    def test_record_times_outside_the_run_rejected(self, tmp_path, capsys, times):
+        cfg = write_config(tmp_path, {"simulation": {"t_max": 0.5, "record_times": times}})
+        code, out = run(tmp_path, "oja-theory", "--config", cfg)
+        assert code == 2
+        assert ("configuration error: simulation.record_times: must lie in [0, t_max]"
+                in capsys.readouterr().err)
+        assert not (out / "oja_theory.csv").exists()
+
+    def test_histogram_times_past_the_run_accepted(self, tmp_path):
+        # no histogram is written, so the default histogram times may pass a short t_max
+        cfg = write_config(tmp_path, {"simulation": {"t_max": 0.5,
+                                                     "histogram_times": [1.0, 15.0]}})
+        code, out = run(tmp_path, "oja-theory", "--config", cfg)
+        assert code == 0
+        assert len((out / "oja_theory.csv").read_text().splitlines()) == 4
+
 
 class TestSteadyCommand:
     def test_branches_reported(self, tmp_path):
@@ -606,6 +627,7 @@ class TestValidation:
         ({"model": {"prior": "discrete", "atoms": [[1.0]]}}, "model.atoms"),
         ({"model": {"rho": "0.05"}}, "model.rho"),
         ({"model": 5}, "model"),
+        ({"model": {"p": 64.7}}, "model.p"),
     ])
     def test_malformed_value_rejected(self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -634,6 +656,12 @@ class TestValidation:
         code, out = run(tmp_path, "simulate", "--config", str(path))
         assert code == 2
         assert "configuration error: model.atoms: prior second moment" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path), "--seed", "-2")
+        assert code == 2
+        assert "configuration error: simulation.seed: must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_json_rejected(self, tmp_path):

@@ -79,11 +79,29 @@ def test_validate_rejects_bad_fields():
         ("pde", "dt", -0.1),
         ("sweep", "n_points", 1),
         ("output", "format", "xml"),
+        ("model", "p", 64.7),
+        ("model", "gh_nodes", 2.5),
+        ("simulation", "replicas", 1.9),
+        ("simulation", "seed", 0.5),
+        ("simulation", "seed", -3),
+        ("simulation", "histogram_bins", 10.1),
+        ("pde", "n", 900.5),
+        ("sweep", "n_points", 40.2),
+        ("steady", "max_iter", math.inf),
+        ("sweep", "max_iter", math.nan),
     ]:
         cfg = default_cfg()
         cfg[section][key] = value
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{section}.{key}: "):
             validate_config(cfg)
+
+
+def test_validate_accepts_integral_floats():
+    cfg = default_cfg()
+    cfg["model"]["p"] = 1e4
+    cfg["simulation"]["seed"] = 0.0
+    cfg["pde"]["n"] = 900.0
+    assert validate_config(cfg) is cfg
 
 
 def test_discrete_prior_requires_atoms():
