@@ -179,7 +179,8 @@ def _with_stage_times(diagnostics: dict, started: float, solved: float) -> dict:
 def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
     prior = cfgmod.build_prior(cfg)
     sim = cfg["simulation"]
-    record_times, histogram_times = cfgmod.resolve_simulation_times(cfg)
+    record_times, histogram_times = cfgmod.resolve_times(cfg, "simulation", "record_times",
+                                                         "histogram_times")
     diagnostics: dict = {}
     started = time.perf_counter()
     records = run_trajectory(
@@ -237,7 +238,8 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
     pde_cfg = cfgmod.build_pde_config(cfg, prior)
     sim = cfg["simulation"]
-    moment_times, density_times = cfgmod.resolve_pde_times(cfg)
+    moment_times, density_times = cfgmod.resolve_times(cfg, "pde", "record_times",
+                                                       "density_times")
     all_times = sorted(set(moment_times) | set(density_times))
     started = time.perf_counter()
     solution = pdemod.solve(pde_cfg, prior, all_times,
@@ -269,16 +271,15 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
 def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
                    q0_override: float | None) -> tuple[list[Path], dict]:
     params = OjaParams(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"])
+    if q0_override is not None and not 0.0 < abs(q0_override) <= 1.0:
+        raise ConfigError("--q0 must be a finite nonzero overlap in [-1, 1]")
     q0 = cfgmod.initial_overlap(cfg) if q0_override is None else q0_override
     if q0 == 0.0:
         raise ConfigError(
             "initial overlap q0 is zero for this configuration; the overlap "
             "dynamics are only defined for a nonzero starting overlap"
         )
-    # only the record times: no histogram is written, so histogram_times need not fit t_max
-    times = cfgmod.resolve_record_times(cfg["simulation"])
-    cfgmod._check_within_run("simulation", {"record_times": times},
-                             float(cfg["simulation"]["t_max"]))
+    (times,) = cfgmod.resolve_times(cfg, "simulation", "record_times")
     started = time.perf_counter()
     q_values = [closed_form_q(t, q0, params) for t in times]
     solved = time.perf_counter()

@@ -21,8 +21,10 @@ Schema (all keys optional):
                 max_iter
     output:     directory, format (csv | json)
 
-null record/histogram times resolve to a 0.5-spaced grid on [0, t_max];
-null theta and histogram_range resolve from the prior sparsity.
+A null record_times resolves to a 0.5-spaced grid on [0, t_max], and a
+null histogram_times or density_times to 1 and t_max (t_max alone when
+t_max <= 1); every time must lie in [0, t_max]. null theta and
+histogram_range resolve from the prior sparsity.
 
 `sweep.starts` are the overlaps Newton starts from at the sweep's anchor
 SNR, above the spinodal, with r = g(q)/2. A null r in `steady.inits` is
@@ -66,7 +68,7 @@ DEFAULT_CONFIG = {
         "replicas": 120,
         "seed": 1234,
         "record_times": None,
-        "histogram_times": [1.0, 15.0],
+        "histogram_times": None,
         "histogram_bins": 101,
         "histogram_range": None,
         "theta": None,
@@ -80,7 +82,7 @@ DEFAULT_CONFIG = {
         "dt": "auto",
         "t_max": 15.0,
         "record_times": None,
-        "density_times": [1.0, 15.0],
+        "density_times": None,
     },
     "steady": {
         "inits": [[0.0, None], [0.2, None], [0.5, None], [0.9, None]],
@@ -304,45 +306,35 @@ def grid_times(t_max: float, spacing: float = 0.5) -> list[float]:
     return times
 
 
-def resolve_record_times(section: dict) -> list[float]:
-    if section["record_times"] is not None:
-        return [float(t) for t in section["record_times"]]
-    return grid_times(float(section["t_max"]))
+# Per section: how far past t_max a time may lie (the PDE solver rounds
+# by 1e-12), and the lists a run reads, which must not all be empty.
+_RUN_TIMES = {"simulation": (0.0, ("record_times",)),
+              "pde": (1e-12, ("record_times", "density_times"))}
 
 
-def _check_within_run(section: str, times: dict, t_max: float, slack: float = 0.0) -> None:
-    for field, values in times.items():
-        if any(t < 0.0 or t > t_max + slack for t in values):
+def resolve_times(cfg: dict, section: str, *fields: str) -> list[list[float]]:
+    """Each time list of ``section`` named in ``fields``, as floats within [0, t_max].
+
+    Null lists resolve as the module docstring says; an explicit [] stays empty.
+    """
+    sec = cfg[section]
+    t_max = float(sec["t_max"])
+    slack, read = _RUN_TIMES[section]
+    resolved = {}
+    for field in fields:
+        if sec[field] is not None:
+            times = [float(t) for t in sec[field]]
+        elif field == "record_times":
+            times = grid_times(t_max)
+        else:
+            times = sorted({min(1.0, t_max), t_max})
+        if any(t < 0.0 or t > t_max + slack for t in times):
             raise ConfigError(f"{section}.{field}: must lie in [0, t_max]")
-
-
-def resolve_pde_times(cfg: dict) -> tuple[list[float], list[float]]:
-    """The `pde` section's moment (record) times and density times.
-
-    Each must lie in [0, t_max], within the solver's 1e-12 of rounding.
-    """
-    p = cfg["pde"]
-    record_times = resolve_record_times(p)
-    density_times = [float(t) for t in p["density_times"] or []]
-    _check_within_run("pde", {"record_times": record_times, "density_times": density_times},
-                      float(p["t_max"]), slack=1e-12)
-    return record_times, density_times
-
-
-def resolve_simulation_times(cfg: dict) -> tuple[list[float], list[float]]:
-    """The `simulation` section's record times and histogram times.
-
-    A null histogram_times means the record times. Each must lie in
-    [0, t_max].
-    """
-    s = cfg["simulation"]
-    record_times = resolve_record_times(s)
-    raw = s["histogram_times"]
-    histogram_times = record_times if raw is None else [float(t) for t in raw]
-    _check_within_run("simulation",
-                      {"record_times": record_times, "histogram_times": histogram_times},
-                      float(s["t_max"]))
-    return record_times, histogram_times
+        resolved[field] = times
+    read = [field for field in read if field in resolved]
+    if not any(resolved[field] for field in read):
+        raise ConfigError(f"{section}.{'/'.join(read)}: must not be empty")
+    return list(resolved.values())
 
 
 def resolve_bin_edges(cfg: dict) -> np.ndarray:

@@ -676,3 +676,79 @@ class TestValidation:
         value = (out / "oja_theory.csv").read_text().splitlines()[1].split(",")[1]
         # round-trips through 17 significant digits exactly
         assert format(float(value), ".17g") == value
+
+
+class TestRunTimes:
+    """Time lists resolved against t_max, as `config.resolve_times` does for every command."""
+
+    @staticmethod
+    def write(tmp_path, cfg):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @staticmethod
+    def times(table):
+        return sorted({float(line.split(",")[1 if table.name == "histograms.csv" else 0])
+                       for line in table.read_text().splitlines()[1:]})
+
+    @pytest.mark.parametrize("section, expected", [
+        ({"t_max": 2}, [1.0, 2.0]),
+        ({"t_max": 0.5, "n": 96}, [0.5]),
+    ])
+    def test_short_pde_run_keeps_default_densities(self, tmp_path, section, expected):
+        # a config that only shortens the run needs no density_times of its own
+        code, out = run(tmp_path, "pde", "--config", self.write(tmp_path, {"pde": section}))
+        assert code == 0
+        assert self.times(out / "densities.csv") == expected
+
+    @pytest.mark.parametrize("t_max, expected", [(0.5, [0.5]), (1.25, [1.0, 1.25])])
+    def test_short_simulation_keeps_default_histograms(self, tmp_path, t_max, expected):
+        cfg = self.write(tmp_path, {"model": {"p": 64},
+                                    "simulation": {"t_max": t_max, "replicas": 1}})
+        code, out = run(tmp_path, "simulate", "--config", cfg)
+        assert code == 0
+        assert self.times(out / "histograms.csv") == expected
+
+    def test_empty_histogram_list_writes_no_histograms(self, tmp_path):
+        cfg = write_config(tmp_path, {"simulation": {"histogram_times": []}})
+        code, out = run(tmp_path, "simulate", "--config", cfg)
+        assert code == 0
+        assert (out / "histograms.csv").read_text() == "replica,t,xi_atom,bin_center,density\n"
+
+    @pytest.mark.parametrize("command, section, message", [
+        ("simulate", {"simulation": {"record_times": []}}, "simulation.record_times"),
+        ("oja-theory", {"simulation": {"record_times": []}}, "simulation.record_times"),
+        ("pde", {"pde": {"record_times": [], "density_times": []}},
+         "pde.record_times/density_times"),
+    ])
+    def test_empty_read_lists_name_their_field(self, tmp_path, capsys, command, section,
+                                               message):
+        code, _ = run(tmp_path, command, "--config", write_config(tmp_path, section))
+        assert code == 2
+        assert (f"configuration error: {message}: must not be empty"
+                in capsys.readouterr().err)
+
+    def test_pde_densities_without_moments(self, tmp_path):
+        cfg = write_config(tmp_path, {"pde": {"record_times": [], "density_times": [0.2]}})
+        code, out = run(tmp_path, "pde", "--config", cfg)
+        assert code == 0
+        assert (out / "moments.csv").read_text() == "t,Q,R\n"
+        assert self.times(out / "densities.csv") == [0.2]
+
+
+class TestOjaTheoryQ0:
+    @pytest.mark.parametrize("q0", ["nan", "inf", "-inf", "2.0", "-1.5", "0.0"])
+    def test_rejected(self, tmp_path, capsys, q0):
+        code, out = run(tmp_path, "oja-theory", "--config", write_config(tmp_path), f"--q0={q0}")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: --q0 ")
+        assert not (out / "oja_theory.csv").exists()
+
+    @pytest.mark.parametrize("q0", [1.0, -1.0, 0.5])
+    def test_accepted(self, tmp_path, q0):
+        code, out = run(tmp_path, "oja-theory", "--config", write_config(tmp_path), f"--q0={q0}")
+        assert code == 0
+        rows = (out / "oja_theory.csv").read_text().splitlines()[1:]
+        assert float(rows[0].split(",")[1]) == q0
+        assert all(math.isfinite(float(row.split(",")[1])) for row in rows)

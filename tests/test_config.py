@@ -13,6 +13,7 @@ from oistlab.config import (
     load_config,
     resolve_bin_edges,
     resolve_theta,
+    resolve_times,
     validate_config,
 )
 from oistlab.pde import Grid, PdeConfig
@@ -162,3 +163,69 @@ def test_dynamics_parameters_rejected(make, tau, omega):
     with pytest.raises(ConfigError) as excinfo:
         make(tau, omega)
     assert isinstance(excinfo.value, ValueError)
+
+
+def test_resolve_times_defaults():
+    cfg = default_cfg()
+    record, histogram = resolve_times(cfg, "simulation", "record_times", "histogram_times")
+    assert record == grid_times(15.0)
+    assert histogram == [1.0, 15.0]
+    assert resolve_times(cfg, "pde", "record_times", "density_times") == [grid_times(15.0),
+                                                                          [1.0, 15.0]]
+
+
+@pytest.mark.parametrize("t_max, expected", [(15.0, [1.0, 15.0]), (2, [1.0, 2.0]),
+                                             (1.0, [1.0]), (0.5, [0.5]), (0.0, [0.0])])
+@pytest.mark.parametrize("section, field", [("simulation", "histogram_times"),
+                                            ("pde", "density_times")])
+def test_null_snapshot_times_follow_t_max(section, field, t_max, expected):
+    cfg = default_cfg()
+    cfg[section]["t_max"] = t_max
+    assert resolve_times(cfg, section, "record_times", field)[1] == expected
+
+
+def test_null_histogram_times_are_not_the_record_times():
+    cfg = default_cfg()
+    cfg["simulation"]["record_times"] = [0.0, 1.0]
+    assert resolve_times(cfg, "simulation", "record_times", "histogram_times") == [
+        [0.0, 1.0], [1.0, 15.0]]
+
+
+def test_explicit_times_as_floats_and_empty_stays_empty():
+    cfg = default_cfg()
+    cfg["pde"]["record_times"] = [0, 3]
+    cfg["pde"]["density_times"] = []
+    record, density = resolve_times(cfg, "pde", "record_times", "density_times")
+    assert record == [0.0, 3.0] and all(type(t) is float for t in record)
+    assert density == []
+
+
+def test_only_pde_times_get_rounding_slack():
+    cfg = default_cfg()
+    cfg["pde"]["density_times"] = [15.0 + 1e-13]
+    assert resolve_times(cfg, "pde", "density_times")[0] == [15.0 + 1e-13]
+    cfg["simulation"]["histogram_times"] = [15.0 + 1e-13]
+    with pytest.raises(ConfigError, match=r"^simulation\.histogram_times: must lie in "):
+        resolve_times(cfg, "simulation", "record_times", "histogram_times")
+
+
+def test_unread_histogram_times_are_not_checked():
+    cfg = default_cfg()
+    cfg["simulation"]["t_max"] = 0.5
+    cfg["simulation"]["histogram_times"] = [1.0, 15.0]
+    assert resolve_times(cfg, "simulation", "record_times") == [[0.0, 0.5]]
+
+
+@pytest.mark.parametrize("section, lists, fields, message", [
+    ("simulation", {"record_times": []}, ("record_times", "histogram_times"),
+     r"^simulation\.record_times: must not be empty$"),
+    ("simulation", {"record_times": [], "histogram_times": [1.0]}, ("record_times",),
+     r"^simulation\.record_times: must not be empty$"),
+    ("pde", {"record_times": [], "density_times": []}, ("record_times", "density_times"),
+     r"^pde\.record_times/density_times: must not be empty$"),
+])
+def test_empty_read_lists_rejected(section, lists, fields, message):
+    cfg = default_cfg()
+    cfg[section].update(lists)
+    with pytest.raises(ConfigError, match=message):
+        resolve_times(cfg, section, *fields)
