@@ -15,7 +15,7 @@ from .errors import (
     NumericError,
     OistlabError,
 )
-from .nonlinearity import Dynamics, SoftThreshold, eta_map, phi_eval
+from .nonlinearity import Dynamics, eta_map, phi_eval
 from .oja import OjaParams, closed_form_q, ode_q, steady_state_q
 from .priors import (
     Prior,
@@ -36,7 +36,6 @@ from .simulate import (
 )
 from .steady import (
     FixedPoint,
-    SteadyConfig,
     erfcx_scaled,
     fixed_point_map,
     fixed_point_map_quadrature,
@@ -58,8 +57,6 @@ __all__ = [
     "OjaParams",
     "Prior",
     "SignalVector",
-    "SoftThreshold",
-    "SteadyConfig",
     "TrajectoryRecord",
     "closed_form_q",
     "cosine_similarity",

@@ -21,6 +21,11 @@ Schema (all keys optional):
                 max_iter
     output:     directory, format (csv | json)
 
+The model is one `nonlinearity.Dynamics` (tau, omega, beta). Threshold
+"none" reads as beta = 0, plain Oja, the same model as "soft" with
+beta 0. Every number, in a list too, must be finite: Python's JSON
+reader accepts NaN and Infinity, and they are configuration errors.
+
 A null record_times resolves to a 0.5-spaced grid on [0, t_max], and a
 null histogram_times or density_times to 1 and t_max (t_max alone when
 t_max <= 1); every time must lie in [0, t_max]. null theta and
@@ -44,7 +49,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .nonlinearity import Dynamics, SoftThreshold
+from .nonlinearity import Dynamics
 from .pde import Grid, PdeConfig
 from .priors import Prior, discretize_prior
 from .simulate import default_bin_edges, default_theta
@@ -109,11 +114,12 @@ PRIOR_KINDS = ("two_point", "signed_two_point", "bernoulli_gaussian", "discrete"
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; NaN, +-Infinity and booleans are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
-    """``base`` updated from ``override``; a section must stay an object, a number a number."""
+    """``base`` updated from ``override``; known keys only, and a section stays an object."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -122,12 +128,8 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             _require(isinstance(value, dict), where, "must be an object")
             out[key] = _merge(base[key], value, where)
-            continue
-        if _is_number(base[key]):
-            _require(_is_number(value), where, "must be a number")
-        elif isinstance(base[key], bool):
-            _require(isinstance(value, bool), where, "must be true or false")
-        out[key] = copy.deepcopy(value)
+        else:
+            out[key] = copy.deepcopy(value)
     return out
 
 
@@ -165,7 +167,8 @@ def _require_numbers(values, field: str, length: int | None = None):
     if values is not None:
         _require(isinstance(values, (list, tuple)) and all(map(_is_number, values))
                  and length in (None, len(values)), field,
-                 "must be a list of numbers" if length is None else f"must be {length} numbers")
+                 "must be a list of finite numbers" if length is None
+                 else f"must be {length} finite numbers")
 
 
 def _require_pairs(values, field: str, message: str, null_second: bool = False):
@@ -178,6 +181,14 @@ def _require_pairs(values, field: str, message: str, null_second: bool = False):
 
 def validate_config(cfg: dict) -> dict:
     """Check every field the subcommands rely on; returns cfg unchanged."""
+    for section, defaults in DEFAULT_CONFIG.items():
+        for key, default in defaults.items():
+            value, where = cfg[section][key], f"{section}.{key}"
+            if isinstance(default, bool):
+                _require(isinstance(value, bool), where, "must be true or false")
+            elif _is_number(default):
+                _require(_is_number(value), where, "must be a finite number")
+
     m = cfg["model"]
     _require(m["prior"] in PRIOR_KINDS, "model.prior", f"must be one of {PRIOR_KINDS}")
     _require(0.0 < m["rho"] <= 1.0, "model.rho", "must lie in (0, 1]")
@@ -204,7 +215,8 @@ def validate_config(cfg: dict) -> dict:
     _require_whole(s["histogram_bins"], "simulation.histogram_bins", 1)
     _require(s["x0_var"] > 0, "simulation.x0_var", "must be > 0")
     if s["theta"] is not None:
-        _require(s["theta"] > 0, "simulation.theta", "must be > 0")
+        _require(_is_number(s["theta"]) and s["theta"] > 0, "simulation.theta",
+                 "must be a finite number > 0")
     _require_numbers(s["record_times"], "simulation.record_times")
     _require_numbers(s["histogram_times"], "simulation.histogram_times")
     _require_numbers(s["histogram_range"], "simulation.histogram_range", 2)
@@ -260,17 +272,15 @@ def build_discrete_prior(cfg: dict) -> Prior:
     return discretize_prior(build_prior(cfg), int(cfg["model"]["gh_nodes"]))
 
 
-def build_threshold(cfg: dict) -> SoftThreshold | None:
+def _beta(cfg: dict) -> float:
+    """Shrinkage strength: ``algorithm.beta`` under the soft threshold, else 0 (plain Oja)."""
     a = cfg["algorithm"]
-    if a["threshold"] == "none":
-        return None
-    return SoftThreshold(beta=a["beta"])
+    return a["beta"] if a["threshold"] == "soft" else 0.0
 
 
 def build_steady_config(cfg: dict) -> Dynamics:
     """The configured model, as `simulate`, `steady` and `sweep` take it."""
-    return Dynamics(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"],
-                    threshold=build_threshold(cfg))
+    return Dynamics(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"], beta=_beta(cfg))
 
 
 def build_grid(cfg: dict, prior: Prior) -> Grid:
@@ -294,7 +304,7 @@ def build_pde_config(cfg: dict, prior: Prior) -> PdeConfig:
     p = cfg["pde"]
     dt = p["dt"] if isinstance(p["dt"], str) else float(p["dt"])
     return PdeConfig(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"],
-                     threshold=build_threshold(cfg), grid=build_grid(cfg, prior),
+                     beta=_beta(cfg), grid=build_grid(cfg, prior),
                      dt=dt, t_max=float(p["t_max"]))
 
 
@@ -328,7 +338,7 @@ def resolve_times(cfg: dict, section: str, *fields: str) -> list[list[float]]:
             times = grid_times(t_max)
         else:
             times = sorted({min(1.0, t_max), t_max})
-        if any(t < 0.0 or t > t_max + slack for t in times):
+        if not all(0.0 <= t <= t_max + slack for t in times):
             raise ConfigError(f"{section}.{field}: must lie in [0, t_max]")
         resolved[field] = times
     read = [field for field in read if field in resolved]

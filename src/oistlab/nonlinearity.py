@@ -3,14 +3,14 @@
 The update applies eta(x) = x - phi(x)/p to every coordinate, where
 phi is the shrinkage force derived from the sparsity penalty:
 
-    phi(x) = 0                  (no thresholding, plain Oja)
     phi(x) = beta * sign(x)     (iterative soft thresholding)
 
-We fix sign(0) = 0, so eta always maps the origin to itself.
+with beta >= 0; beta = 0 is plain Oja. We fix sign(0) = 0, so eta
+always maps the origin to itself.
 
-``Dynamics`` is the model every route takes, and the diffusion and
-restoring coefficients of its limit equations live beside it, so the
-stationary analysis reads them without loading the PDE solver.
+``Dynamics`` (tau, omega, beta) is the model every route takes, and the
+diffusion and restoring coefficients of its limit equations live beside
+it, so the stationary analysis reads them without loading the PDE solver.
 """
 from __future__ import annotations
 
@@ -21,64 +21,45 @@ import numpy as np
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class SoftThreshold:
-    """Soft-thresholding shrinkage with strength beta >= 0."""
-
-    beta: float
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError(f"soft threshold beta must be >= 0, got {self.beta}")
+def phi_eval(x, beta: float):
+    """Shrinkage force phi = beta * sign(x) at x (scalar or array)."""
+    return beta * np.sign(x)
 
 
-def phi_eval(x, threshold):
-    """Shrinkage force phi at x (scalar or array); zero when thresholding is off."""
-    if threshold is None:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return threshold.beta * np.sign(x)
-
-
-def phi_mean(x, width: float, threshold):
+def phi_mean(x, width: float, beta: float):
     """Mean of phi over [x - width/2, x + width/2] (vectorized in x).
 
     Equals phi(x) unless the interval holds the jump of sign at 0.
     """
-    if threshold is None:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return threshold.beta * np.clip(2.0 * np.asarray(x) / width, -1.0, 1.0)
+    return beta * np.clip(2.0 * np.asarray(x) / width, -1.0, 1.0)
 
 
-def eta_map(x_vec, threshold, p: int):
+def eta_map(x_vec, beta: float, p: int):
     """Elementwise shrinkage map eta(x) = x - phi(x)/p."""
     x_vec = np.asarray(x_vec, dtype=float)
-    if threshold is None:
-        return x_vec
-    return x_vec - phi_eval(x_vec, threshold) / p
+    return x_vec - phi_eval(x_vec, beta) / p
 
 
 @dataclass(frozen=True)
 class Dynamics:
-    """Step size tau > 0, SNR omega >= 0 and shrinkage (None: plain Oja).
+    """Step size tau > 0, SNR omega >= 0 and shrinkage strength beta >= 0.
 
     One model for every route: the Monte Carlo estimator and its limit
-    equations (PDE, closed-form Oja overlap, stationary system).
+    equations (PDE, closed-form Oja overlap, stationary system). Plain
+    Oja is beta = 0.
     """
 
     tau: float
     omega: float
-    threshold: SoftThreshold | None
+    beta: float
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.omega < 0:
+        if not self.omega >= 0:
             raise ConfigError(f"omega must be >= 0, got {self.omega}")
-
-    @property
-    def beta(self) -> float:
-        """Shrinkage strength as a plain float (0 when thresholding is off)."""
-        return 0.0 if self.threshold is None else self.threshold.beta
+        if not self.beta >= 0:
+            raise ConfigError(f"beta must be >= 0, got {self.beta}")
 
 
 def diffusion_coefficient(tau: float, omega: float, q: float) -> float:

@@ -1,4 +1,4 @@
-"""Overlap dynamics of the plain Oja algorithm (no thresholding).
+"""Overlap dynamics of the plain Oja algorithm (no shrinkage, beta = 0).
 
 With phi = 0 the limiting overlap q(t) between the running estimate
 and the signal obeys the scalar ODE
@@ -24,9 +24,9 @@ ALPHA2_SWITCH = 1e-12
 
 @dataclass(frozen=True)
 class OjaParams(Dynamics):
-    """Step size tau > 0 and SNR omega >= 0, without thresholding."""
+    """Step size tau > 0 and SNR omega >= 0, without shrinkage."""
 
-    threshold: None = field(default=None, init=False)
+    beta: float = field(default=0.0, init=False)
 
     @property
     def alpha1(self) -> float:
@@ -46,7 +46,7 @@ def closed_form_q(t: float, q0: float, params: OjaParams) -> float:
     """
     if q0 == 0.0:
         raise ValueError("initial overlap q0 must be nonzero")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time t must be >= 0, got {t}")
     a1, a2 = params.alpha1, params.alpha2
     if abs(a2) < ALPHA2_SWITCH:
@@ -74,9 +74,9 @@ def ode_q(t: float, q0: float, params: OjaParams, dt: float = 1e-3) -> float:
     Independent cross-check of closed_form_q; agrees to better than
     1e-8 for dt <= 1e-3 on t in [0, 20].
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time t must be >= 0, got {t}")
     a1, a2 = params.alpha1, params.alpha2
 

@@ -144,21 +144,21 @@ class PdeConfig(Dynamics):
         if isinstance(self.dt, str):
             if self.dt != "auto":
                 raise ConfigError(f"dt must be a positive number or 'auto', got {self.dt!r}")
-        elif self.dt <= 0:
+        elif not self.dt > 0:
             raise ConfigError(f"dt must be > 0, got {self.dt}")
-        if self.t_max < 0:
-            raise ConfigError(f"t_max must be >= 0, got {self.t_max}")
+        if not 0 <= self.t_max < math.inf:
+            raise ConfigError(f"t_max must be finite and >= 0, got {self.t_max}")
 
 
-def drift(x, xi, q, r, tau, omega, threshold):
+def drift(x, xi, q, r, tau, omega, beta):
     """Per-coordinate drift of the limiting dynamics (vectorized in x)."""
-    return (tau * omega * q * xi - phi_eval(x, threshold)
+    return (tau * omega * q * xi - phi_eval(x, beta)
             - np.asarray(x) * restoring_coefficient(tau, omega, q, r))
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_tables(grid: Grid, threshold) -> tuple[np.ndarray, ...]:
-    """Arrays fixed by (grid, threshold), computed once and shared read-only.
+def _grid_tables(grid: Grid, beta: float) -> tuple[np.ndarray, ...]:
+    """Arrays fixed by (grid, beta), computed once and shared read-only.
 
     Returns the cell centres, x*phi(x) at the centres, the interfaces,
     and at every interface the mean of phi between the centres on its
@@ -166,13 +166,13 @@ def _grid_tables(grid: Grid, threshold) -> tuple[np.ndarray, ...]:
     """
     x = grid.centers
     x_if = grid.interfaces
-    tables = (x, x * phi_eval(x, threshold), x_if, phi_mean(x_if, grid.dx, threshold))
+    tables = (x, x * phi_eval(x, beta), x_if, phi_mean(x_if, grid.dx, beta))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def moments(state: ConditionalDensitySet, threshold) -> tuple[float, float]:
+def moments(state: ConditionalDensitySet, beta: float) -> tuple[float, float]:
     """Overlap q and shrinkage moment r of the stored densities (midpoint rule).
 
     Per-atom values are summed as Python floats in the order `np.sum` adds
@@ -180,7 +180,7 @@ def moments(state: ConditionalDensitySet, threshold) -> tuple[float, float]:
     of their call overhead.
     """
     dx = state.grid.dx
-    x, xphi, _, _ = _grid_tables(state.grid, threshold)
+    x, xphi, _, _ = _grid_tables(state.grid, beta)
     p = state.densities
     errors = [abs(m * dx - 1.0) for m in p.sum(axis=1).tolist()]
     if any(e > MASS_TOL for e in errors):
@@ -207,7 +207,7 @@ def initial_density(
     variance: float,
     grid: Grid,
     prior: Prior,
-    threshold,
+    beta: float,
 ) -> ConditionalDensitySet:
     """Gaussian initial profile, identical for every atom (x0 independent of xi).
 
@@ -240,7 +240,7 @@ def initial_density(
         q=0.0,
         r=0.0,
     )
-    state.q, state.r = moments(state, threshold)
+    state.q, state.r = moments(state, beta)
     if abs(state.q) < 1e-12:
         raise ConfigError(
             "initial overlap q0 is zero for this x0 law and prior; the "
@@ -254,7 +254,7 @@ def _interface_drift(state: ConditionalDensitySet, cfg: PdeConfig) -> np.ndarray
 
     It is ``drift`` with phi(x) replaced by its mean between the centres.
     """
-    _, _, x_if, phi_bar = _grid_tables(state.grid, cfg.threshold)
+    _, _, x_if, phi_bar = _grid_tables(state.grid, cfg.beta)
     gamma = np.subtract((cfg.tau * cfg.omega * state.q) * state.atoms[:, None], phi_bar)
     gamma -= x_if * restoring_coefficient(cfg.tau, cfg.omega, state.q, state.r)
     return gamma
@@ -351,7 +351,7 @@ def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
         raise NumericError(f"implicit step: tridiagonal solve failed (LAPACK info {info})")
     new_state = ConditionalDensitySet(state.atoms, state.weights, solved.reshape(p.shape),
                                       state.grid, state.t + dt, state.q, state.r)
-    new_state.q, new_state.r = moments(new_state, cfg.threshold)
+    new_state.q, new_state.r = moments(new_state, cfg.beta)
     return new_state
 
 
@@ -404,7 +404,7 @@ def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
     fine.t = coarse.t  # fine is this step's own: it becomes the accepted state
     if not first_order:
         fine.densities = densities
-        fine.q, fine.r = moments(fine, cfg.threshold)
+        fine.q, fine.r = moments(fine, cfg.beta)
     return fine, err, first_order
 
 
@@ -427,11 +427,12 @@ def solve(
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times.size == 0:
         raise ConfigError("record_times must not be empty")
-    if record_times[0] < 0 or record_times[-1] > cfg.t_max + 1e-12:
+    # np.sort puts NaN last, where the upper bound fails on it
+    if not (record_times[0] >= 0 and record_times[-1] <= cfg.t_max + 1e-12):
         raise ConfigError("record_times must lie in [0, t_max]")
 
     if initial_state is None:
-        state = initial_density(x0_mean, x0_var, cfg.grid, prior, cfg.threshold)
+        state = initial_density(x0_mean, x0_var, cfg.grid, prior, cfg.beta)
     elif initial_state.densities.min() < 0.0:
         raise ConfigError("initial_state has a negative density cell")
     else:

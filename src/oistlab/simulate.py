@@ -5,8 +5,8 @@ One update consumes one sample and never stores it:
     x_tilde = x + (tau / p) * y * (y . x)
     x'      = sqrt(p) * eta(x_tilde) / ||eta(x_tilde)||
 
-With thresholding off this is the classical Oja recursion. The model is
-one `nonlinearity.Dynamics` (tau, omega, threshold), the object every
+At beta = 0 this is the classical Oja recursion. The model is one
+`nonlinearity.Dynamics` (tau, omega, beta), the object every
 limit route takes too; `run_trajectory` adds the dimension p and the
 root seed as plain arguments, and `oist_step` reads p off the sample.
 Metrics (overlap with the signal, conditional coordinate histograms,
@@ -119,7 +119,7 @@ def _row_buffer(p: int):
 def _update_rows(x: np.ndarray, y: np.ndarray, tau: float, shrink: float) -> np.ndarray:
     """One online update of each row of x against the same row of y, in place.
 
-    ``shrink`` is beta / p (0 without thresholding). y is overwritten.
+    ``shrink`` is beta / p (0 for plain Oja). y is overwritten.
     Returns the row norms after shrinkage; rows are renormalized to norm
     sqrt(p) only when no norm is 0, which the caller reports.
     """
@@ -361,21 +361,19 @@ def run_trajectory(
     """
     if p < 2:
         raise ConfigError(f"dimension p must be >= 2, got {p}")
-    if t_max < 0:
-        raise ConfigError(f"t_max must be >= 0, got {t_max}")
+    if not 0 <= t_max < math.inf:
+        raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size == 0:
         raise ConfigError("record_times must not be empty")
-    if np.any(record_times < 0) or np.any(record_times > t_max):
+    if not np.all((record_times >= 0) & (record_times <= t_max)):
         raise ConfigError("record_times must lie in [0, t_max]")
     if histogram_times is None:
         histogram_times = record_times
     histogram_times = np.asarray(histogram_times, dtype=float)
-    if histogram_times.size and (
-        np.any(histogram_times < 0) or np.any(histogram_times > t_max)
-    ):
+    if not np.all((histogram_times >= 0) & (histogram_times <= t_max)):
         raise ConfigError("histogram_times must lie in [0, t_max]")
     if bin_edges is None:
         bin_edges = default_bin_edges(prior.rho)

@@ -81,9 +81,6 @@ MAX_BACKTRACKS = 8
 MIN_CONTINUATION_STEP = 1e-8
 
 
-SteadyConfig = Dynamics  # the stationary analysis needs only (tau, omega, threshold)
-
-
 def erfcx_scaled(x):
     """f(x) = (2/pi) e^{x^2} Integral_x^inf e^{-u^2} du, stable for large positive x.
 
@@ -94,12 +91,12 @@ def erfcx_scaled(x):
     return _erfcx(x) / SQRT_PI
 
 
-def g_scale(q: float, cfg: SteadyConfig) -> float:
+def g_scale(q: float, cfg: Dynamics) -> float:
     """Diffusion scale g = tau^2 (1 + omega q^2) / 2, the PDE's D(q)."""
     return diffusion_coefficient(cfg.tau, cfg.omega, q)
 
 
-def h_curvature(q: float, r: float, cfg: SteadyConfig) -> float:
+def h_curvature(q: float, r: float, cfg: Dynamics) -> float:
     """Quadratic-confinement coefficient h = (tau*omega*q^2 - r + g)/2."""
     return 0.5 * restoring_coefficient(cfg.tau, cfg.omega, q, r)
 
@@ -134,7 +131,7 @@ class SteadyDensity:
     rate beta / g and is handled as such.
     """
 
-    def __init__(self, xi: float, q: float, r: float, cfg: SteadyConfig):
+    def __init__(self, xi: float, q: float, r: float, cfg: Dynamics):
         self.xi = float(xi)
         self.q = float(q)
         self.r = float(r)
@@ -178,7 +175,7 @@ class SteadyDensity:
         return np.exp(self.log_pdf(x))
 
 
-def steady_density(xi: float, q: float, r: float, cfg: SteadyConfig) -> SteadyDensity:
+def steady_density(xi: float, q: float, r: float, cfg: Dynamics) -> SteadyDensity:
     """Stationary conditional density of x given one atom value."""
     return SteadyDensity(xi, q, r, cfg)
 
@@ -204,7 +201,7 @@ def _tail_moments(z: float, t: float) -> tuple[float, float, float]:
     return p1, p2, r3 * p2
 
 
-def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: Prior
+def fixed_point_map_with_jacobian(q: float, r: float, cfg: Dynamics, prior: Prior
                                   ) -> tuple[float, float, float, float, float, float]:
     """The self-consistency map and its exact Jacobian at (q, r).
 
@@ -244,7 +241,7 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: SteadyConfig, prior: 
     return _self_consistency(q, r, cfg, prior, True)
 
 
-def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, float]:
+def fixed_point_map(q: float, r: float, cfg: Dynamics, prior: Prior) -> tuple[float, float]:
     """One application of the self-consistency map (q, r) -> (q', r').
 
     The first two values of ``fixed_point_map_with_jacobian``, by the same
@@ -253,7 +250,7 @@ def fixed_point_map(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tupl
     return _self_consistency(q, r, cfg, prior, False)
 
 
-def _self_consistency(q: float, r: float, cfg: SteadyConfig, prior: Prior, jacobian: bool
+def _self_consistency(q: float, r: float, cfg: Dynamics, prior: Prior, jacobian: bool
                       ) -> tuple[float, ...]:
     """The body of ``fixed_point_map_with_jacobian``; returns (q', r') alone
     unless ``jacobian``."""
@@ -327,7 +324,7 @@ def _unnormalized_logpdf(x, g, h, beta, tilt, shift):
     return -(h * x * x + beta * abs(x) - tilt * x) / g - shift
 
 
-def fixed_point_map_quadrature(q: float, r: float, cfg: SteadyConfig, prior: Prior) -> tuple[float, float]:
+def fixed_point_map_quadrature(q: float, r: float, cfg: Dynamics, prior: Prior) -> tuple[float, float]:
     """Self-consistency map evaluated by adaptive quadrature of the density.
 
     Independent oracle for fixed_point_map: integrates the Boltzmann
@@ -393,13 +390,13 @@ class FixedPoint:
     iterations: int
 
 
-def _project_h(q: float, r: float, cfg: SteadyConfig) -> float:
+def _project_h(q: float, r: float, cfg: Dynamics) -> float:
     """Pull r back so that h(q, r) >= H_MIN."""
     r_cap = restoring_coefficient(cfg.tau, cfg.omega, q, 0.0) - 2.0 * H_MIN
     return min(r, r_cap)
 
 
-def default_r_init(q: float, cfg: SteadyConfig) -> float:
+def default_r_init(q: float, cfg: Dynamics) -> float:
     """The r start g(q)/2 for a q start: it keeps h = (tau omega q^2 + g/2)/2 > 0."""
     return 0.5 * g_scale(q, cfg)
 
@@ -412,7 +409,7 @@ def _fixed_point(q: float, r: float, residual: float, converged: bool,
 
 
 def solve_fixed_point(
-    cfg: SteadyConfig,
+    cfg: Dynamics,
     prior: Prior,
     init: tuple[float, float],
     damping: float = 0.5,
@@ -449,13 +446,13 @@ def solve_fixed_point(
     return _fixed_point(q, r, residual, False, max_iter)
 
 
-def uninformative_fixed_point(cfg: SteadyConfig) -> FixedPoint:
+def uninformative_fixed_point(cfg: Dynamics) -> FixedPoint:
     """The exact zero-overlap solution: (0, tau^2/2) on the h = 0 boundary
     when beta > 0 (a Laplace law), and (0, 0) when beta = 0 (a Gaussian)."""
     return _fixed_point(0.0, 0.5 * cfg.tau ** 2 if cfg.beta > 0.0 else 0.0, 0.0, True, 0)
 
 
-def omega_spinodal(cfg: SteadyConfig) -> float:
+def omega_spinodal(cfg: Dynamics) -> float:
     """The SNR below which the zero-overlap root attracts.
 
     With E[xi^2] = 1 the root's q-multiplier dF_q/dq is tau^3 omega /
@@ -538,11 +535,11 @@ class _Newton:
         self.iterations = 0
         self.map_calls = 0
 
-    def _evaluate(self, q: float, r: float, cfg: SteadyConfig) -> tuple[float, ...]:
+    def _evaluate(self, q: float, r: float, cfg: Dynamics) -> tuple[float, ...]:
         self.map_calls += 1
         return fixed_point_map_with_jacobian(q, r, cfg, self.prior)
 
-    def solve(self, cfg: SteadyConfig, init: tuple[float, float]) -> FixedPoint:
+    def solve(self, cfg: Dynamics, init: tuple[float, float]) -> FixedPoint:
         """The root reached from init, converged iff it is accepted.
 
         Backtracking lowers the residual at every step, so a failed
@@ -584,7 +581,7 @@ class _Newton:
             fq, fr, fq_q, fq_r, fr_q, fr_r = trial
         return _fixed_point(q, r, residual, False, iteration)
 
-    def continue_root(self, cfg: SteadyConfig, branch: list[tuple[float, FixedPoint]],
+    def continue_root(self, cfg: Dynamics, branch: list[tuple[float, FixedPoint]],
                       omega_to: float) -> tuple[FixedPoint | None, tuple[float, float] | None]:
         """Carry the branch's last root down to omega_to <= its SNR.
 
@@ -616,7 +613,7 @@ class _Newton:
                 step = 0.5 * (omega_try - omega_ok)
         return fp, None
 
-    def trace(self, cfg: SteadyConfig, omegas: list[float],
+    def trace(self, cfg: Dynamics, omegas: list[float],
               starts: tuple[float, ...]) -> tuple[list[FixedPoint], list]:
         """The attracting root at each SNR of a decreasing list, and where its branch ended.
 
@@ -666,7 +663,7 @@ def _predict(branch: list[tuple[float, FixedPoint]], omega: float) -> tuple[floa
 
 
 def roots_from_inits(
-    cfg: SteadyConfig,
+    cfg: Dynamics,
     prior: Prior,
     inits,
     starts: tuple[float, ...] = (0.2, 0.5, 0.9),
@@ -695,7 +692,7 @@ def roots_from_inits(
 
 
 def sweep_omega(
-    cfg: SteadyConfig,
+    cfg: Dynamics,
     prior: Prior,
     omega_grid,
     starts: tuple[float, ...] = (0.2, 0.5, 0.9),

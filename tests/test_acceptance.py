@@ -15,8 +15,6 @@ from oistlab import (
     Dynamics,
     OjaParams,
     Prior,
-    SoftThreshold,
-    SteadyConfig,
     closed_form_q,
     erfcx_scaled,
     fixed_point_map,
@@ -38,8 +36,7 @@ BETA = 0.27
 OMEGA = 1.0
 PEAK = 1.0 / math.sqrt(RHO)
 PRIOR = Prior.two_point(RHO)
-SOFT = SoftThreshold(BETA)
-STEADY_CFG = SteadyConfig(tau=TAU, omega=OMEGA, threshold=SOFT)
+STEADY_CFG = Dynamics(tau=TAU, omega=OMEGA, beta=BETA)
 WORKERS = min(2, os.cpu_count() or 1)
 
 pytestmark = pytest.mark.acceptance
@@ -59,7 +56,7 @@ def oja_batch():
     """Plain Oja, p=2000, 20 replicas, recorded out to t=100."""
     return run_trajectory(
         PRIOR,
-        Dynamics(tau=TAU, omega=OMEGA, threshold=None),
+        Dynamics(tau=TAU, omega=OMEGA, beta=0.0),
         p=2000,
         seed=6001,
         t_max=100.0,
@@ -75,7 +72,7 @@ def oja_large_step_batch():
     """Plain Oja beyond the step-size threshold (tau > 2*omega)."""
     return run_trajectory(
         PRIOR,
-        Dynamics(tau=2.5, omega=OMEGA, threshold=None),
+        Dynamics(tau=2.5, omega=OMEGA, beta=0.0),
         p=2000,
         seed=6002,
         t_max=100.0,
@@ -91,7 +88,7 @@ def oist_band_batch():
     """Reference-parameter runs at p=2000 on the half-unit time grid."""
     return run_trajectory(
         PRIOR,
-        Dynamics(tau=TAU, omega=OMEGA, threshold=SOFT),
+        Dynamics(tau=TAU, omega=OMEGA, beta=BETA),
         p=2000,
         seed=6003,
         t_max=15.0,
@@ -107,7 +104,7 @@ def oist_hist_batch():
     """Reference-parameter runs at p=10^4 with pooled histograms."""
     return run_trajectory(
         PRIOR,
-        Dynamics(tau=TAU, omega=OMEGA, threshold=SOFT),
+        Dynamics(tau=TAU, omega=OMEGA, beta=BETA),
         p=10000,
         seed=6004,
         t_max=15.0,
@@ -120,7 +117,7 @@ def oist_hist_batch():
 
 @pytest.fixture(scope="session")
 def pde_solution():
-    cfg = PdeConfig(tau=TAU, omega=OMEGA, threshold=SOFT,
+    cfg = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA,
                     grid=Grid(-6.0, 8.0, 900), dt="auto", t_max=15.0)
     return solve(cfg, PRIOR, np.arange(0.0, 15.5, 0.5))
 
@@ -212,7 +209,7 @@ def test_criterion_5_pde_inside_simulation_band(oist_band_batch, pde_solution):
 
 def test_criterion_6_steady_state_consistency(informative_fixed_point):
     fp = informative_fixed_point
-    cfg_long = PdeConfig(tau=TAU, omega=OMEGA, threshold=SOFT,
+    cfg_long = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA,
                          grid=Grid(-6.0, 8.0, 900), dt="auto", t_max=200.0)
     q_long = solve(cfg_long, PRIOR, [200.0]).q_values[-1]
     gap_long = abs(q_long - fp.q)
@@ -225,8 +222,8 @@ def test_criterion_6_steady_state_consistency(informative_fixed_point):
     dens /= dens.sum(axis=1, keepdims=True) * grid.dx
     state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
                                   densities=dens, grid=grid, t=0.0, q=0.0, r=0.0)
-    state.q, state.r = moments(state, SOFT)
-    cfg_stat = PdeConfig(tau=TAU, omega=OMEGA, threshold=SOFT,
+    state.q, state.r = moments(state, BETA)
+    cfg_stat = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA,
                          grid=grid, dt="auto", t_max=10.0)
     drift_run = solve(cfg_stat, PRIOR, np.arange(0.0, 10.5, 0.5), initial_state=state)
     drift = float(np.max(np.abs(drift_run.q_values - fp.q)))
@@ -258,7 +255,7 @@ def test_criterion_8_phase_transition_ordering():
     grid = np.linspace(0.05, 1.0, 40)
     spacing = grid[1] - grid[0]
     oist = sweep_omega(STEADY_CFG, PRIOR, grid, tol=1e-7)
-    oja_cfg = SteadyConfig(tau=TAU, omega=OMEGA, threshold=None)
+    oja_cfg = Dynamics(tau=TAU, omega=OMEGA, beta=0.0)
     oja = sweep_omega(oja_cfg, PRIOR, grid, tol=1e-7)
 
     cond_order = (
@@ -318,8 +315,8 @@ def test_criterion_9d_mass_conservation():
     from oistlab.pde import initial_density
 
     grid = Grid(-6.0, 8.0, 900)
-    cfg = PdeConfig(tau=TAU, omega=OMEGA, threshold=SOFT, grid=grid, dt="auto")
-    state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
+    cfg = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA, grid=grid, dt="auto")
+    state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, BETA)
     for _ in range(100000):
         state = step(state, cfg)
     masses = state.densities.sum(axis=1) * grid.dx

@@ -628,6 +628,13 @@ class TestValidation:
         ({"model": {"rho": "0.05"}}, "model.rho"),
         ({"model": 5}, "model"),
         ({"model": {"p": 64.7}}, "model.p"),
+        # json.dumps writes NaN and Infinity, which json.load reads back
+        ({"pde": {"t_max": math.inf}}, "pde.t_max"),
+        ({"sweep": {"omega_max": math.inf}}, "sweep.omega_max"),
+        ({"model": {"omega": math.inf}}, "model.omega"),
+        ({"sweep": {"starts": [math.nan]}}, "sweep.starts"),
+        ({"pde": {"t_max": 2, "record_times": [math.nan, 1.0]}}, "pde.record_times"),
+        ({"simulation": {"record_times": [0.0, math.nan]}}, "simulation.record_times"),
     ])
     def test_malformed_value_rejected(self, tmp_path, capsys, config, field):
         path = tmp_path / "bad.json"
@@ -676,6 +683,25 @@ class TestValidation:
         value = (out / "oja_theory.csv").read_text().splitlines()[1].split(",")[1]
         # round-trips through 17 significant digits exactly
         assert format(float(value), ".17g") == value
+
+
+@pytest.mark.parametrize("command, config", [
+    ("pde", {"pde": {"t_max": 2}}),
+    ("sweep", {}),
+    ("steady", {}),
+    ("simulate", {"model": {"p": 64}, "simulation": {"t_max": 0.5, "replicas": 1}}),
+])
+def test_plain_oja_spellings_write_the_same_tables(tmp_path, command, config):
+    # threshold "none" and beta 0 are one model: beta = 0
+    tables = []
+    for name, algorithm in (("none", {"threshold": "none"}), ("beta0", {"beta": 0.0})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**config, "algorithm": algorithm}))
+        code, out = run(tmp_path / name, command, "--config", str(path))
+        assert code == 0
+        tables.append({table.name: table.read_bytes() for table in sorted(out.iterdir())
+                       if table.name != "manifest.json"})
+    assert tables[0] and tables[0] == tables[1]
 
 
 class TestRunTimes:

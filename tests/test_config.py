@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oistlab import ConfigError, OjaParams, Prior, SteadyConfig
+from oistlab import ConfigError, Dynamics, OjaParams, Prior
 from oistlab.config import (
     DEFAULT_CONFIG,
     build_discrete_prior,
@@ -90,6 +90,18 @@ def test_validate_rejects_bad_fields():
         ("sweep", "n_points", 40.2),
         ("steady", "max_iter", math.inf),
         ("sweep", "max_iter", math.nan),
+        ("pde", "t_max", math.inf),
+        ("sweep", "omega_max", math.inf),
+        ("model", "omega", math.inf),
+        ("sweep", "starts", [math.nan]),
+        ("pde", "record_times", [math.nan, 1.0]),
+        ("simulation", "record_times", [math.nan]),
+        ("simulation", "record_times", [0.0, math.nan]),
+        ("simulation", "t_max", -math.inf),
+        ("algorithm", "beta", math.nan),
+        ("simulation", "theta", math.inf),
+        ("simulation", "histogram_range", [0.0, math.inf]),
+        ("steady", "inits", [[math.nan, None]]),
     ]:
         cfg = default_cfg()
         cfg[section][key] = value
@@ -154,11 +166,12 @@ def test_sweep_max_iter_message():
 
 
 @pytest.mark.parametrize("make", [
-    lambda tau, omega: SteadyConfig(tau, omega, None),
-    lambda tau, omega: PdeConfig(tau, omega, None, Grid(-1.0, 1.0, 50)),
+    lambda tau, omega: Dynamics(tau, omega, 0.0),
+    lambda tau, omega: PdeConfig(tau, omega, 0.0, Grid(-1.0, 1.0, 50)),
     lambda tau, omega: OjaParams(tau, omega),
 ], ids=["SteadyConfig", "PdeConfig", "OjaParams"])
-@pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.1)])
+@pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.1),
+                                        (math.nan, 1.0), (0.5, math.nan)])
 def test_dynamics_parameters_rejected(make, tau, omega):
     with pytest.raises(ConfigError) as excinfo:
         make(tau, omega)

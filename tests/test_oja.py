@@ -149,3 +149,9 @@ def test_negative_inputs_rejected():
         closed_form_q(-1.0, 0.1, params)
     with pytest.raises(ValueError):
         ode_q(1.0, 0.1, params, dt=0.0)
+    with pytest.raises(ValueError):
+        closed_form_q(math.nan, 0.1, params)
+    with pytest.raises(ValueError):
+        ode_q(math.nan, 0.1, params)
+    with pytest.raises(ValueError):
+        ode_q(1.0, 0.1, params, dt=math.nan)

@@ -7,11 +7,10 @@ from scipy.linalg.lapack import dgtsv
 
 from oistlab import (
     ConfigError,
+    Dynamics,
     NumericError,
     OjaParams,
     Prior,
-    SoftThreshold,
-    SteadyConfig,
     closed_form_q,
     solve_fixed_point,
     steady_density,
@@ -33,7 +32,7 @@ from oistlab.steady import default_r_init
 
 PRIOR = Prior.two_point(0.05)
 PEAK = 1.0 / math.sqrt(0.05)
-SOFT = SoftThreshold(0.27)
+SOFT = 0.27
 
 
 def make_grid(n=700, lo=-6.0, hi=8.0):
@@ -56,16 +55,16 @@ class TestGrid:
 
 class TestDrift:
     def test_zero_atom_value(self):
-        got = drift(1.0, 0.0, q=0.0, r=0.0, tau=0.5, omega=1.0, threshold=SOFT)
+        got = drift(1.0, 0.0, q=0.0, r=0.0, tau=0.5, omega=1.0, beta=SOFT)
         assert got == pytest.approx(-0.395, abs=1e-12)
 
     def test_origin_keeps_only_signal_term(self):
         for xi in (0.0, 1.3, -2.0):
-            got = drift(0.0, xi, q=0.4, r=0.1, tau=0.5, omega=1.0, threshold=SOFT)
+            got = drift(0.0, xi, q=0.4, r=0.1, tau=0.5, omega=1.0, beta=SOFT)
             assert got == pytest.approx(0.5 * 1.0 * 0.4 * xi, abs=1e-12)
 
     def test_reference_value(self):
-        got = drift(0.5, PEAK, q=0.5, r=0.2, tau=0.5, omega=1.0, threshold=SOFT)
+        got = drift(0.5, PEAK, q=0.5, r=0.2, tau=0.5, omega=1.0, beta=SOFT)
         expected = 0.5 * 1.0 * 0.5 * PEAK - 0.27 - 0.5 * (0.125 - 0.2 + 0.15625)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.80741, abs=1e-5)
@@ -88,7 +87,7 @@ class TestMoments:
             prof[np.argmin(np.abs(grid.centers - atom))] = 1.0
             profiles.append(prof)
         state = self._state_from_profiles(profiles, grid)
-        q, r = moments(state, None)
+        q, r = moments(state, 0.0)
         # cell-center quantization shifts each atom by at most dx/2
         assert q == pytest.approx(1.0, abs=PEAK * grid.dx)
 
@@ -110,7 +109,7 @@ class TestMoments:
         x = grid.centers
         prof = np.exp(-rate * np.abs(x))
         state = self._state_from_profiles([prof, prof], grid)
-        _, r = moments(state, SoftThreshold(beta))
+        _, r = moments(state, beta)
         assert r == pytest.approx(tau ** 2 / 2.0, abs=2e-4)
         assert r == pytest.approx(0.125, abs=2e-4)
 
@@ -122,7 +121,7 @@ class TestMoments:
             densities=dens, grid=grid, t=0.0, q=0.0, r=0.0,
         )
         with pytest.raises(NumericError):
-            moments(state, None)
+            moments(state, 0.0)
 
 
 class TestInitialDensity:
@@ -165,9 +164,9 @@ class TestStep:
         # by 2*D*dt per step
         tau = 0.5
         grid = make_grid(n=700, lo=-7.0, hi=7.0)
-        cfg = PdeConfig(tau=tau, omega=0.0, threshold=None, grid=grid, dt="auto")
+        cfg = PdeConfig(tau=tau, omega=0.0, beta=0.0, grid=grid, dt="auto")
         diffusion = 0.5 * tau ** 2
-        state = initial_density(0.3, 0.01, grid, PRIOR, None)
+        state = initial_density(0.3, 0.01, grid, PRIOR, 0.0)
         state.q = 0.0
         state.r = diffusion  # cancels the restoring term: drift == 0
         x = grid.centers
@@ -181,7 +180,7 @@ class TestStep:
         elapsed = 0.0
         for _ in range(100):
             gamma = drift(grid.interfaces, state.atoms[0], state.q, state.r,
-                          tau, 0.0, None)
+                          tau, 0.0, 0.0)
             assert np.max(np.abs(gamma)) == 0.0
             state = step(state, cfg, dt=dt)
             elapsed += dt
@@ -202,8 +201,8 @@ class TestStep:
             lambda state, cfg: np.full((len(state.atoms), state.grid.n + 1), c),
         )
         grid = make_grid(n=700, lo=-7.0, hi=7.0)
-        cfg = PdeConfig(tau=0.5, omega=0.0, threshold=None, grid=grid, dt="auto")
-        state = initial_density(0.3, 0.04, grid, PRIOR, None)
+        cfg = PdeConfig(tau=0.5, omega=0.0, beta=0.0, grid=grid, dt="auto")
+        state = initial_density(0.3, 0.04, grid, PRIOR, 0.0)
         x = grid.centers
         mean0 = state.densities[0] @ x * grid.dx
         dt = 0.5 * grid.dx / c
@@ -214,7 +213,7 @@ class TestStep:
 
     def test_mass_conserved_and_macro_consistent(self):
         grid = make_grid()
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=grid, dt="auto")
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto")
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         for _ in range(500):
             state = step(state, cfg)
@@ -227,7 +226,7 @@ class TestStep:
         # the implicit step has no stability bound: an oversized dt, and
         # then a wild drift, keep every density >= 0 and every mass at 1
         grid = make_grid()
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=grid, dt="auto")
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto")
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         wild = state.copy()
         wild.q, wild.r = 0.0, -2000.0
@@ -239,7 +238,7 @@ class TestStep:
 
     def test_positivity_within_rounding(self):
         grid = make_grid()
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=grid, dt="auto")
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto")
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         for _ in range(2000):
             state = step(state, cfg)
@@ -254,7 +253,7 @@ class TestSolve:
         params = OjaParams(tau=0.5, omega=1.0)
         errs = {}
         for n in (700, 1400):
-            cfg = PdeConfig(tau=0.5, omega=1.0, threshold=None,
+            cfg = PdeConfig(tau=0.5, omega=1.0, beta=0.0,
                             grid=make_grid(n=n), dt="auto", t_max=15.0)
             sol = solve(cfg, PRIOR, times)
             reference = np.array([closed_form_q(t, sol.q_values[0], params) for t in times])
@@ -265,9 +264,9 @@ class TestSolve:
     def test_grid_refinement_overlap_stable(self):
         # halving dx (and the auto step with it) from the default
         # resolution moves the t=15 overlap by no more than 1e-3
-        cfg_a = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg_a = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                           grid=make_grid(n=900), dt="auto", t_max=15.0)
-        cfg_b = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg_b = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                           grid=make_grid(n=1800), dt="auto", t_max=15.0)
         q_a = solve(cfg_a, PRIOR, [15.0]).q_values[-1]
         q_b = solve(cfg_b, PRIOR, [15.0]).q_values[-1]
@@ -277,7 +276,7 @@ class TestSolve:
         # well-balance: the informative fixed point's stationary profile on
         # the reference grid keeps its overlap within 1e-6 of Q* over
         # t in [0, 10]; a first-order upwind flux drifts by ~1.6e-3 here
-        steady_cfg = SteadyConfig(tau=0.5, omega=1.0, threshold=SOFT)
+        steady_cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
         fp = solve_fixed_point(steady_cfg, PRIOR,
                                (0.5, default_r_init(0.5, steady_cfg)), tol=1e-12)
         assert fp.converged and fp.branch == "informative"
@@ -288,13 +287,13 @@ class TestSolve:
         state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
                                       densities=dens, grid=grid, t=0.0, q=0.0, r=0.0)
         state.q, state.r = moments(state, SOFT)
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=grid, dt="auto", t_max=10.0)
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto", t_max=10.0)
         sol = solve(cfg, PRIOR, np.arange(0.0, 10.5, 0.5), initial_state=state)
         assert np.max(np.abs(sol.q_values - fp.q)) <= 1e-6
 
     def test_snapshots_and_series(self):
         times = [0.0, 0.5, 1.0]
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                         grid=make_grid(), dt="auto", t_max=1.0)
         sol = solve(cfg, PRIOR, times)
         assert np.array_equal(sol.times, times)
@@ -304,14 +303,14 @@ class TestSolve:
         assert sol.q_values[2] > sol.q_values[0]  # overlap grows at these settings
 
     def test_fixed_dt_honored(self):
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                         grid=make_grid(), dt=1e-4, t_max=0.01)
         sol = solve(cfg, PRIOR, [0.01])
         assert sol.n_steps == 100
 
     def test_multi_atom_asymmetric_prior(self):
         prior = Prior.from_atoms([(-1.0, 0.2), (0.0, 0.6), (2.0, 0.2)])
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                         grid=Grid(-6.0, 8.0, 700), dt="auto", t_max=0.5)
         sol = solve(cfg, prior, [0.0, 0.5])
         assert len(sol.snapshots[0].atoms) == 3
@@ -322,21 +321,27 @@ class TestSolve:
     def test_symmetric_continuous_prior_refused(self):
         # Bernoulli-Gaussian u is symmetric, so any xi-independent x0 law
         # has zero initial overlap and the solver must refuse to start
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                         grid=Grid(-10.0, 10.0, 800), dt="auto", t_max=0.1)
         with pytest.raises(ConfigError):
             solve(cfg, Prior.bernoulli_gaussian(0.4), [0.1])
 
     def test_record_times_validation(self):
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                         grid=make_grid(), dt="auto", t_max=1.0)
         with pytest.raises(ConfigError):
             solve(cfg, PRIOR, [])
         with pytest.raises(ConfigError):
             solve(cfg, PRIOR, [2.0])
+        for bad in ([math.nan], [math.nan, 0.5], [0.5, math.nan]):
+            with pytest.raises(ConfigError, match="^record_times must lie in"):
+                solve(cfg, PRIOR, bad)
+        for t_max in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="^t_max"):
+                replace(cfg, t_max=t_max)
 
     def test_negative_initial_state_refused(self):
-        cfg = PdeConfig(tau=0.5, omega=1.0, threshold=SOFT,
+        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
                         grid=make_grid(), dt="auto", t_max=1.0)
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, cfg.grid, PRIOR, SOFT)
         state.densities[0, 0] = -1e-300
@@ -345,7 +350,7 @@ class TestSolve:
 
 
 def reference_config(dt="auto", t_max=15.0):
-    return PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=make_grid(n=900),
+    return PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=make_grid(n=900),
                      dt=dt, t_max=t_max)
 
 
@@ -400,13 +405,13 @@ class TestAutoStep:
 
 # The kernel before the shared flux operator and the lighter moments, kept
 # verbatim as the oracle that `solve` must reproduce bit for bit.
-def oracle_moments(state, threshold):
+def oracle_moments(state, beta):
     dx = state.grid.dx
     masses = state.densities.sum(axis=1) * dx
     if np.any(np.abs(masses - 1.0) > pdemod.MASS_TOL):
         worst = float(np.max(np.abs(masses - 1.0)))
         raise NumericError(f"conditional density mass off by {worst:.3e} (> {pdemod.MASS_TOL})")
-    x, xphi, _, _ = pdemod._grid_tables(state.grid, threshold)
+    x, xphi, _, _ = pdemod._grid_tables(state.grid, beta)
     first = state.densities @ x * dx
     q = float(np.sum(state.weights * state.atoms * first))
     r = float(np.sum(state.weights * (state.densities @ xphi)) * dx)
@@ -446,7 +451,7 @@ def oracle_step(state, cfg, dt=None, gamma=None):
     if info != 0:
         raise NumericError(f"implicit step: tridiagonal solve failed (LAPACK info {info})")
     new_state = replace(state, densities=solved.reshape(n_atoms, n), t=state.t + dt)
-    new_state.q, new_state.r = oracle_moments(new_state, cfg.threshold)
+    new_state.q, new_state.r = oracle_moments(new_state, cfg.beta)
     return new_state
 
 
@@ -463,7 +468,7 @@ def oracle_extrapolated_step(state, cfg, dt, tol):
     first_order = bool(densities.min() < 0.0)
     accepted = replace(fine, densities=fine.densities if first_order else densities, t=coarse.t)
     if not first_order:
-        accepted.q, accepted.r = oracle_moments(accepted, cfg.threshold)
+        accepted.q, accepted.r = oracle_moments(accepted, cfg.beta)
     return accepted, err, first_order
 
 
@@ -479,7 +484,7 @@ def bernoulli_gaussian_start(cfg):
     densities /= densities.sum(axis=1, keepdims=True) * cfg.grid.dx
     state = ConditionalDensitySet(prior.atom_values, prior.atom_weights, densities,
                                   cfg.grid, 0.0, 0.0, 0.0)
-    state.q, state.r = pdemod.moments(state, cfg.threshold)
+    state.q, state.r = pdemod.moments(state, cfg.beta)
     return state
 
 
@@ -487,9 +492,9 @@ class TestKernelOracle:
     @pytest.mark.parametrize("cfg, prior, times, start", [
         (reference_config(t_max=2.0), PRIOR, np.arange(0.0, 2.5, 0.5), None),
         (reference_config(dt=0.03, t_max=1.0), PRIOR, [0.0, 0.25, 0.5, 1.0], None),
-        (PdeConfig(tau=0.5, omega=1.0, threshold=None, grid=make_grid(n=900), t_max=2.0),
+        (PdeConfig(tau=0.5, omega=1.0, beta=0.0, grid=make_grid(n=900), t_max=2.0),
          PRIOR, [1.0, 2.0], None),
-        (PdeConfig(tau=0.5, omega=1.0, threshold=SOFT, grid=make_grid(n=200, lo=-8.0),
+        (PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=make_grid(n=200, lo=-8.0),
                    t_max=0.5), Prior.bernoulli_gaussian(0.05), [0.25, 0.5],
          bernoulli_gaussian_start),
         (reference_config(t_max=0.5), PRIOR, [0.1, 0.5], narrow_start),

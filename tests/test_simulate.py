@@ -12,7 +12,6 @@ from oistlab import (
     EstimateState,
     OjaParams,
     Prior,
-    SoftThreshold,
     closed_form_q,
     cosine_similarity,
     draw_signal,
@@ -29,47 +28,48 @@ from oistlab.simulate import BATCH_ELEMENTS, default_bin_edges, default_theta
 
 class TestPhiEta:
     def test_phi_at_zero(self):
-        assert phi_eval(0.0, SoftThreshold(0.27)) == 0.0
+        assert phi_eval(0.0, 0.27) == 0.0
 
     def test_phi_values(self):
-        thr = SoftThreshold(0.27)
+        thr = 0.27
         assert phi_eval(-2.0, thr) == pytest.approx(-0.27)
-        assert phi_eval(5.0, None) == 0.0
+        assert phi_eval(5.0, 0.0) == 0.0
 
     def test_eta_zero_vector(self):
-        assert np.all(eta_map(np.zeros(4), SoftThreshold(0.27), 4) == 0.0)
+        assert np.all(eta_map(np.zeros(4), 0.27, 4) == 0.0)
 
     def test_eta_value(self):
-        out = eta_map(np.array([1.0]), SoftThreshold(0.27), 10000)
+        out = eta_map(np.array([1.0]), 0.27, 10000)
         assert out[0] == pytest.approx(0.999973, abs=1e-12)
 
     def test_eta_identity_without_threshold(self):
         x = np.array([0.3, -1.2, 4.0])
-        assert np.array_equal(eta_map(x, None, 100), x)
+        assert np.array_equal(eta_map(x, 0.0, 100), x)
 
     @given(st.floats(-1e6, 1e6), st.floats(0.0, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_eta_odd(self, x, beta):
-        thr = SoftThreshold(beta)
-        left = eta_map(np.array([-x]), thr, 50)
-        right = eta_map(np.array([x]), thr, 50)
+        left = eta_map(np.array([-x]), beta, 50)
+        right = eta_map(np.array([x]), beta, 50)
         assert left[0] == -right[0]
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            SoftThreshold(-0.1)
+            Dynamics(tau=0.5, omega=1.0, beta=-0.1)
+        with pytest.raises(ValueError):
+            Dynamics(tau=0.5, omega=1.0, beta=math.nan)
 
 
 class TestOistStep:
     def test_zero_sample_no_threshold(self):
-        cfg = Dynamics(tau=0.7, omega=1.0, threshold=None)
+        cfg = Dynamics(tau=0.7, omega=1.0, beta=0.0)
         state = EstimateState(x=np.array([1.0, 1.0]), k=0)
         out = oist_step(state, np.zeros(2), cfg)
         assert np.allclose(out.x, state.x)
         assert out.k == 1
 
     def test_hand_computed_update(self):
-        cfg = Dynamics(tau=1.0, omega=1.0, threshold=None)
+        cfg = Dynamics(tau=1.0, omega=1.0, beta=0.0)
         state = EstimateState(x=np.array([1.0, 1.0]), k=0)
         out = oist_step(state, np.array([1.0, 0.0]), cfg)
         expected = math.sqrt(2.0) * np.array([1.5, 1.0]) / np.linalg.norm([1.5, 1.0])
@@ -79,7 +79,7 @@ class TestOistStep:
 
     def test_norm_invariant(self):
         p = 64
-        cfg = Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27))
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=0.27)
         rng = make_rng(3)
         state = EstimateState(x=math.sqrt(p) * _unit(rng.standard_normal(p)), k=0)
         for _ in range(200):
@@ -90,7 +90,7 @@ class TestOistStep:
     def test_matches_reference_oja(self):
         # two-line reference recursion, update then normalize
         p = 16
-        cfg = Dynamics(tau=0.8, omega=1.0, threshold=None)
+        cfg = Dynamics(tau=0.8, omega=1.0, beta=0.0)
         rng = make_rng(4)
         x_ref = rng.standard_normal(p)
         x_ref *= math.sqrt(p) / np.linalg.norm(x_ref)
@@ -102,25 +102,25 @@ class TestOistStep:
             x_ref = math.sqrt(p) * x_tilde / np.linalg.norm(x_tilde)
             assert np.allclose(state.x, x_ref, atol=1e-13)
 
-    @pytest.mark.parametrize("threshold", [None, SoftThreshold(0.27)])
-    def test_matches_one_sample_formula_exactly(self, threshold):
+    @pytest.mark.parametrize("beta", [0.0, 0.27], ids=["None", "threshold1"])
+    def test_matches_one_sample_formula_exactly(self, beta):
         # the one-sample update as written in the module docstring, bit for bit
         p = 300
-        cfg = Dynamics(tau=0.5, omega=1.0, threshold=threshold)
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=beta)
         rng = make_rng(5)
         x_ref = rng.standard_normal(p)
         state = EstimateState(x=x_ref.copy(), k=0)
         for _ in range(40):
             y = rng.standard_normal(p)
             state = oist_step(state, y, cfg)
-            shrunk = eta_map(x_ref + (cfg.tau / p) * (y @ x_ref) * y, threshold, p)
+            shrunk = eta_map(x_ref + (cfg.tau / p) * (y @ x_ref) * y, beta, p)
             x_ref = shrunk * (math.sqrt(p) / np.linalg.norm(shrunk))
             assert np.array_equal(state.x, x_ref)
 
     def test_degenerate_state(self):
         p = 2
         beta = 0.5
-        cfg = Dynamics(tau=1.0, omega=1.0, threshold=SoftThreshold(beta))
+        cfg = Dynamics(tau=1.0, omega=1.0, beta=beta)
         # coordinates exactly at the shrinkage magnitude vanish under eta
         state = EstimateState(x=np.array([beta / p, -beta / p]), k=0)
         with pytest.raises(DegenerateStateError):
@@ -247,7 +247,7 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.2)
         recs = run_trajectory(
             prior,
-            Dynamics(tau=0.5, omega=1.0, threshold=None),
+            Dynamics(tau=0.5, omega=1.0, beta=0.0),
             p=50,
             seed=1,
             t_max=1.5,
@@ -262,7 +262,7 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.05)
         recs = run_trajectory(
             prior,
-            Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27)),
+            Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=10000,
             seed=21,
             t_max=0.0,
@@ -276,7 +276,7 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         kwargs = dict(
             prior=prior,
-            dynamics=Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27)),
+            dynamics=Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=100,
             seed=77,
             t_max=2.0,
@@ -293,7 +293,7 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         recs = run_trajectory(
             prior,
-            Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27)),
+            Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=500,
             seed=5,
             t_max=3.0,
@@ -314,7 +314,7 @@ class TestRunTrajectory:
         # the spike and the noise flip)
         prior = Prior.two_point(0.2)
         p = 40
-        cfg = Dynamics(tau=0.5, omega=1.0, threshold=SoftThreshold(0.3))
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=0.3)
         rng = make_rng(31)
         signal = draw_signal(prior, p, seed=32)
         x0 = 0.5 + rng.standard_normal(p)
@@ -336,7 +336,7 @@ class TestRunTrajectory:
         times = [0.0, 1.0, 5.0]
         recs = run_trajectory(
             prior,
-            Dynamics(tau=0.5, omega=1.0, threshold=None),
+            Dynamics(tau=0.5, omega=1.0, beta=0.0),
             p=p,
             seed=2024,
             t_max=5.0,
@@ -351,15 +351,15 @@ class TestRunTrajectory:
             predicted = closed_form_q(t, mean[0], params)
             assert abs(mean[j] - predicted) <= 3.0 * se[j], (t, mean[j], predicted, se[j])
 
-    @pytest.mark.parametrize("threshold", [None, SoftThreshold(0.27)])
+    @pytest.mark.parametrize("beta", [0.0, 0.27], ids=["None", "threshold1"])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_matches_step_by_step_replay(self, threshold, n_workers):
+    def test_matches_step_by_step_replay(self, beta, n_workers):
         # the batched engine against one replica at a time through the
         # public one-sample API, on the same (seed, replica) streams; 4 rows
         # fit a batch at this p, so 9 replicas span several batches
         p = BATCH_ELEMENTS // 4
         prior = Prior.two_point(0.1)
-        dynamics, seed = Dynamics(tau=0.5, omega=1.0, threshold=threshold), 17
+        dynamics, seed = Dynamics(tau=0.5, omega=1.0, beta=beta), 17
         record_times = [0.0, 10 / p, 30 / p]
         recs = run_trajectory(prior, dynamics, p, seed, t_max=30 / p, record_times=record_times,
                               replicas=9, histogram_times=[10 / p, 30 / p],
@@ -391,7 +391,7 @@ class TestRunTrajectory:
         with pytest.warns(UserWarning):
             run_trajectory(
                 prior,
-                Dynamics(tau=0.5, omega=1.0, threshold=None),
+                Dynamics(tau=0.5, omega=1.0, beta=0.0),
                 p=50,
                 seed=1,
                 t_max=0.1,
@@ -401,7 +401,7 @@ class TestRunTrajectory:
 
     def test_validation(self):
         prior = Prior.two_point(0.1)
-        dynamics = Dynamics(tau=0.5, omega=1.0, threshold=None)
+        dynamics = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         with pytest.raises(ConfigError):
             run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[], replicas=1)
         with pytest.raises(ConfigError):
@@ -410,6 +410,16 @@ class TestRunTrajectory:
             run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[0.5], replicas=0)
         with pytest.raises(ConfigError):
             run_trajectory(prior, dynamics, 1, 1, t_max=1.0, record_times=[0.5], replicas=1)
+        for bad in ([math.nan], [0.0, math.nan]):
+            with pytest.raises(ConfigError, match="^record_times"):
+                run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=bad, replicas=1)
+            with pytest.raises(ConfigError, match="^histogram_times"):
+                run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[0.5],
+                               replicas=1, histogram_times=bad)
+        for t_max in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="^t_max"):
+                run_trajectory(prior, dynamics, 50, 1, t_max=t_max, record_times=[0.5],
+                               replicas=1)
 
 
 def _unit(v):

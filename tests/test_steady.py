@@ -10,10 +10,9 @@ from scipy.optimize import brentq, fsolve
 
 from oistlab import (
     ConfigError,
+    Dynamics,
     NonNormalizableError,
     Prior,
-    SoftThreshold,
-    SteadyConfig,
     erfcx_scaled,
     fixed_point_map,
     fixed_point_map_quadrature,
@@ -28,8 +27,8 @@ from oistlab.priors import discretize_prior
 from oistlab.steady import H_MIN, default_r_init, g_scale, h_curvature
 
 PRIOR = Prior.two_point(0.05)
-CFG = SteadyConfig(tau=0.5, omega=1.0, threshold=SoftThreshold(0.27))
-CFG_OJA = SteadyConfig(tau=0.5, omega=1.0, threshold=None)
+CFG = Dynamics(tau=0.5, omega=1.0, beta=0.27)
+CFG_OJA = Dynamics(tau=0.5, omega=1.0, beta=0.0)
 
 
 class TestErfcxScaled:
@@ -70,7 +69,7 @@ class TestSteadyDensity:
         # zero overlap, r = tau^2/2: signal-independent Laplace law with
         # coefficient beta/tau^2 and rate 2*beta/tau^2
         tau, beta = 0.5, 0.27
-        cfg = SteadyConfig(tau=tau, omega=1.0, threshold=SoftThreshold(beta))
+        cfg = Dynamics(tau=tau, omega=1.0, beta=beta)
         x = np.linspace(-6.0, 6.0, 2001)
         expected = (beta / tau ** 2) * np.exp(-2.0 * beta / tau ** 2 * np.abs(x))
         for xi in (0.0, 1.0 / math.sqrt(0.05)):
@@ -79,7 +78,7 @@ class TestSteadyDensity:
 
     def test_gaussian_when_no_threshold(self):
         # beta = 0, q = 0: centered Gaussian with variance g/(2h)
-        cfg = SteadyConfig(tau=0.5, omega=1.0, threshold=None)
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         r = 0.05
         g = g_scale(0.0, cfg)
         h = h_curvature(0.0, r, cfg)
@@ -268,8 +267,8 @@ class TestScalarKernel:
 
     def test_zero_arguments(self):
         # z = 0 (beta = 0, q = 0) and z = -0.0 (beta = -0.0) on both priors
-        for threshold in (None, SoftThreshold(0.0), SoftThreshold(-0.0)):
-            cfg = SteadyConfig(tau=0.5, omega=1.0, threshold=threshold)
+        for beta in (0.0, -0.0):
+            cfg = Dynamics(tau=0.5, omega=1.0, beta=beta)
             for prior in (PRIOR, BG_21, Prior.signed_two_point(0.05)):
                 for q in (0.0, -0.0):
                     for r in (-0.3, 0.0, 0.1):
@@ -437,7 +436,7 @@ class TestSolveFixedPoint:
         assert fp.r == pytest.approx(0.0, abs=1e-15)
 
     def test_low_snr_informative_start_falls_to_uninformative(self):
-        cfg = SteadyConfig(tau=0.5, omega=0.15, threshold=SoftThreshold(0.27))
+        cfg = Dynamics(tau=0.5, omega=0.15, beta=0.27)
         fp = solve_fixed_point(cfg, PRIOR, (0.5, default_r_init(0.5, cfg)), tol=1e-7)
         assert fp.converged
         assert fp.branch == "uninformative"
@@ -504,7 +503,7 @@ class TestSweep:
             assert a.q_star >= b.q_star - 1e-5
 
     def test_low_snr_uninformative_laplace(self):
-        cfg = SteadyConfig(tau=0.5, omega=0.15, threshold=SoftThreshold(0.27))
+        cfg = Dynamics(tau=0.5, omega=0.15, beta=0.27)
         result = sweep_omega(cfg, PRIOR, np.array([0.15]), tol=1e-7)
         pt = result.points[0]
         assert pt.branch == "uninformative"
@@ -561,7 +560,7 @@ class TestSweep:
         continuation = solves[len(starts):]
         assert continuation[0] == omega_to
         assert all(w == omega_to or omega_to + 1e-12 < w <= omega_from for w in continuation)
-        if cfg.threshold is not None:
+        if cfg.beta > 0.0:
             # the first try reaches the root, and reports its Newton steps
             assert continuation == [omega_to]
             assert fp.converged and fp.iterations > 0
