@@ -185,7 +185,7 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
     started = time.perf_counter()
     records = run_trajectory(
         prior=prior,
-        dynamics=cfgmod.build_steady_config(cfg),
+        dynamics=cfgmod.build_dynamics(cfg),
         p=int(cfg["model"]["p"]),
         seed=int(sim["seed"]),
         t_max=float(sim["t_max"]),
@@ -236,14 +236,16 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
 
 def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
-    pde_cfg = cfgmod.build_pde_config(cfg, prior)
+    dynamics = cfgmod.build_dynamics(cfg)
     sim = cfg["simulation"]
     moment_times, density_times = cfgmod.resolve_times(cfg, "pde", "record_times",
                                                        "density_times")
     all_times = sorted(set(moment_times) | set(density_times))
+    grid = cfgmod.build_grid(cfg, prior)
     started = time.perf_counter()
-    solution = pdemod.solve(pde_cfg, prior, all_times,
-                            x0_mean=float(sim["x0_mean"]), x0_var=float(sim["x0_var"]))
+    start = pdemod.initial_density(float(sim["x0_mean"]), float(sim["x0_var"]), grid, prior,
+                                   dynamics.beta)
+    solution = pdemod.solve(dynamics, start, all_times, cfg["pde"]["dt"])
     solved = time.perf_counter()
 
     by_time = dict(zip(solution.times.tolist(), solution.snapshots))
@@ -296,12 +298,12 @@ def _selected_fixed_point(results):
 def cmd_steady(cfg: dict, outdir: Path, fmt: str,
                with_density: bool) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
-    steady_cfg = cfgmod.build_steady_config(cfg)
+    dynamics = cfgmod.build_dynamics(cfg)
     st = cfg["steady"]
-    inits = [(float(q0), default_r_init(float(q0), steady_cfg) if r0 is None else float(r0))
+    inits = [(float(q0), default_r_init(float(q0), dynamics) if r0 is None else float(r0))
              for q0, r0 in st["inits"]]
     started = time.perf_counter()
-    results = roots_from_inits(steady_cfg, prior, inits,
+    results = roots_from_inits(dynamics, prior, inits,
                                starts=tuple(float(v) for v in cfg["sweep"]["starts"]),
                                tol=float(st["tol"]), max_iter=int(st["max_iter"]))
     solved = time.perf_counter()
@@ -322,7 +324,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
         centers = cfgmod.build_grid(cfg, prior).centers
         atoms = prior.atom_values
         density = [d for atom in atoms
-                   for d in steady_density(atom, fp.q, fp.r, steady_cfg)(centers).tolist()]
+                   for d in steady_density(atom, fp.q, fp.r, dynamics)(centers).tolist()]
         files.append(write_table(
             outdir / "steady_density.csv", ["xi_atom", "x", "density"],
             [Repeat(atoms, each=len(centers)), Repeat(centers, tile=len(atoms)), density], fmt))
@@ -331,11 +333,11 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
 
 def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     prior = cfgmod.build_discrete_prior(cfg)
-    steady_cfg = cfgmod.build_steady_config(cfg)
+    dynamics = cfgmod.build_dynamics(cfg)
     sw = cfg["sweep"]
     omega_grid = np.linspace(float(sw["omega_min"]), float(sw["omega_max"]), int(sw["n_points"]))
     started = time.perf_counter()
-    result = sweep_omega(steady_cfg, prior, omega_grid,
+    result = sweep_omega(dynamics, prior, omega_grid,
                          starts=tuple(float(v) for v in sw["starts"]),
                          tol=float(sw["tol"]), max_iter=int(sw["max_iter"]))
     solved = time.perf_counter()

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .nonlinearity import Dynamics
-from .pde import Grid, PdeConfig
+from .pde import Grid
 from .priors import Prior, discretize_prior
 from .simulate import default_bin_edges, default_theta
 
@@ -272,15 +272,12 @@ def build_discrete_prior(cfg: dict) -> Prior:
     return discretize_prior(build_prior(cfg), int(cfg["model"]["gh_nodes"]))
 
 
-def _beta(cfg: dict) -> float:
-    """Shrinkage strength: ``algorithm.beta`` under the soft threshold, else 0 (plain Oja)."""
+def build_dynamics(cfg: dict) -> Dynamics:
+    """The configured model, as every model-taking command takes it; beta is
+    ``algorithm.beta`` under the soft threshold, else 0 (plain Oja)."""
     a = cfg["algorithm"]
-    return a["beta"] if a["threshold"] == "soft" else 0.0
-
-
-def build_steady_config(cfg: dict) -> Dynamics:
-    """The configured model, as `simulate`, `steady` and `sweep` take it."""
-    return Dynamics(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"], beta=_beta(cfg))
+    return Dynamics(tau=a["tau"], omega=cfg["model"]["omega"],
+                    beta=a["beta"] if a["threshold"] == "soft" else 0.0)
 
 
 def build_grid(cfg: dict, prior: Prior) -> Grid:
@@ -298,14 +295,6 @@ def build_grid(cfg: dict, prior: Prior) -> Grid:
         n = int(math.ceil((new_max - new_min) / dx))
         x_min, x_max = new_min, new_min + n * dx
     return Grid(x_min=x_min, x_max=x_max, n=n)
-
-
-def build_pde_config(cfg: dict, prior: Prior) -> PdeConfig:
-    p = cfg["pde"]
-    dt = p["dt"] if isinstance(p["dt"], str) else float(p["dt"])
-    return PdeConfig(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"],
-                     beta=_beta(cfg), grid=build_grid(cfg, prior),
-                     dt=dt, t_max=float(p["t_max"]))
 
 
 def grid_times(t_max: float, spacing: float = 0.5) -> list[float]:

@@ -14,6 +14,7 @@ it, so the stationary analysis reads them without loading the PDE solver.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,7 @@ def eta_map(x_vec, beta: float, p: int):
 
 @dataclass(frozen=True)
 class Dynamics:
-    """Step size tau > 0, SNR omega >= 0 and shrinkage strength beta >= 0.
+    """Step size tau > 0, SNR omega >= 0 and shrinkage strength beta >= 0, all finite.
 
     One model for every route: the Monte Carlo estimator and its limit
     equations (PDE, closed-form Oja overlap, stationary system). Plain
@@ -54,12 +55,12 @@ class Dynamics:
     beta: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if not self.omega >= 0:
-            raise ConfigError(f"omega must be >= 0, got {self.omega}")
-        if not self.beta >= 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ConfigError(f"omega must be finite and >= 0, got {self.omega}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def diffusion_coefficient(tau: float, omega: float, q: float) -> float:

@@ -12,7 +12,11 @@ with the per-coordinate drift
 
 coupled across atoms through the overlap q = E[x xi] and the shrinkage
 moment r = E[x phi(x)], both recomputed from the densities after every
-step.
+step. The coefficients depend only on the model, a
+``nonlinearity.Dynamics`` (tau, omega, beta), so the solver takes a
+model and a state: ``solve(dynamics, start, record_times, dt)``
+integrates any nonnegative ``ConditionalDensitySet``, such as
+``initial_density``'s Gaussian start or a stationary profile.
 
 Discretization: finite volume on a uniform cell-centred grid with
 no-flux ends. The flux between cells i and i+1 is the exponentially
@@ -85,7 +89,7 @@ _LEAST_DOUBLE = math.ulp(0.0)  # 5e-324
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on [x_min, x_max] with n >= 50 cells."""
+    """Uniform cell-centered grid on a finite [x_min, x_max] with n >= 50 cells."""
 
     x_min: float
     x_max: float
@@ -94,6 +98,8 @@ class Grid:
     def __post_init__(self):
         if self.n < 50:
             raise ConfigError(f"grid needs >= 50 cells, got {self.n}")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ConfigError(f"grid bounds must be finite: [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ConfigError(f"grid bounds out of order: [{self.x_min}, {self.x_max}]")
 
@@ -129,25 +135,6 @@ class ConditionalDensitySet:
     def copy(self) -> "ConditionalDensitySet":
         return replace(self, atoms=self.atoms.copy(), weights=self.weights.copy(),
                        densities=self.densities.copy())
-
-
-@dataclass(frozen=True)
-class PdeConfig(Dynamics):
-    """Dynamics parameters, grid and stepping policy for the limit solver."""
-
-    grid: Grid
-    dt: float | str = "auto"
-    t_max: float = 15.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if isinstance(self.dt, str):
-            if self.dt != "auto":
-                raise ConfigError(f"dt must be a positive number or 'auto', got {self.dt!r}")
-        elif not self.dt > 0:
-            raise ConfigError(f"dt must be > 0, got {self.dt}")
-        if not 0 <= self.t_max < math.inf:
-            raise ConfigError(f"t_max must be finite and >= 0, got {self.t_max}")
 
 
 def drift(x, xi, q, r, tau, omega, beta):
@@ -215,7 +202,7 @@ def initial_density(
     off more than 1e-6 of the Gaussian mass, and refuses setups whose
     initial overlap vanishes (the limit requires a nonzero overlap).
     """
-    if variance <= 0:
+    if not variance > 0:
         raise ConfigError(f"x0 variance must be > 0, got {variance}")
     prior = discretize_prior(prior, DEFAULT_GH_NODES)
     sigma = math.sqrt(variance)
@@ -249,18 +236,19 @@ def initial_density(
     return state
 
 
-def _interface_drift(state: ConditionalDensitySet, cfg: PdeConfig) -> np.ndarray:
+def _interface_drift(state: ConditionalDensitySet, dynamics: Dynamics) -> np.ndarray:
     """Mean drift between the cell centres beside every interface, shape (n_atoms, n+1).
 
     It is ``drift`` with phi(x) replaced by its mean between the centres.
     """
-    _, _, x_if, phi_bar = _grid_tables(state.grid, cfg.beta)
-    gamma = np.subtract((cfg.tau * cfg.omega * state.q) * state.atoms[:, None], phi_bar)
-    gamma -= x_if * restoring_coefficient(cfg.tau, cfg.omega, state.q, state.r)
+    _, _, x_if, phi_bar = _grid_tables(state.grid, dynamics.beta)
+    gamma = np.subtract((dynamics.tau * dynamics.omega * state.q) * state.atoms[:, None],
+                        phi_bar)
+    gamma -= x_if * restoring_coefficient(dynamics.tau, dynamics.omega, state.q, state.r)
     return gamma
 
 
-def auto_dt(state: ConditionalDensitySet, cfg: PdeConfig,
+def auto_dt(state: ConditionalDensitySet, dynamics: Dynamics,
             gamma: np.ndarray | None = None) -> float:
     """Step of COURANT cells per step at the fastest drift: dt = COURANT * dx / max|gamma|.
 
@@ -268,12 +256,12 @@ def auto_dt(state: ConditionalDensitySet, cfg: PdeConfig,
     ``gamma`` is the interface drift of ``state``, when the caller has it.
     """
     if gamma is None:
-        gamma = _interface_drift(state, cfg)
+        gamma = _interface_drift(state, dynamics)
     dx = state.grid.dx
     gmax = float(np.max(np.abs(gamma)))
     if gmax > 0.0:
         return COURANT * dx / gmax
-    return dx * dx / (2.0 * diffusion_coefficient(cfg.tau, cfg.omega, state.q))
+    return dx * dx / (2.0 * diffusion_coefficient(dynamics.tau, dynamics.omega, state.q))
 
 
 def _fitted_diffusion(v: np.ndarray, diffusion: float, dx: float) -> np.ndarray:
@@ -304,13 +292,13 @@ class _FluxOperator(NamedTuple):
     weights: np.ndarray
 
 
-def _flux_operator(state: ConditionalDensitySet, cfg: PdeConfig) -> _FluxOperator:
+def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> _FluxOperator:
     """The fitted flux weights of ``state``'s drift, shared by every step from ``state``."""
-    gamma = _interface_drift(state, cfg)
+    gamma = _interface_drift(state, dynamics)
     # the interface right of every cell, the domain's end included, so that
     # every array below is contiguous; the end's weights are zeroed last
     v = gamma[:, 1:].copy()
-    fitted = _fitted_diffusion(v, diffusion_coefficient(cfg.tau, cfg.omega, state.q),
+    fitted = _fitted_diffusion(v, diffusion_coefficient(dynamics.tau, dynamics.omega, state.q),
                                state.grid.dx)
     weights = np.empty((2, *v.shape))
     w_right, w_left = weights
@@ -322,19 +310,20 @@ def _flux_operator(state: ConditionalDensitySet, cfg: PdeConfig) -> _FluxOperato
     return _FluxOperator(gamma, weights.reshape(2, -1))
 
 
-def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
+def step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float | None = None,
          operator: _FluxOperator | None = None) -> ConditionalDensitySet:
     """Advance all conditional densities by one backward-Euler step.
 
     (q, r) stay frozen at their start-of-step values while the step is
     solved and are recomputed from the new densities before returning.
-    ``operator`` is ``_flux_operator(state, cfg)``, when the caller has it.
+    A ``dt`` of None is ``auto_dt``. ``operator`` is
+    ``_flux_operator(state, dynamics)``, when the caller has it.
     ``state`` is left as it was.
     """
     if operator is None:
-        operator = _flux_operator(state, cfg)
+        operator = _flux_operator(state, dynamics)
     if dt is None:
-        dt = auto_dt(state, cfg, operator.gamma) if cfg.dt == "auto" else float(cfg.dt)
+        dt = auto_dt(state, dynamics, operator.gamma)
     # (I + dt A) P_new = P_old: row i is P_i + (dt/dx) (J_{i+1/2} - J_{i-1/2}),
     # so its sub- and super-diagonal hold -lam w+_{i-1} and -lam w-_i, and its
     # diagonal is (1 + lam w+_i) + lam w-_{i-1}. Rounding is symmetric, so
@@ -351,7 +340,7 @@ def step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float | None = None,
         raise NumericError(f"implicit step: tridiagonal solve failed (LAPACK info {info})")
     new_state = ConditionalDensitySet(state.atoms, state.weights, solved.reshape(p.shape),
                                       state.grid, state.t + dt, state.q, state.r)
-    new_state.q, new_state.r = moments(new_state, cfg.beta)
+    new_state.q, new_state.r = moments(new_state, dynamics.beta)
     return new_state
 
 
@@ -379,7 +368,7 @@ class PdeSolution:
     mass_error: float
 
 
-def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
+def _extrapolated_step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float,
                        tol: float) -> tuple[ConditionalDensitySet | None, float, bool]:
     """One error-controlled "auto" step of length dt from ``state``.
 
@@ -390,9 +379,9 @@ def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
     included; where it has a negative cell, it returns fine instead,
     flagged True. Both have unit mass to rounding.
     """
-    operator = _flux_operator(state, cfg)
-    coarse = step(state, cfg, dt, operator)
-    fine = step(step(state, cfg, 0.5 * dt, operator), cfg, 0.5 * dt)
+    operator = _flux_operator(state, dynamics)
+    coarse = step(state, dynamics, dt, operator)
+    fine = step(step(state, dynamics, 0.5 * dt, operator), dynamics, 0.5 * dt)
     err = max(abs(coarse.q - fine.q), abs(coarse.r - fine.r))
     if math.isnan(err):
         raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
@@ -404,70 +393,69 @@ def _extrapolated_step(state: ConditionalDensitySet, cfg: PdeConfig, dt: float,
     fine.t = coarse.t  # fine is this step's own: it becomes the accepted state
     if not first_order:
         fine.densities = densities
-        fine.q, fine.r = moments(fine, cfg.beta)
+        fine.q, fine.r = moments(fine, dynamics.beta)
     return fine, err, first_order
 
 
 def solve(
-    cfg: PdeConfig,
-    prior: Prior,
+    dynamics: Dynamics,
+    start: ConditionalDensitySet,
     record_times,
-    x0_mean: float = 1.0 / math.sqrt(2.0),
-    x0_var: float = 0.5,
-    initial_state: ConditionalDensitySet | None = None,
+    dt: float | str = "auto",
 ) -> PdeSolution:
-    """Integrate the limit equations and snapshot the state at record_times.
+    """Integrate the limit equations of ``dynamics`` from ``start`` and
+    snapshot the state at record_times.
 
-    A fixed cfg.dt is used as an upper bound (shortened to land exactly
-    on record times). "auto" takes error-controlled extrapolated steps
+    ``start`` is any nonnegative state, such as ``initial_density``'s
+    Gaussian or a stationary profile; the run copies it and keeps its
+    grid and atoms. The record times must be finite and >= 0; one before
+    ``start.t`` records the state as it is then. A numeric ``dt`` is used
+    as an upper bound (shortened to land exactly on record times).
+    "auto" takes error-controlled extrapolated steps
     (``_extrapolated_step``) at the tolerance STEP_TOL * dx^2, starting
-    from ``auto_dt``. Pass ``initial_state`` to start from an arbitrary
-    nonnegative density (e.g. a stationary profile) instead of the Gaussian.
+    from ``auto_dt``.
     """
+    if dt != "auto" and (isinstance(dt, str) or not dt > 0):
+        raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
     record_times = np.sort(np.asarray(record_times, dtype=float))
     if record_times.size == 0:
         raise ConfigError("record_times must not be empty")
-    # np.sort puts NaN last, where the upper bound fails on it
-    if not (record_times[0] >= 0 and record_times[-1] <= cfg.t_max + 1e-12):
-        raise ConfigError("record_times must lie in [0, t_max]")
+    # np.sort puts +inf, then NaN, last
+    if not (record_times[0] >= 0 and math.isfinite(record_times[-1])):
+        raise ConfigError("record_times must lie in [0, inf)")
+    if not start.densities.min() >= 0.0:  # NaN fails too
+        raise ConfigError("start has a negative or NaN density cell")
+    state = start.copy()
 
-    if initial_state is None:
-        state = initial_density(x0_mean, x0_var, cfg.grid, prior, cfg.beta)
-    elif initial_state.densities.min() < 0.0:
-        raise ConfigError("initial_state has a negative density cell")
-    else:
-        state = initial_state.copy()
-
-    adaptive = cfg.dt == "auto"
+    adaptive = dt == "auto"
     if adaptive:
         tol = STEP_TOL * state.grid.dx ** 2
-        dt_trial = auto_dt(state, cfg)
+    dt_trial = auto_dt(state, dynamics) if adaptive else float(dt)
     times, qs, rs, snaps = [], [], [], []
     n_steps = n_rejected = n_first_order = 0
     dt_min, dt_max = math.inf, 0.0
     for t_next in record_times:
         while state.t < t_next - 1e-12:
+            h = min(dt_trial, float(t_next) - state.t)
             if not adaptive:
-                dt = min(float(cfg.dt), float(t_next) - state.t)
-                state = step(state, cfg, dt)
+                state = step(state, dynamics, h)
             else:
-                dt = min(dt_trial, float(t_next) - state.t)
-                new, err, first_order = _extrapolated_step(state, cfg, dt, tol)
+                new, err, first_order = _extrapolated_step(state, dynamics, h, tol)
                 growth = min(4.0, max(0.2, 0.9 * math.sqrt(tol / err))) if err > 0.0 else 4.0
                 if new is None:
                     n_rejected += 1
-                    if dt < 1e-12:
+                    if h < 1e-12:
                         raise NumericError(f"auto step: error {err:.3e} above tolerance "
-                                           f"{tol:.3e} at dt = {dt:.3e}, t = {state.t}")
-                    dt_trial = dt * growth
+                                           f"{tol:.3e} at dt = {h:.3e}, t = {state.t}")
+                    dt_trial = h * growth
                     continue
                 # a step shortened to land on a record time does not shrink the next one
-                dt_trial = max(dt_trial, dt * growth) if dt < dt_trial else dt * growth
+                dt_trial = max(dt_trial, h * growth) if h < dt_trial else h * growth
                 n_first_order += first_order
                 state = new
             n_steps += 1
-            dt_min = min(dt_min, dt)
-            dt_max = max(dt_max, dt)
+            dt_min = min(dt_min, h)
+            dt_max = max(dt_max, h)
         times.append(t_next)
         qs.append(state.q)
         rs.append(state.r)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateStateError
+from .errors import ConfigError, DegenerateStateError, NumericError
 from .nonlinearity import Dynamics
 from .priors import Prior, SignalVector, draw_signal_with_rng, make_rng
 
@@ -153,12 +153,15 @@ def oist_step(state: EstimateState, y: np.ndarray, dynamics: Dynamics) -> Estima
 
 
 def cosine_similarity(x: np.ndarray, xi: np.ndarray) -> float:
-    """Normalized inner product of estimate and signal, clipped to [-1, 1]."""
+    """Normalized inner product of estimate and signal, clipped to [-1, 1];
+    a non-finite value, which clipping would turn into -1, raises ``NumericError``."""
     nx = np.linalg.norm(x)
     nxi = np.linalg.norm(xi)
     if nx == 0.0 or nxi == 0.0:
         raise ValueError("cosine similarity undefined for a zero vector")
     value = float(x @ xi) / (nx * nxi)
+    if not math.isfinite(value):
+        raise NumericError(f"cosine similarity is {value}: the estimate is not finite")
     return min(1.0, max(-1.0, value))
 
 

@@ -27,7 +27,7 @@ from oistlab import (
     sweep_omega,
 )
 from oistlab.cli import main as cli_main
-from oistlab.pde import ConditionalDensitySet, Grid, PdeConfig, moments, solve, step
+from oistlab.pde import ConditionalDensitySet, Grid, initial_density, moments, solve, step
 from oistlab.steady import default_r_init
 
 RHO = 0.05
@@ -117,9 +117,8 @@ def oist_hist_batch():
 
 @pytest.fixture(scope="session")
 def pde_solution():
-    cfg = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA,
-                    grid=Grid(-6.0, 8.0, 900), dt="auto", t_max=15.0)
-    return solve(cfg, PRIOR, np.arange(0.0, 15.5, 0.5))
+    start = initial_density(1.0 / math.sqrt(2.0), 0.5, Grid(-6.0, 8.0, 900), PRIOR, BETA)
+    return solve(STEADY_CFG, start, np.arange(0.0, 15.5, 0.5))
 
 
 @pytest.fixture(scope="session")
@@ -209,9 +208,8 @@ def test_criterion_5_pde_inside_simulation_band(oist_band_batch, pde_solution):
 
 def test_criterion_6_steady_state_consistency(informative_fixed_point):
     fp = informative_fixed_point
-    cfg_long = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA,
-                         grid=Grid(-6.0, 8.0, 900), dt="auto", t_max=200.0)
-    q_long = solve(cfg_long, PRIOR, [200.0]).q_values[-1]
+    start = initial_density(1.0 / math.sqrt(2.0), 0.5, Grid(-6.0, 8.0, 900), PRIOR, BETA)
+    q_long = solve(STEADY_CFG, start, [200.0]).q_values[-1]
     gap_long = abs(q_long - fp.q)
 
     # stationarity of the fixed-point density under the evolution; the
@@ -223,9 +221,7 @@ def test_criterion_6_steady_state_consistency(informative_fixed_point):
     state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
                                   densities=dens, grid=grid, t=0.0, q=0.0, r=0.0)
     state.q, state.r = moments(state, BETA)
-    cfg_stat = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA,
-                         grid=grid, dt="auto", t_max=10.0)
-    drift_run = solve(cfg_stat, PRIOR, np.arange(0.0, 10.5, 0.5), initial_state=state)
+    drift_run = solve(STEADY_CFG, state, np.arange(0.0, 10.5, 0.5))
     drift = float(np.max(np.abs(drift_run.q_values - fp.q)))
 
     ok = gap_long <= 1e-2 and drift <= 1e-3
@@ -312,10 +308,8 @@ def test_criterion_9c_erfcx_identities():
 
 
 def test_criterion_9d_mass_conservation():
-    from oistlab.pde import initial_density
-
     grid = Grid(-6.0, 8.0, 900)
-    cfg = PdeConfig(tau=TAU, omega=OMEGA, beta=BETA, grid=grid, dt="auto")
+    cfg = Dynamics(tau=TAU, omega=OMEGA, beta=BETA)
     state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, BETA)
     for _ in range(100000):
         state = step(state, cfg)

@@ -312,10 +312,10 @@ class TestPdeCommand:
         diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
         cfg = cfgmod.validate_config(cfgmod.load_config(path))
         prior = cfgmod.build_discrete_prior(cfg)
-        solution = pde.solve(cfgmod.build_pde_config(cfg, prior), prior,
-                             cfg["pde"]["record_times"],
-                             x0_mean=cfg["simulation"]["x0_mean"],
-                             x0_var=cfg["simulation"]["x0_var"])
+        model = cfgmod.build_dynamics(cfg)
+        start = pde.initial_density(cfg["simulation"]["x0_mean"], cfg["simulation"]["x0_var"],
+                                    cfgmod.build_grid(cfg, prior), prior, model.beta)
+        solution = pde.solve(model, start, cfg["pde"]["record_times"], dt="auto")
         for key in ("n_steps", "n_rejected", "n_first_order"):
             assert diagnostics[key] == getattr(solution, key)
         assert 0 <= diagnostics["n_first_order"] <= diagnostics["n_steps"]
@@ -327,10 +327,11 @@ class TestPdeCommand:
         cfg = cfgmod.validate_config(cfgmod.load_config(path))
         prior = cfgmod.build_discrete_prior(cfg)
         times = cfg["pde"]["density_times"]
-        solution = pde.solve(cfgmod.build_pde_config(cfg, prior), prior,
-                             sorted(set(times) | set(cfg["pde"]["record_times"])),
-                             x0_mean=cfg["simulation"]["x0_mean"],
-                             x0_var=cfg["simulation"]["x0_var"])
+        model = cfgmod.build_dynamics(cfg)
+        start = pde.initial_density(cfg["simulation"]["x0_mean"], cfg["simulation"]["x0_var"],
+                                    cfgmod.build_grid(cfg, prior), prior, model.beta)
+        solution = pde.solve(model, start, sorted(set(times) | set(cfg["pde"]["record_times"])),
+                             cfg["pde"]["dt"])
         by_time = dict(zip(solution.times.tolist(), solution.snapshots))
         rows = [(t, atom, x, d) for t in times
                 for atom, dens in zip(by_time[t].atoms, by_time[t].densities)
@@ -526,7 +527,7 @@ class TestSteadySearch:
             "model": {"omega": omega},
             "steady": {"inits": [[q0, None] for q0 in sw["starts"]],
                        "tol": sw["tol"], "max_iter": sw["max_iter"]}})
-        result = steady.sweep_omega(cfgmod.build_steady_config(cfg),
+        result = steady.sweep_omega(cfgmod.build_dynamics(cfg),
                                     cfgmod.build_discrete_prior(cfg), [omega],
                                     starts=tuple(sw["starts"]), tol=sw["tol"],
                                     max_iter=sw["max_iter"])
@@ -542,7 +543,7 @@ class TestSteadySearch:
         cfg = cfgmod.load_config(None)
         cfg["model"]["omega"] = 0.2325
         sw = cfg["sweep"]
-        (point,) = steady.sweep_omega(cfgmod.build_steady_config(cfg),
+        (point,) = steady.sweep_omega(cfgmod.build_dynamics(cfg),
                                       cfgmod.build_discrete_prior(cfg), [0.2325],
                                       starts=tuple(sw["starts"]), tol=sw["tol"]).points
         traces = []

@@ -7,7 +7,6 @@ from oistlab.config import (
     DEFAULT_CONFIG,
     build_discrete_prior,
     build_grid,
-    build_pde_config,
     grid_times,
     initial_overlap,
     load_config,
@@ -16,7 +15,6 @@ from oistlab.config import (
     resolve_times,
     validate_config,
 )
-from oistlab.pde import Grid, PdeConfig
 
 
 def default_cfg():
@@ -60,12 +58,6 @@ def test_grid_extends_for_wide_atoms():
     assert grid.x_max >= 10.0 + 3.5
     base = build_grid(default_cfg(), build_discrete_prior(default_cfg()))
     assert grid.dx == pytest.approx(base.dx)
-
-
-def test_build_pde_config_auto_dt():
-    cfg = default_cfg()
-    pde_cfg = build_pde_config(cfg, build_discrete_prior(cfg))
-    assert pde_cfg.dt == "auto"
 
 
 def test_validate_rejects_bad_fields():
@@ -167,11 +159,11 @@ def test_sweep_max_iter_message():
 
 @pytest.mark.parametrize("make", [
     lambda tau, omega: Dynamics(tau, omega, 0.0),
-    lambda tau, omega: PdeConfig(tau, omega, 0.0, Grid(-1.0, 1.0, 50)),
     lambda tau, omega: OjaParams(tau, omega),
-], ids=["SteadyConfig", "PdeConfig", "OjaParams"])
+], ids=["SteadyConfig", "OjaParams"])
 @pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.1),
-                                        (math.nan, 1.0), (0.5, math.nan)])
+                                        (math.nan, 1.0), (0.5, math.nan),
+                                        (math.inf, 1.0), (0.5, math.inf)])
 def test_dynamics_parameters_rejected(make, tau, omega):
     with pytest.raises(ConfigError) as excinfo:
         make(tau, omega)

@@ -18,7 +18,6 @@ from oistlab import (
 from oistlab.pde import (
     ConditionalDensitySet,
     Grid,
-    PdeConfig,
     auto_dt,
     drift,
     initial_density,
@@ -33,10 +32,16 @@ from oistlab.steady import default_r_init
 PRIOR = Prior.two_point(0.05)
 PEAK = 1.0 / math.sqrt(0.05)
 SOFT = 0.27
+MODEL = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
 
 
 def make_grid(n=700, lo=-6.0, hi=8.0):
     return Grid(lo, hi, n)
+
+
+def gaussian_start(grid, prior=PRIOR, beta=SOFT):
+    """The reference start x0 ~ N(1/sqrt(2), 1/2) on ``grid``."""
+    return initial_density(1.0 / math.sqrt(2.0), 0.5, grid, prior, beta)
 
 
 class TestGrid:
@@ -51,6 +56,10 @@ class TestGrid:
             Grid(-1.0, 1.0, 10)
         with pytest.raises(ConfigError):
             Grid(1.0, -1.0, 100)
+        for lo, hi in ((-math.inf, 8.0), (-6.0, math.inf), (-math.inf, math.inf),
+                       (math.nan, 8.0)):
+            with pytest.raises(ConfigError, match="^grid bounds"):
+                Grid(lo, hi, 900)
 
 
 class TestDrift:
@@ -137,6 +146,11 @@ class TestInitialDensity:
         masses = state.densities.sum(axis=1) * grid.dx
         assert np.max(np.abs(masses - 1.0)) <= 1e-8
 
+    def test_variance_refused(self):
+        for variance in (0.0, -0.5, math.nan):
+            with pytest.raises(ConfigError, match="^x0 variance"):
+                initial_density(0.7, variance, make_grid(), PRIOR, SOFT)
+
     def test_zero_mean_refused(self):
         with pytest.raises(ConfigError):
             initial_density(0.0, 0.5, make_grid(), PRIOR, SOFT)
@@ -164,7 +178,7 @@ class TestStep:
         # by 2*D*dt per step
         tau = 0.5
         grid = make_grid(n=700, lo=-7.0, hi=7.0)
-        cfg = PdeConfig(tau=tau, omega=0.0, beta=0.0, grid=grid, dt="auto")
+        cfg = Dynamics(tau=tau, omega=0.0, beta=0.0)
         diffusion = 0.5 * tau ** 2
         state = initial_density(0.3, 0.01, grid, PRIOR, 0.0)
         state.q = 0.0
@@ -201,7 +215,7 @@ class TestStep:
             lambda state, cfg: np.full((len(state.atoms), state.grid.n + 1), c),
         )
         grid = make_grid(n=700, lo=-7.0, hi=7.0)
-        cfg = PdeConfig(tau=0.5, omega=0.0, beta=0.0, grid=grid, dt="auto")
+        cfg = Dynamics(tau=0.5, omega=0.0, beta=0.0)
         state = initial_density(0.3, 0.04, grid, PRIOR, 0.0)
         x = grid.centers
         mean0 = state.densities[0] @ x * grid.dx
@@ -213,7 +227,7 @@ class TestStep:
 
     def test_mass_conserved_and_macro_consistent(self):
         grid = make_grid()
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto")
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         for _ in range(500):
             state = step(state, cfg)
@@ -226,7 +240,7 @@ class TestStep:
         # the implicit step has no stability bound: an oversized dt, and
         # then a wild drift, keep every density >= 0 and every mass at 1
         grid = make_grid()
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto")
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         wild = state.copy()
         wild.q, wild.r = 0.0, -2000.0
@@ -238,7 +252,7 @@ class TestStep:
 
     def test_positivity_within_rounding(self):
         grid = make_grid()
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto")
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
         for _ in range(2000):
             state = step(state, cfg)
@@ -253,9 +267,8 @@ class TestSolve:
         params = OjaParams(tau=0.5, omega=1.0)
         errs = {}
         for n in (700, 1400):
-            cfg = PdeConfig(tau=0.5, omega=1.0, beta=0.0,
-                            grid=make_grid(n=n), dt="auto", t_max=15.0)
-            sol = solve(cfg, PRIOR, times)
+            cfg = Dynamics(tau=0.5, omega=1.0, beta=0.0)
+            sol = solve(cfg, gaussian_start(make_grid(n=n), beta=0.0), times)
             reference = np.array([closed_form_q(t, sol.q_values[0], params) for t in times])
             errs[n] = np.max(np.abs(sol.q_values - reference))
         assert errs[700] <= 5e-3
@@ -264,12 +277,8 @@ class TestSolve:
     def test_grid_refinement_overlap_stable(self):
         # halving dx (and the auto step with it) from the default
         # resolution moves the t=15 overlap by no more than 1e-3
-        cfg_a = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                          grid=make_grid(n=900), dt="auto", t_max=15.0)
-        cfg_b = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                          grid=make_grid(n=1800), dt="auto", t_max=15.0)
-        q_a = solve(cfg_a, PRIOR, [15.0]).q_values[-1]
-        q_b = solve(cfg_b, PRIOR, [15.0]).q_values[-1]
+        q_a = solve(MODEL, gaussian_start(make_grid(n=900)), [15.0]).q_values[-1]
+        q_b = solve(MODEL, gaussian_start(make_grid(n=1800)), [15.0]).q_values[-1]
         assert abs(q_a - q_b) <= 1e-3
 
     def test_stationary_density_held_still(self):
@@ -287,15 +296,13 @@ class TestSolve:
         state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
                                       densities=dens, grid=grid, t=0.0, q=0.0, r=0.0)
         state.q, state.r = moments(state, SOFT)
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=grid, dt="auto", t_max=10.0)
-        sol = solve(cfg, PRIOR, np.arange(0.0, 10.5, 0.5), initial_state=state)
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
+        sol = solve(cfg, state, np.arange(0.0, 10.5, 0.5))
         assert np.max(np.abs(sol.q_values - fp.q)) <= 1e-6
 
     def test_snapshots_and_series(self):
         times = [0.0, 0.5, 1.0]
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                        grid=make_grid(), dt="auto", t_max=1.0)
-        sol = solve(cfg, PRIOR, times)
+        sol = solve(MODEL, gaussian_start(make_grid()), times)
         assert np.array_equal(sol.times, times)
         assert len(sol.snapshots) == 3
         for snap, q in zip(sol.snapshots, sol.q_values):
@@ -303,16 +310,12 @@ class TestSolve:
         assert sol.q_values[2] > sol.q_values[0]  # overlap grows at these settings
 
     def test_fixed_dt_honored(self):
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                        grid=make_grid(), dt=1e-4, t_max=0.01)
-        sol = solve(cfg, PRIOR, [0.01])
+        sol = solve(MODEL, gaussian_start(make_grid()), [0.01], dt=1e-4)
         assert sol.n_steps == 100
 
     def test_multi_atom_asymmetric_prior(self):
         prior = Prior.from_atoms([(-1.0, 0.2), (0.0, 0.6), (2.0, 0.2)])
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                        grid=Grid(-6.0, 8.0, 700), dt="auto", t_max=0.5)
-        sol = solve(cfg, prior, [0.0, 0.5])
+        sol = solve(MODEL, gaussian_start(Grid(-6.0, 8.0, 700), prior), [0.0, 0.5])
         assert len(sol.snapshots[0].atoms) == 3
         assert sol.q_values[0] == pytest.approx(
             (1.0 / math.sqrt(2.0)) * prior.mean / 1.0, abs=1e-9
@@ -321,43 +324,55 @@ class TestSolve:
     def test_symmetric_continuous_prior_refused(self):
         # Bernoulli-Gaussian u is symmetric, so any xi-independent x0 law
         # has zero initial overlap and the solver must refuse to start
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                        grid=Grid(-10.0, 10.0, 800), dt="auto", t_max=0.1)
         with pytest.raises(ConfigError):
-            solve(cfg, Prior.bernoulli_gaussian(0.4), [0.1])
+            solve(MODEL, gaussian_start(Grid(-10.0, 10.0, 800), Prior.bernoulli_gaussian(0.4)),
+                  [0.1])
 
     def test_record_times_validation(self):
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                        grid=make_grid(), dt="auto", t_max=1.0)
+        start = gaussian_start(make_grid())
         with pytest.raises(ConfigError):
-            solve(cfg, PRIOR, [])
-        with pytest.raises(ConfigError):
-            solve(cfg, PRIOR, [2.0])
-        for bad in ([math.nan], [math.nan, 0.5], [0.5, math.nan]):
+            solve(MODEL, start, [])
+        for bad in ([math.nan], [math.nan, 0.5], [0.5, math.nan], [math.inf], [0.5, math.inf],
+                    [-1.0]):
             with pytest.raises(ConfigError, match="^record_times must lie in"):
-                solve(cfg, PRIOR, bad)
-        for t_max in (math.nan, math.inf):
-            with pytest.raises(ConfigError, match="^t_max"):
-                replace(cfg, t_max=t_max)
+                solve(MODEL, start, bad)
+
+    def test_dt_validation(self):
+        start = gaussian_start(make_grid())
+        for bad in ("fixed", 0.0, -0.1, math.nan):
+            with pytest.raises(ConfigError, match="^dt must be"):
+                solve(MODEL, start, [0.5], dt=bad)
 
     def test_negative_initial_state_refused(self):
-        cfg = PdeConfig(tau=0.5, omega=1.0, beta=SOFT,
-                        grid=make_grid(), dt="auto", t_max=1.0)
-        state = initial_density(1.0 / math.sqrt(2.0), 0.5, cfg.grid, PRIOR, SOFT)
-        state.densities[0, 0] = -1e-300
-        with pytest.raises(ConfigError, match="negative"):
-            solve(cfg, PRIOR, [1.0], initial_state=state)
+        for bad in (-1e-300, math.nan):
+            state = gaussian_start(make_grid())
+            state.densities[0, 0] = bad
+            with pytest.raises(ConfigError, match="negative"):
+                solve(MODEL, state, [1.0])
+
+    def test_runs_on_the_start_and_leaves_it_unchanged(self):
+        # the grid and atoms are the start's own: no other grid or prior is read
+        prior = Prior.from_atoms([(-1.0, 0.2), (0.0, 0.6), (2.0, 0.2)])
+        start = gaussian_start(Grid(-6.0, 8.0, 300), prior)
+        before = (start.densities.tobytes(), start.atoms.tobytes(), start.weights.tobytes(),
+                  start.t, start.q, start.r)
+        sol = solve(MODEL, start, [0.0, 0.5])
+        for snap in sol.snapshots:
+            assert snap.grid == start.grid and snap.densities.shape == (3, 300)
+            assert np.array_equal(snap.atoms, start.atoms)
+            assert np.array_equal(snap.weights, start.weights)
+        assert (sol.q_values[0], sol.r_values[0]) == (start.q, start.r)
+        assert (start.densities.tobytes(), start.atoms.tobytes(), start.weights.tobytes(),
+                start.t, start.q, start.r) == before
 
 
-def reference_config(dt="auto", t_max=15.0):
-    return PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=make_grid(n=900),
-                     dt=dt, t_max=t_max)
+REFERENCE_GRID = make_grid(n=900)
 
 
 class TestAutoStep:
     @pytest.fixture(scope="class")
     def reference_run(self):
-        return solve(reference_config(), PRIOR, np.arange(0.0, 15.5, 0.5))
+        return solve(MODEL, gaussian_start(REFERENCE_GRID), np.arange(0.0, 15.5, 0.5))
 
     def test_reaches_t15_in_few_steps(self, reference_run):
         assert reference_run.times[-1] == 15.0
@@ -374,9 +389,10 @@ class TestAutoStep:
         # against the Richardson extrapolation of two fixed-dt runs; the
         # first-order "auto" step this replaced was off by 1.2e-3 in Q here
         times = np.arange(0.0, 3.5, 0.5)
-        auto = solve(reference_config(t_max=3.0), PRIOR, times)
-        coarse = solve(reference_config(dt=0.002, t_max=3.0), PRIOR, times)
-        fine = solve(reference_config(dt=0.0005, t_max=3.0), PRIOR, times)
+        start = gaussian_start(REFERENCE_GRID)
+        auto = solve(MODEL, start, times)
+        coarse = solve(MODEL, start, times, dt=0.002)
+        fine = solve(MODEL, start, times, dt=0.0005)
         q_ref = (4.0 * fine.q_values - coarse.q_values) / 3.0
         assert np.max(np.abs(auto.q_values - q_ref)) <= 1e-4
         dx = make_grid(n=900).dx
@@ -389,14 +405,14 @@ class TestAutoStep:
     def test_negative_extrapolation_falls_back_to_half_steps(self):
         # a narrow start: the coarse step spreads mass further into the
         # empty tails than the two half steps, so 2 fine - coarse < 0 there
-        cfg = reference_config(t_max=1.0)
-        start = initial_density(0.7, 1e-3, cfg.grid, PRIOR, SOFT)
+        cfg = MODEL
+        start = initial_density(0.7, 1e-3, REFERENCE_GRID, PRIOR, SOFT)
         dt = auto_dt(start, cfg)
         half = step(start, cfg, dt=0.5 * dt)
         fine = step(half, cfg, dt=0.5 * dt)
         coarse = step(start, cfg, dt=dt)
         assert np.min(2.0 * fine.densities - coarse.densities) < 0.0
-        sol = solve(cfg, PRIOR, [dt], initial_state=start)
+        sol = solve(cfg, start, [dt])
         assert sol.n_steps == 1 and sol.n_first_order == 1
         assert np.array_equal(sol.snapshots[0].densities, fine.densities)
         assert sol.q_values[0] == fine.q and sol.r_values[0] == fine.r
@@ -422,7 +438,7 @@ def oracle_step(state, cfg, dt=None, gamma=None):
     if gamma is None:
         gamma = pdemod._interface_drift(state, cfg)
     if dt is None:
-        dt = pdemod.auto_dt(state, cfg, gamma) if cfg.dt == "auto" else float(cfg.dt)
+        dt = pdemod.auto_dt(state, cfg, gamma)
     dx = state.grid.dx
     diffusion = pdemod.diffusion_coefficient(cfg.tau, cfg.omega, state.q)
 
@@ -472,41 +488,40 @@ def oracle_extrapolated_step(state, cfg, dt, tol):
     return accepted, err, first_order
 
 
-def narrow_start(cfg):
-    return initial_density(0.7, 1e-3, cfg.grid, PRIOR, SOFT)
+def narrow_start(grid):
+    return initial_density(0.7, 1e-3, grid, PRIOR, SOFT)
 
 
-def bernoulli_gaussian_start(cfg):
+def bernoulli_gaussian_start(grid):
     # the prior is symmetric, so a start independent of xi has no overlap
     prior = discretize_prior(Prior.bernoulli_gaussian(0.05), 21)
-    x = cfg.grid.centers
+    x = grid.centers
     densities = np.exp(-(x[None, :] - 0.1 * prior.atom_values[:, None]) ** 2)
-    densities /= densities.sum(axis=1, keepdims=True) * cfg.grid.dx
+    densities /= densities.sum(axis=1, keepdims=True) * grid.dx
     state = ConditionalDensitySet(prior.atom_values, prior.atom_weights, densities,
-                                  cfg.grid, 0.0, 0.0, 0.0)
-    state.q, state.r = pdemod.moments(state, cfg.beta)
+                                  grid, 0.0, 0.0, 0.0)
+    state.q, state.r = pdemod.moments(state, SOFT)
     return state
 
 
 class TestKernelOracle:
-    @pytest.mark.parametrize("cfg, prior, times, start", [
-        (reference_config(t_max=2.0), PRIOR, np.arange(0.0, 2.5, 0.5), None),
-        (reference_config(dt=0.03, t_max=1.0), PRIOR, [0.0, 0.25, 0.5, 1.0], None),
-        (PdeConfig(tau=0.5, omega=1.0, beta=0.0, grid=make_grid(n=900), t_max=2.0),
-         PRIOR, [1.0, 2.0], None),
-        (PdeConfig(tau=0.5, omega=1.0, beta=SOFT, grid=make_grid(n=200, lo=-8.0),
-                   t_max=0.5), Prior.bernoulli_gaussian(0.05), [0.25, 0.5],
-         bernoulli_gaussian_start),
-        (reference_config(t_max=0.5), PRIOR, [0.1, 0.5], narrow_start),
+    @pytest.mark.parametrize("cfg, dt, grid, times, start", [
+        (MODEL, "auto", REFERENCE_GRID, np.arange(0.0, 2.5, 0.5), None),
+        (MODEL, 0.03, REFERENCE_GRID, [0.0, 0.25, 0.5, 1.0], None),
+        (Dynamics(tau=0.5, omega=1.0, beta=0.0), "auto", REFERENCE_GRID, [1.0, 2.0], None),
+        (MODEL, "auto", make_grid(n=200, lo=-8.0), [0.25, 0.5], bernoulli_gaussian_start),
+        (MODEL, "auto", REFERENCE_GRID, [0.1, 0.5], narrow_start),
     ], ids=["reference-auto", "numeric-dt", "plain-oja", "bernoulli-gaussian-21", "narrow-start"])
-    def test_solve_matches_oracle_bit_for_bit(self, monkeypatch, cfg, prior, times, start):
-        initial = start(cfg) if start else None
-        got = solve(cfg, prior, times, initial_state=initial)
+    def test_solve_matches_oracle_bit_for_bit(self, monkeypatch, cfg, dt, grid, times, start):
+        def initial():
+            return start(grid) if start else gaussian_start(grid, beta=cfg.beta)
+
+        got = solve(cfg, initial(), times, dt)
         with monkeypatch.context() as patch:
             patch.setattr(pdemod, "moments", oracle_moments)
             patch.setattr(pdemod, "step", oracle_step)
             patch.setattr(pdemod, "_extrapolated_step", oracle_extrapolated_step)
-            want = solve(cfg, prior, times, initial_state=start(cfg) if start else None)
+            want = solve(cfg, initial(), times, dt)
         assert len(got.snapshots[0].atoms) == (21 if start is bernoulli_gaussian_start else 2)
         if start is narrow_start:
             assert got.n_first_order > 0
@@ -519,25 +534,20 @@ class TestKernelOracle:
             assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
 
 
-def reference_start(cfg):
-    return initial_density(1.0 / math.sqrt(2.0), 0.5, cfg.grid, PRIOR, SOFT)
-
-
-def later_start(cfg):
+def later_start(grid):
     # past the first steps, which keep their half-step results
-    return solve(cfg, PRIOR, [0.5]).snapshots[-1]
+    return solve(MODEL, gaussian_start(grid), [0.5]).snapshots[-1]
 
 
 class TestNoAliasing:
     # each step writes only into arrays it allocates itself: no state the
     # caller holds, and no recorded snapshot, may share memory with another
 
-    @pytest.mark.parametrize("start", [reference_start, narrow_start],
+    @pytest.mark.parametrize("start", [gaussian_start, narrow_start],
                              ids=["reference", "narrow-start"])
     def test_repeated_solve_is_byte_identical(self, start):
-        cfg = reference_config(t_max=1.0)
         times = [0.0, 0.1, 0.5, 1.0]
-        first, second = (solve(cfg, PRIOR, times, initial_state=start(cfg)) for _ in range(2))
+        first, second = (solve(MODEL, start(REFERENCE_GRID), times) for _ in range(2))
         for key in ("n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error"):
             assert getattr(first, key) == getattr(second, key), key
         for values in ("times", "q_values", "r_values"):
@@ -546,13 +556,12 @@ class TestNoAliasing:
             assert mine.densities.tobytes() == theirs.densities.tobytes()
             assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
 
-    @pytest.mark.parametrize("start", [reference_start, narrow_start],
+    @pytest.mark.parametrize("start", [gaussian_start, narrow_start],
                              ids=["reference", "narrow-start"])
     def test_snapshots_share_no_memory(self, start):
-        cfg = reference_config(t_max=1.0)
-        initial = start(cfg)
+        initial = start(REFERENCE_GRID)
         before = initial.densities.tobytes()
-        sol = solve(cfg, PRIOR, [0.0, 0.1, 0.5, 1.0], initial_state=initial)
+        sol = solve(MODEL, initial, [0.0, 0.1, 0.5, 1.0])
         # the run records both extrapolated and kept half-step results
         assert 0 < sol.n_first_order < sol.n_steps
         arrays = [initial.densities, initial.atoms, initial.weights]
@@ -566,8 +575,8 @@ class TestNoAliasing:
     @pytest.mark.parametrize("start", [later_start, narrow_start],
                              ids=["extrapolated", "half-steps"])
     def test_step_leaves_its_input_unchanged(self, start):
-        cfg = reference_config()
-        state = start(cfg)
+        cfg = MODEL
+        state = start(REFERENCE_GRID)
         before = (state.densities.tobytes(), state.t, state.q, state.r)
         operator = pdemod._flux_operator(state, cfg)
         weights = operator.weights.tobytes()

@@ -10,6 +10,7 @@ from oistlab import (
     DegenerateStateError,
     Dynamics,
     EstimateState,
+    NumericError,
     OjaParams,
     Prior,
     closed_form_q,
@@ -58,6 +59,8 @@ class TestPhiEta:
             Dynamics(tau=0.5, omega=1.0, beta=-0.1)
         with pytest.raises(ValueError):
             Dynamics(tau=0.5, omega=1.0, beta=math.nan)
+        with pytest.raises(ConfigError, match="^beta must be finite"):
+            Dynamics(tau=0.5, omega=1.0, beta=math.inf)
 
 
 class TestOistStep:
@@ -147,6 +150,11 @@ class TestCosine:
     def test_range_clipped(self):
         x = np.array([1e-8, 1.0])
         assert -1.0 <= cosine_similarity(x, x) <= 1.0
+
+    def test_not_a_number_rejected(self):
+        # clipping would report a NaN overlap as -1
+        with pytest.raises(NumericError):
+            cosine_similarity(np.array([math.nan, 1.0]), np.ones(2))
 
 
 class TestJointHistogram:
