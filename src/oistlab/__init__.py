@@ -36,11 +36,11 @@ from .simulate import (
 )
 from .steady import (
     FixedPoint,
+    SteadyDensity,
     erfcx_scaled,
     fixed_point_map,
     fixed_point_map_quadrature,
     solve_fixed_point,
-    steady_density,
     sweep_omega,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "OjaParams",
     "Prior",
     "SignalVector",
+    "SteadyDensity",
     "TrajectoryRecord",
     "closed_form_q",
     "cosine_similarity",
@@ -75,7 +76,6 @@ __all__ = [
     "phi_eval",
     "run_trajectory",
     "solve_fixed_point",
-    "steady_density",
     "steady_state_q",
     "sweep_omega",
 ]

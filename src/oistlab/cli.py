@@ -24,7 +24,7 @@ from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
 from .oja import OjaParams, closed_form_q
 from .simulate import run_trajectory
-from .steady import default_r_init, roots_from_inits, steady_density, sweep_omega
+from .steady import SteadyDensity, default_r_init, roots_from_inits, sweep_omega
 
 
 def _cell(value, fmt: str) -> str:
@@ -319,12 +319,12 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
         "max_residual": max(fp.residual for fp in results),
         "unconverged": sum(not fp.converged for fp in results),
     }
-    if with_density or st["density"]:
+    if with_density:
         fp = _selected_fixed_point(results)
         centers = cfgmod.build_grid(cfg, prior).centers
         atoms = prior.atom_values
         density = [d for atom in atoms
-                   for d in steady_density(atom, fp.q, fp.r, dynamics)(centers).tolist()]
+                   for d in SteadyDensity(atom, fp.q, fp.r, dynamics)(centers).tolist()]
         files.append(write_table(
             outdir / "steady_density.csv", ["xi_atom", "x", "density"],
             [Repeat(atoms, each=len(centers)), Repeat(centers, tile=len(atoms)), density], fmt))

@@ -16,7 +16,7 @@ Schema (all keys optional):
                 histogram_bins, histogram_range, theta, x0_mean, x0_var
     pde:        x_min, x_max, n, dt (number | "auto"), t_max,
                 record_times, density_times
-    steady:     inits ([[q, r | null], ...]), tol, max_iter, density
+    steady:     inits ([[q, r | null], ...]), tol, max_iter
     sweep:      omega_min, omega_max, n_points, starts, damping, tol,
                 max_iter
     output:     directory, format (csv | json)
@@ -93,7 +93,6 @@ DEFAULT_CONFIG = {
         "inits": [[0.0, None], [0.2, None], [0.5, None], [0.9, None]],
         "tol": 1e-7,
         "max_iter": 10000,
-        "density": False,
     },
     "sweep": {
         "omega_min": 0.05,
@@ -352,10 +351,9 @@ def resolve_theta(cfg: dict) -> float:
     return default_theta(build_prior(cfg).rho)
 
 
-def initial_overlap(cfg: dict, prior: Prior | None = None) -> float:
+def initial_overlap(cfg: dict) -> float:
     """Limiting initial overlap of the configured x0 law: E[x xi]/sqrt(E[x^2])."""
-    if prior is None:
-        prior = build_discrete_prior(cfg)
+    prior = build_discrete_prior(cfg)
     s = cfg["simulation"]
     second = s["x0_mean"] ** 2 + s["x0_var"]
     return s["x0_mean"] * prior.mean / math.sqrt(second)

@@ -21,7 +21,7 @@ class NumericError(OistlabError):
 
 
 class DegenerateStateError(NumericError):
-    """Estimate collapsed to the zero vector after thresholding."""
+    """Estimate collapsed to the zero vector after thresholding, or a zero signal."""
 
 
 class NonNormalizableError(NumericError):

@@ -78,10 +78,9 @@ from scipy.special import ndtr
 from .errors import ConfigError, NumericError
 from .nonlinearity import (Dynamics, diffusion_coefficient, phi_eval, phi_mean,
                            restoring_coefficient)
-from .priors import Prior, discretize_prior
+from .priors import Prior
 
 MASS_TOL = 1e-8
-DEFAULT_GH_NODES = 21
 COURANT = 1.0
 STEP_TOL = 0.04  # "auto" step: error allowed per step in (q, r), in units of dx^2
 _LEAST_DOUBLE = math.ulp(0.0)  # 5e-324
@@ -170,8 +169,9 @@ def moments(state: ConditionalDensitySet, beta: float) -> tuple[float, float]:
     x, xphi, _, _ = _grid_tables(state.grid, beta)
     p = state.densities
     errors = [abs(m * dx - 1.0) for m in p.sum(axis=1).tolist()]
-    if any(e > MASS_TOL for e in errors):
-        raise NumericError(f"conditional density mass off by {max(errors):.3e} (> {MASS_TOL})")
+    bad = [e for e in errors if not e <= MASS_TOL]  # NaN is bad too
+    if bad:
+        raise NumericError(f"conditional density mass off by {max(bad):.3e} (> {MASS_TOL})")
     weights = state.weights.tolist()
     q = _atom_sum([w * a * (f * dx) for w, a, f in
                    zip(weights, state.atoms.tolist(), (p @ x).tolist())])
@@ -198,18 +198,19 @@ def initial_density(
 ) -> ConditionalDensitySet:
     """Gaussian initial profile, identical for every atom (x0 independent of xi).
 
-    Cell-averaged on the grid and renormalized; refuses grids that cut
-    off more than 1e-6 of the Gaussian mass, and refuses setups whose
-    initial overlap vanishes (the limit requires a nonzero overlap).
+    Cell-averaged on the grid and renormalized; refuses a continuous prior,
+    grids that cut off more than 1e-6 (or NaN) of the Gaussian mass, and
+    setups whose initial overlap vanishes (the limit requires a nonzero overlap).
     """
     if not variance > 0:
         raise ConfigError(f"x0 variance must be > 0, got {variance}")
-    prior = discretize_prior(prior, DEFAULT_GH_NODES)
+    if not prior.is_discrete:
+        raise ConfigError("initial density needs a discrete prior; discretize it first")
     sigma = math.sqrt(variance)
     lo = (grid.x_min - mean) / sigma
     hi = (grid.x_max - mean) / sigma
     outside = ndtr(lo) + (1.0 - ndtr(hi))
-    if outside > 1e-6:
+    if not outside <= 1e-6:  # NaN fails too
         raise ConfigError(
             f"grid [{grid.x_min}, {grid.x_max}] cuts off {outside:.2e} of the "
             "initial Gaussian mass (> 1e-6); enlarge the domain"

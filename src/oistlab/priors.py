@@ -28,11 +28,6 @@ from .errors import ConfigError
 WEIGHT_TOL = 1e-12
 SECOND_MOMENT_TOL = 1e-10
 
-TWO_POINT = "two_point"
-SIGNED_TWO_POINT = "signed_two_point"
-BERNOULLI_GAUSSIAN = "bernoulli_gaussian"
-DISCRETE = "discrete"
-
 
 @dataclass(frozen=True)
 class Prior:
@@ -43,7 +38,6 @@ class Prior:
     to 1 and the second moment must equal 1 (both checked).
     """
 
-    kind: str
     rho: float
     atoms: tuple[tuple[float, float], ...] | None = None
 
@@ -51,8 +45,6 @@ class Prior:
         if not 0.0 < self.rho <= 1.0:
             raise ConfigError(f"prior sparsity rho must lie in (0, 1], got {self.rho}")
         if self.atoms is None:
-            if self.kind != BERNOULLI_GAUSSIAN:
-                raise ConfigError(f"prior kind {self.kind!r} requires explicit atoms")
             return
         w = np.array([wj for _, wj in self.atoms], dtype=float)
         v = np.array([vj for vj, _ in self.atoms], dtype=float)
@@ -77,7 +69,7 @@ class Prior:
             atoms = ((peak, 1.0),)
         else:
             atoms = ((0.0, 1.0 - rho), (peak, rho))
-        return cls(kind=TWO_POINT, rho=rho, atoms=atoms)
+        return cls(rho=rho, atoms=atoms)
 
     @classmethod
     def signed_two_point(cls, rho: float) -> "Prior":
@@ -89,19 +81,19 @@ class Prior:
             atoms = ((-peak, 0.5), (peak, 0.5))
         else:
             atoms = ((-peak, rho / 2), (0.0, 1.0 - rho), (peak, rho / 2))
-        return cls(kind=SIGNED_TWO_POINT, rho=rho, atoms=atoms)
+        return cls(rho=rho, atoms=atoms)
 
     @classmethod
     def bernoulli_gaussian(cls, rho: float) -> "Prior":
         """Zero with mass 1-rho, N(0, 1/rho) with mass rho."""
-        return cls(kind=BERNOULLI_GAUSSIAN, rho=rho, atoms=None)
+        return cls(rho=rho)
 
     @classmethod
     def from_atoms(cls, atoms) -> "Prior":
         """Discrete prior from explicit (value, weight) pairs; rho is the nonzero mass."""
         atoms = tuple((float(v), float(w)) for v, w in atoms)
         rho = sum(w for v, w in atoms if v != 0.0)
-        return cls(kind=DISCRETE, rho=rho, atoms=atoms)
+        return cls(rho=rho, atoms=atoms)
 
     @property
     def is_discrete(self) -> bool:
@@ -132,12 +124,7 @@ class SignalVector:
     """Realized signal vector with the atom values of its generating prior."""
 
     xi: np.ndarray
-    p: int
     atoms: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.xi.shape != (self.p,):
-            raise ConfigError(f"signal vector shape {self.xi.shape} != ({self.p},)")
 
 
 def make_rng(seed: int, replica: int | None = None) -> np.random.Generator:
@@ -149,18 +136,13 @@ def make_rng(seed: int, replica: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def draw_signal(prior: Prior, p: int, seed: int) -> SignalVector:
+def draw_signal(prior: Prior, p: int, rng: np.random.Generator) -> SignalVector:
     """Draw a signal vector with i.i.d. coordinates from the prior.
 
-    Deterministic given (prior, p, seed).
+    Deterministic given (prior, p) and the state of ``rng``, e.g. ``make_rng(seed)``.
     """
     if p < 2:
         raise ConfigError(f"dimension p must be >= 2, got {p}")
-    return draw_signal_with_rng(prior, p, make_rng(seed))
-
-
-def draw_signal_with_rng(prior: Prior, p: int, rng: np.random.Generator) -> SignalVector:
-    """Same as draw_signal but consuming an externally owned generator."""
     if prior.is_discrete:
         values = prior.atom_values
         idx = rng.choice(len(values), size=p, p=prior.atom_weights)
@@ -173,7 +155,7 @@ def draw_signal_with_rng(prior: Prior, p: int, rng: np.random.Generator) -> Sign
         gauss = rng.standard_normal(p) / np.sqrt(prior.rho)
         xi = np.where(mask, gauss, 0.0)
         atoms = None
-    return SignalVector(xi=xi, p=p, atoms=atoms)
+    return SignalVector(xi=xi, atoms=atoms)
 
 
 def next_sample(signal: SignalVector, omega: float, rng: np.random.Generator) -> np.ndarray:
@@ -181,8 +163,8 @@ def next_sample(signal: SignalVector, omega: float, rng: np.random.Generator) ->
     if omega < 0:
         raise ConfigError(f"omega must be >= 0, got {omega}")
     c = rng.standard_normal()
-    a = rng.standard_normal(signal.p)
-    return np.sqrt(omega / signal.p) * c * signal.xi + a
+    a = rng.standard_normal(signal.xi.size)
+    return np.sqrt(omega / signal.xi.size) * c * signal.xi + a
 
 
 def draw_samples(signal: SignalVector, omega: float, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -190,8 +172,8 @@ def draw_samples(signal: SignalVector, omega: float, rng: np.random.Generator, c
     if omega < 0:
         raise ConfigError(f"omega must be >= 0, got {omega}")
     c = rng.standard_normal(count)
-    a = rng.standard_normal((count, signal.p))
-    return np.sqrt(omega / signal.p) * np.outer(c, signal.xi) + a
+    a = rng.standard_normal((count, signal.xi.size))
+    return np.sqrt(omega / signal.xi.size) * np.outer(c, signal.xi) + a
 
 
 def discretize_prior(prior: Prior, n_nodes: int) -> Prior:
@@ -219,7 +201,7 @@ def discretize_prior(prior: Prior, n_nodes: int) -> Prior:
     atoms = tuple(sorted(merged.items()))
     rho = sum(w for v, w in atoms if v != 0.0)
     try:
-        return Prior(kind=DISCRETE, rho=rho, atoms=atoms)
+        return Prior(rho=rho, atoms=atoms)
     except ConfigError as exc:
         raise ConfigError(
             f"gauss-hermite discretization with {n_nodes} node(s) cannot "

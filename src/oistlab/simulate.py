@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateStateError, NumericError
 from .nonlinearity import Dynamics
-from .priors import Prior, SignalVector, draw_signal_with_rng, make_rng
+from .priors import Prior, SignalVector, draw_signal, make_rng
 
 # doubles in one (rows, p) state or sample buffer of a batch
 BATCH_ELEMENTS = 2 ** 15
@@ -237,7 +237,11 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     p = run.p
     rows = len(replicas)
     rngs = [make_rng(run.seed, replica) for replica in replicas]
-    signals = [draw_signal_with_rng(run.prior, p, rng) for rng in rngs]
+    signals = [draw_signal(run.prior, p, rng) for rng in rngs]
+    for replica, signal in zip(replicas, signals):
+        if not signal.xi.any():
+            raise DegenerateStateError(f"replica {replica}: the signal drawn at p = {p} is "
+                                       "all zeros, so its overlap is undefined")
     x = np.empty((rows, p))
     for row, rng in zip(x, rngs):
         row[:] = run.x0_mean + math.sqrt(run.x0_var) * rng.standard_normal(p)
@@ -321,11 +325,10 @@ def _run_chunk(run: _Run, replicas: range) -> tuple[list[TrajectoryRecord], np.n
     return records, timings
 
 
-def default_bin_edges(rho: float, n_bins: int = 101, lo: float = -2.0, hi: float | None = None) -> np.ndarray:
-    """Uniform bin edges covering both conditional densities of the default prior."""
-    if hi is None:
-        hi = 2.0 + 1.0 / math.sqrt(rho)
-    return np.linspace(lo, hi, n_bins + 1)
+def default_bin_edges(rho: float, n_bins: int = 101) -> np.ndarray:
+    """Uniform bin edges on [-2, 2 + 1/sqrt(rho)], covering both conditional
+    densities of the default prior."""
+    return np.linspace(-2.0, 2.0 + 1.0 / math.sqrt(rho), n_bins + 1)
 
 
 def default_theta(rho: float) -> float:

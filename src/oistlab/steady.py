@@ -175,11 +175,6 @@ class SteadyDensity:
         return np.exp(self.log_pdf(x))
 
 
-def steady_density(xi: float, q: float, r: float, cfg: Dynamics) -> SteadyDensity:
-    """Stationary conditional density of x given one atom value."""
-    return SteadyDensity(xi, q, r, cfg)
-
-
 def _tail_moments(z: float, t: float) -> tuple[float, float, float]:
     """(p1, p2, p3) of one half-line at z >= Z_TAIL, in the units of its term t.
 
@@ -238,22 +233,6 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: Dynamics, prior: Prio
     p2 = t/2 - z p1 and p3 = p1 - z p2, except where z >= Z_TAIL: there
     that recurrence cancels, and ``_tail_moments`` runs it downward.
     """
-    return _self_consistency(q, r, cfg, prior, True)
-
-
-def fixed_point_map(q: float, r: float, cfg: Dynamics, prior: Prior) -> tuple[float, float]:
-    """One application of the self-consistency map (q, r) -> (q', r').
-
-    The first two values of ``fixed_point_map_with_jacobian``, by the same
-    code path, without the derivative work.
-    """
-    return _self_consistency(q, r, cfg, prior, False)
-
-
-def _self_consistency(q: float, r: float, cfg: Dynamics, prior: Prior, jacobian: bool
-                      ) -> tuple[float, ...]:
-    """The body of ``fixed_point_map_with_jacobian``; returns (q', r') alone
-    unless ``jacobian``."""
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
     g = g_scale(q, cfg)
@@ -284,8 +263,6 @@ def _self_consistency(q: float, r: float, cfg: Dynamics, prior: Prior, jacobian:
         abs_ratio = (TWO_OVER_SQRT_PI * e - z_plus * t_plus - z_minus * t_minus) / den
         q_new += w * xi * scale * mean_ratio
         r_new += w * beta * scale * abs_ratio
-        if not jacobian:
-            continue
         if z_minus < Z_TAIL:
             p1_minus = INV_SQRT_PI * e - z_minus * t_minus
             p2_minus = 0.5 * t_minus - z_minus * p1_minus
@@ -306,8 +283,6 @@ def _self_consistency(q: float, r: float, cfg: Dynamics, prior: Prior, jacobian:
         var_q += xi * xi_w_den * (even2 - mean_ratio * odd1)
         cov_r += w_den * (p3_minus + p3_plus - abs_ratio * even2)
         cov_qr += xi_w_den * (p2_minus - p2_plus - abs_ratio * odd1)
-    if not jacobian:
-        return q_new, r_new
     g_q = cfg.tau * tau_omega * q
     log_g_q = g_q / g
     along_q = scale * (log_g_q + (tau_omega * q + 0.5 * g_q) / h)
@@ -318,6 +293,12 @@ def _self_consistency(q: float, r: float, cfg: Dynamics, prior: Prior, jacobian:
             along_r * cov_q,
             log_g_q * r_new - beta * (along_q * cov_r - tilt_q * cov_qr),
             beta * along_r * cov_r)
+
+
+def fixed_point_map(q: float, r: float, cfg: Dynamics, prior: Prior) -> tuple[float, float]:
+    """One application of the self-consistency map (q, r) -> (q', r'): the
+    first two values of ``fixed_point_map_with_jacobian``."""
+    return fixed_point_map_with_jacobian(q, r, cfg, prior)[:2]
 
 
 def _unnormalized_logpdf(x, g, h, beta, tilt, shift):
@@ -422,6 +403,9 @@ def solve_fixed_point(
     the domain boundary (the uninformative solution sits exactly on
     it). Stops at residual <= tol; otherwise returns the best iterate
     seen with converged=False.
+
+    ``converged`` certifies a residual <= tol, not an attracting root: no
+    stability is tested. ``oistlab steady`` runs Newton (``roots_from_inits``).
     """
     if not 0.0 < damping <= 1.0:
         raise ConfigError(f"damping must lie in (0, 1], got {damping}")

@@ -15,6 +15,7 @@ from oistlab import (
     Dynamics,
     OjaParams,
     Prior,
+    SteadyDensity,
     closed_form_q,
     erfcx_scaled,
     fixed_point_map,
@@ -22,7 +23,6 @@ from oistlab import (
     ode_q,
     run_trajectory,
     solve_fixed_point,
-    steady_density,
     steady_state_q,
     sweep_omega,
 )
@@ -215,7 +215,7 @@ def test_criterion_6_steady_state_consistency(informative_fixed_point):
     # stationarity of the fixed-point density under the evolution; the
     # first-order scheme needs a fine grid to hold the profile still
     grid = Grid(-6.0, 8.0, 2800)
-    dens = np.stack([steady_density(v, fp.q, fp.r, STEADY_CFG)(grid.centers)
+    dens = np.stack([SteadyDensity(v, fp.q, fp.r, STEADY_CFG)(grid.centers)
                      for v in PRIOR.atom_values])
     dens /= dens.sum(axis=1, keepdims=True) * grid.dx
     state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
@@ -239,7 +239,7 @@ def test_criterion_7_uninformative_solution():
     laplace = (BETA / TAU ** 2) * np.exp(-2.0 * BETA / TAU ** 2 * np.abs(x))
     worst = 0.0
     for atom in PRIOR.atom_values:
-        dens = steady_density(atom, 0.0, TAU ** 2 / 2.0, STEADY_CFG)(x)
+        dens = SteadyDensity(atom, 0.0, TAU ** 2 / 2.0, STEADY_CFG)(x)
         worst = max(worst, float(np.max(np.abs(dens - laplace))))
     ok = cond_fp and worst <= 1e-8
     report(7, ok,

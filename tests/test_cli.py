@@ -224,6 +224,23 @@ class TestSimulateCommand:
         for name in ("trajectory.csv", "histograms.csv", "summary.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_zero_signal_is_a_numerical_failure(self, tmp_path, capsys, threads):
+        # at seed 1234 and p = 64 the two-point prior draws no nonzero
+        # coordinate for replica 18, so its overlap is undefined
+        path = tmp_path / "zero.json"
+        run_cfg = {"model": {"p": 64}, "simulation": {"t_max": 0.5, "replicas": 18}}
+        path.write_text(json.dumps(run_cfg))
+        code, _ = run(tmp_path / "ok", "simulate", "--config", str(path), "--threads", threads)
+        assert code == 0
+        run_cfg["simulation"]["replicas"] = 19
+        path.write_text(json.dumps(run_cfg))
+        code, out = run(tmp_path, "simulate", "--config", str(path), "--threads", threads)
+        assert code == 3
+        assert ("numerical failure: replica 18: the signal drawn at p = 64 is all zeros"
+                in capsys.readouterr().err)
+        assert not (out / "trajectory.csv").exists()
+
     def test_manifest_diagnostics(self, tmp_path):
         code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path))
         assert code == 0
@@ -656,6 +673,15 @@ class TestValidation:
         cfg = write_config(tmp_path, {"sweep": {"damping": 0.5}})
         code, _ = run(tmp_path, "sweep", "--config", cfg)
         assert code == 0
+
+    def test_removed_steady_density_rejected(self, tmp_path, capsys):
+        # --density is the one switch for the density table
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"steady": {"density": False}}))
+        code, out = run(tmp_path, "steady", "--config", str(path))
+        assert code == 2
+        assert "unknown config key: steady.density" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_discrete_prior_checked_with_field_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

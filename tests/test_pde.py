@@ -11,9 +11,9 @@ from oistlab import (
     NumericError,
     OjaParams,
     Prior,
+    SteadyDensity,
     closed_form_q,
     solve_fixed_point,
-    steady_density,
 )
 from oistlab.pde import (
     ConditionalDensitySet,
@@ -132,6 +132,12 @@ class TestMoments:
         with pytest.raises(NumericError):
             moments(state, 0.0)
 
+    def test_nan_cell_rejected(self):
+        state = initial_density(0.7, 0.5, make_grid(), PRIOR, SOFT)
+        state.densities[1, 400] = math.nan
+        with pytest.raises(NumericError, match="mass off by nan"):
+            moments(state, SOFT)
+
 
 class TestInitialDensity:
     def test_reference_initial_overlap(self):
@@ -163,6 +169,10 @@ class TestInitialDensity:
     def test_grid_too_small(self):
         with pytest.raises(ConfigError):
             initial_density(0.7, 0.5, Grid(-0.5, 0.5, 64), PRIOR, SOFT)
+
+    def test_nan_mean_rejected(self):
+        with pytest.raises(ConfigError, match="cuts off nan"):
+            initial_density(math.nan, 0.5, Grid(-6.0, 8.0, 300), Prior.two_point(0.05), SOFT)
 
     def test_macro_matches_moments(self):
         grid = make_grid()
@@ -290,7 +300,7 @@ class TestSolve:
                                (0.5, default_r_init(0.5, steady_cfg)), tol=1e-12)
         assert fp.converged and fp.branch == "informative"
         grid = make_grid(n=900)
-        dens = np.stack([steady_density(v, fp.q, fp.r, steady_cfg)(grid.centers)
+        dens = np.stack([SteadyDensity(v, fp.q, fp.r, steady_cfg)(grid.centers)
                          for v in PRIOR.atom_values])
         dens /= dens.sum(axis=1, keepdims=True) * grid.dx
         state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
@@ -323,8 +333,9 @@ class TestSolve:
 
     def test_symmetric_continuous_prior_refused(self):
         # Bernoulli-Gaussian u is symmetric, so any xi-independent x0 law
-        # has zero initial overlap and the solver must refuse to start
-        with pytest.raises(ConfigError):
+        # has zero initial overlap; the start is refused before that, since
+        # a continuous prior must be discretized first
+        with pytest.raises(ConfigError, match="discretize it first"):
             solve(MODEL, gaussian_start(Grid(-10.0, 10.0, 800), Prior.bernoulli_gaussian(0.4)),
                   [0.1])
 

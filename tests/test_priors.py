@@ -36,11 +36,11 @@ class TestPrior:
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ConfigError):
-            Prior(kind="discrete", rho=0.5, atoms=((0.0, 0.6), (2.0, 0.3)))
+            Prior(rho=0.5, atoms=((0.0, 0.6), (2.0, 0.3)))
 
     def test_bad_second_moment_rejected(self):
         with pytest.raises(ConfigError):
-            Prior(kind="discrete", rho=0.5, atoms=((0.0, 0.5), (1.0, 0.5)))
+            Prior(rho=0.5, atoms=((0.0, 0.5), (1.0, 0.5)))
 
     def test_rho_range(self):
         with pytest.raises(ConfigError):
@@ -55,12 +55,12 @@ class TestPrior:
 
 class TestDrawSignal:
     def test_rho_one_degenerate(self):
-        signal = draw_signal(Prior.two_point(1.0), 4, seed=0)
+        signal = draw_signal(Prior.two_point(1.0), 4, make_rng(0))
         assert np.array_equal(signal.xi, np.ones(4))
 
     def test_two_point_counts_and_values(self):
         rho, p = 0.05, 10000
-        signal = draw_signal(Prior.two_point(rho), p, seed=123)
+        signal = draw_signal(Prior.two_point(rho), p, make_rng(123))
         nonzero = signal.xi[signal.xi != 0.0]
         assert np.allclose(nonzero, 1.0 / math.sqrt(rho))
         # binomial concentration: 500 +- 5*sqrt(p*rho*(1-rho)) ~ 109
@@ -69,15 +69,15 @@ class TestDrawSignal:
 
     def test_deterministic_given_seed(self):
         prior = Prior.two_point(0.05)
-        a = draw_signal(prior, 1000, seed=9)
-        b = draw_signal(prior, 1000, seed=9)
+        a = draw_signal(prior, 1000, make_rng(9))
+        b = draw_signal(prior, 1000, make_rng(9))
         assert np.array_equal(a.xi, b.xi)
-        c = draw_signal(prior, 1000, seed=10)
+        c = draw_signal(prior, 1000, make_rng(10))
         assert not np.array_equal(a.xi, c.xi)
 
     def test_second_moment_concentrates(self):
         prior = Prior.two_point(0.05)
-        means = [np.mean(draw_signal(prior, 10000, seed=s).xi ** 2) for s in range(100)]
+        means = [np.mean(draw_signal(prior, 10000, make_rng(s)).xi ** 2) for s in range(100)]
         assert abs(np.mean(means) - 1.0) <= 0.02
 
     def test_norm_concentration_per_draw(self):
@@ -87,12 +87,12 @@ class TestDrawSignal:
         var_xi2 = 1.0 / rho - 1.0
         bound = 5.0 * math.sqrt(var_xi2 / p)
         for seed in range(20):
-            signal = draw_signal(prior, p, seed=seed)
+            signal = draw_signal(prior, p, make_rng(seed))
             assert abs(np.mean(signal.xi ** 2) - 1.0) <= bound
 
     def test_bernoulli_gaussian_support(self):
         prior = Prior.bernoulli_gaussian(0.3)
-        signal = draw_signal(prior, 20000, seed=5)
+        signal = draw_signal(prior, 20000, make_rng(5))
         frac = np.mean(signal.xi != 0.0)
         assert abs(frac - 0.3) <= 0.02
         assert abs(np.mean(signal.xi ** 2) - 1.0) <= 0.05
@@ -100,19 +100,19 @@ class TestDrawSignal:
 
     def test_small_p_rejected(self):
         with pytest.raises(ConfigError):
-            draw_signal(Prior.two_point(0.5), 1, seed=0)
+            draw_signal(Prior.two_point(0.5), 1, make_rng(0))
 
 
 class TestNextSample:
     def test_zero_snr_is_pure_noise(self):
-        signal = draw_signal(Prior.two_point(0.5), 4, seed=1)
+        signal = draw_signal(Prior.two_point(0.5), 4, make_rng(1))
         rng = make_rng(2)
         ys = draw_samples(signal, 0.0, rng, 100000)
         cov = ys.T @ ys / ys.shape[0]
         assert np.max(np.abs(cov - np.eye(4))) <= 0.05
 
     def test_population_covariance(self):
-        signal = draw_signal(Prior.two_point(0.5), 4, seed=3)
+        signal = draw_signal(Prior.two_point(0.5), 4, make_rng(3))
         rng = make_rng(4)
         ys = draw_samples(signal, 1.0, rng, 1000000)
         cov = ys.T @ ys / ys.shape[0]
@@ -124,18 +124,18 @@ class TestNextSample:
             def standard_normal(self, size=None):
                 return 1.0 if size is None else np.zeros(size)
 
-        signal = draw_signal(Prior.two_point(0.5), 4, seed=1)
+        signal = draw_signal(Prior.two_point(0.5), 4, make_rng(1))
         y = next_sample(signal, 1.0, StubRng())
         assert np.allclose(y, np.sqrt(1.0 / 4.0) * signal.xi)
 
     def test_unbiased(self):
-        signal = draw_signal(Prior.two_point(0.5), 4, seed=6)
+        signal = draw_signal(Prior.two_point(0.5), 4, make_rng(6))
         rng = make_rng(7)
         ys = draw_samples(signal, 1.0, rng, 100000)
         assert np.linalg.norm(ys.mean(axis=0)) <= 0.05 * 2.0
 
     def test_negative_snr_rejected(self):
-        signal = draw_signal(Prior.two_point(0.5), 4, seed=1)
+        signal = draw_signal(Prior.two_point(0.5), 4, make_rng(1))
         with pytest.raises(ConfigError):
             next_sample(signal, -0.1, make_rng(0))
 

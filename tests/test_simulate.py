@@ -23,7 +23,7 @@ from oistlab import (
     phi_eval,
     run_trajectory,
 )
-from oistlab.priors import draw_signal_with_rng, make_rng, next_sample
+from oistlab.priors import make_rng, next_sample
 from oistlab.simulate import BATCH_ELEMENTS, default_bin_edges, default_theta
 
 
@@ -172,7 +172,7 @@ class TestJointHistogram:
 
     def test_mass_one(self):
         prior = Prior.two_point(0.05)
-        signal = draw_signal(prior, 5000, seed=8)
+        signal = draw_signal(prior, 5000, make_rng(8))
         x = make_rng(9).standard_normal(5000)
         edges = default_bin_edges(0.05)
         for h in joint_histogram(x, signal, edges):
@@ -184,7 +184,7 @@ class TestJointHistogram:
         # samples; sparser atoms scale as 1/sqrt(count)
         p = 100000
         prior = Prior.two_point(0.05)
-        signal = draw_signal(prior, p, seed=10)
+        signal = draw_signal(prior, p, make_rng(10))
         rng = make_rng(11)
         x = 1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p)
         edges = default_bin_edges(0.05)
@@ -217,7 +217,7 @@ class TestJointHistogram:
 class TestMisclassification:
     def test_perfect_recovery(self):
         prior = Prior.two_point(0.25)
-        signal = draw_signal(prior, 1000, seed=12)
+        signal = draw_signal(prior, 1000, make_rng(12))
         assert misclassification_rate(signal.xi, signal, theta=0.5) == 0.0
 
     def test_all_zero_estimate(self):
@@ -233,7 +233,7 @@ class TestMisclassification:
         p = 100000
         rho, theta = 0.05, 0.8
         prior = Prior.two_point(rho)
-        signal = draw_signal(prior, p, seed=13)
+        signal = draw_signal(prior, p, make_rng(13))
         x = make_rng(14).standard_normal(p)
         from scipy.special import ndtr
 
@@ -324,7 +324,7 @@ class TestRunTrajectory:
         p = 40
         cfg = Dynamics(tau=0.5, omega=1.0, beta=0.3)
         rng = make_rng(31)
-        signal = draw_signal(prior, p, seed=32)
+        signal = draw_signal(prior, p, make_rng(32))
         x0 = 0.5 + rng.standard_normal(p)
         sample_rng = make_rng(33)
         state_a = EstimateState(x=x0.copy(), k=0)
@@ -376,7 +376,7 @@ class TestRunTrajectory:
         for replica, rec in enumerate(recs):
             assert rec.replica_id == replica
             rng = make_rng(seed, replica)
-            signal = draw_signal_with_rng(prior, p, rng)
+            signal = draw_signal(prior, p, rng)
             state = EstimateState(x=1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p))
             q, mis, hists = [], [], []
             for k in range(31):
@@ -437,5 +437,5 @@ def _unit(v):
 def _signal_from(xi, prior):
     from oistlab import SignalVector
 
-    return SignalVector(xi=np.asarray(xi, dtype=float), p=len(xi),
+    return SignalVector(xi=np.asarray(xi, dtype=float),
                         atoms=tuple(float(v) for v in prior.atom_values))

