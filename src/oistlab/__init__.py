@@ -16,17 +16,15 @@ from .errors import (
     OistlabError,
 )
 from .nonlinearity import Dynamics, eta_map, phi_eval
-from .oja import OjaParams, closed_form_q, ode_q, steady_state_q
+from .oja import closed_form_q, ode_q, steady_state_q
 from .priors import (
     Prior,
-    SignalVector,
     discretize_prior,
     draw_samples,
     draw_signal,
     next_sample,
 )
 from .simulate import (
-    EstimateState,
     TrajectoryRecord,
     cosine_similarity,
     joint_histogram,
@@ -49,14 +47,11 @@ __all__ = [
     "ConfigError",
     "DegenerateStateError",
     "Dynamics",
-    "EstimateState",
     "FixedPoint",
     "NonNormalizableError",
     "NumericError",
     "OistlabError",
-    "OjaParams",
     "Prior",
-    "SignalVector",
     "SteadyDensity",
     "TrajectoryRecord",
     "closed_form_q",

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
-from .oja import OjaParams, closed_form_q
+from .nonlinearity import Dynamics
+from .oja import closed_form_q
 from .simulate import run_trajectory
 from .steady import SteadyDensity, default_r_init, roots_from_inits, sweep_omega
 
@@ -188,7 +189,6 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         dynamics=cfgmod.build_dynamics(cfg),
         p=int(cfg["model"]["p"]),
         seed=int(sim["seed"]),
-        t_max=float(sim["t_max"]),
         record_times=record_times,
         replicas=int(sim["replicas"]),
         x0_spec=(float(sim["x0_mean"]), float(sim["x0_var"])),
@@ -272,7 +272,8 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
 
 def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
                    q0_override: float | None) -> tuple[list[Path], dict]:
-    params = OjaParams(tau=cfg["algorithm"]["tau"], omega=cfg["model"]["omega"])
+    # the closed form is plain Oja's, whatever the configured shrinkage
+    model = Dynamics(cfg["algorithm"]["tau"], cfg["model"]["omega"], 0.0)
     if q0_override is not None and not 0.0 < abs(q0_override) <= 1.0:
         raise ConfigError("--q0 must be a finite nonzero overlap in [-1, 1]")
     q0 = cfgmod.initial_overlap(cfg) if q0_override is None else q0_override
@@ -283,7 +284,7 @@ def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
         )
     (times,) = cfgmod.resolve_times(cfg, "simulation", "record_times")
     started = time.perf_counter()
-    q_values = [closed_form_q(t, q0, params) for t in times]
+    q_values = [closed_form_q(t, q0, model) for t in times]
     solved = time.perf_counter()
     files = [write_table(outdir / "oja_theory.csv", ["t", "Q"], [times, q_values], fmt)]
     return files, {"diagnostics": _with_stage_times({}, started, solved)}

@@ -29,7 +29,10 @@ reader accepts NaN and Infinity, and they are configuration errors.
 A null record_times resolves to a 0.5-spaced grid on [0, t_max], and a
 null histogram_times or density_times to 1 and t_max (t_max alone when
 t_max <= 1); every time must lie in [0, t_max]. null theta and
-histogram_range resolve from the prior sparsity.
+histogram_range resolve from the prior sparsity. `simulate` ends each
+replica at its last record or histogram time, so `simulation.t_max`
+only bounds those lists and sets their null defaults; a run whose lists
+end before it stops there.
 
 `sweep.starts` are the overlaps Newton starts from at the sweep's anchor
 SNR, above the spinodal, with r = g(q)/2. A null r in `steady.inits` is
@@ -352,8 +355,8 @@ def resolve_theta(cfg: dict) -> float:
 
 
 def initial_overlap(cfg: dict) -> float:
-    """Limiting initial overlap of the configured x0 law: E[x xi]/sqrt(E[x^2])."""
-    prior = build_discrete_prior(cfg)
+    """Limiting initial overlap of the configured x0 law: E[x xi]/sqrt(E[x^2]),
+    with the exact prior mean (0 for the Bernoulli-Gaussian)."""
     s = cfg["simulation"]
     second = s["x0_mean"] ** 2 + s["x0_var"]
-    return s["x0_mean"] * prior.mean / math.sqrt(second)
+    return s["x0_mean"] * build_prior(cfg).mean / math.sqrt(second)

@@ -11,44 +11,40 @@ which integrates in closed form and relaxes to
 sqrt(max(0, (omega - tau/2) / (omega * (1 + tau/2)))). The steady state
 is positive only for omega > tau/2; larger step sizes leave the
 estimate asymptotically uncorrelated with the signal.
+
+Every function takes the model every route takes, a
+``nonlinearity.Dynamics``, and refuses one with beta != 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from .errors import ConfigError
 from .nonlinearity import Dynamics
 
 ALPHA2_SWITCH = 1e-12
 
 
-@dataclass(frozen=True)
-class OjaParams(Dynamics):
-    """Step size tau > 0 and SNR omega >= 0, without shrinkage."""
-
-    beta: float = field(default=0.0, init=False)
-
-    @property
-    def alpha1(self) -> float:
-        return self.tau * self.omega * (1.0 + self.tau / 2.0)
-
-    @property
-    def alpha2(self) -> float:
-        return self.tau * (self.omega - self.tau / 2.0)
+def _alphas(dynamics: Dynamics) -> tuple[float, float]:
+    """(alpha1, alpha2) of the overlap ODE; a model with shrinkage raises ``ConfigError``."""
+    if dynamics.beta != 0.0:
+        raise ConfigError(f"the Oja overlap formulas need beta = 0, got {dynamics.beta}")
+    tau, omega = dynamics.tau, dynamics.omega
+    return tau * omega * (1.0 + tau / 2.0), tau * (omega - tau / 2.0)
 
 
-def closed_form_q(t: float, q0: float, params: OjaParams) -> float:
+def closed_form_q(t: float, q0: float, dynamics: Dynamics) -> float:
     """Overlap at rescaled time t >= 0 from initial overlap q0 != 0.
 
     Evaluates the logistic-type solution of the overlap ODE; the
     degenerate branch is used when |alpha2| < 1e-12. The sign of q0 is
     preserved (the ODE never crosses zero).
     """
+    a1, a2 = _alphas(dynamics)
     if q0 == 0.0:
         raise ValueError("initial overlap q0 must be nonzero")
     if not t >= 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    a1, a2 = params.alpha1, params.alpha2
     if abs(a2) < ALPHA2_SWITCH:
         qsq = 1.0 / (2.0 * a1 * t + q0 ** -2)
     elif a2 > 0:
@@ -60,25 +56,23 @@ def closed_form_q(t: float, q0: float, params: OjaParams) -> float:
     return math.copysign(math.sqrt(qsq), q0)
 
 
-def steady_state_q(params: OjaParams) -> float:
+def steady_state_q(dynamics: Dynamics) -> float:
     """Long-time overlap limit; zero at or beyond the step-size threshold tau = 2*omega."""
-    if params.omega == 0.0:
-        return 0.0
-    value = (params.omega - params.tau / 2.0) / (params.omega * (1.0 + params.tau / 2.0))
-    return math.sqrt(max(0.0, value))
+    a1, a2 = _alphas(dynamics)
+    return math.sqrt(max(0.0, a2 / a1)) if a1 else 0.0
 
 
-def ode_q(t: float, q0: float, params: OjaParams, dt: float = 1e-3) -> float:
+def ode_q(t: float, q0: float, dynamics: Dynamics, dt: float = 1e-3) -> float:
     """Overlap at time t by 4th-order Runge-Kutta integration of the ODE.
 
     Independent cross-check of closed_form_q; agrees to better than
     1e-8 for dt <= 1e-3 on t in [0, 20].
     """
+    a1, a2 = _alphas(dynamics)
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not t >= 0:
         raise ValueError(f"time t must be >= 0, got {t}")
-    a1, a2 = params.alpha1, params.alpha2
 
     def f(q):
         return a2 * q - a1 * q ** 3

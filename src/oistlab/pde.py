@@ -408,9 +408,10 @@ def solve(
     snapshot the state at record_times.
 
     ``start`` is any nonnegative state, such as ``initial_density``'s
-    Gaussian or a stationary profile; the run copies it and keeps its
-    grid and atoms. The record times must be finite and >= 0; one before
-    ``start.t`` records the state as it is then. A numeric ``dt`` is used
+    Gaussian or a stationary profile; the run copies it, keeps its grid
+    and atoms, and recomputes its (q, r) under ``dynamics.beta``. The
+    record times must be finite and >= 0; one before ``start.t`` records
+    the state as it is then. A numeric ``dt`` is used
     as an upper bound (shortened to land exactly on record times).
     "auto" takes error-controlled extrapolated steps
     (``_extrapolated_step``) at the tolerance STEP_TOL * dx^2, starting
@@ -427,6 +428,8 @@ def solve(
     if not start.densities.min() >= 0.0:  # NaN fails too
         raise ConfigError("start has a negative or NaN density cell")
     state = start.copy()
+    # the cached (q, r) of the start may belong to another beta
+    state.q, state.r = moments(state, dynamics.beta)
 
     adaptive = dt == "auto"
     if adaptive:

@@ -35,7 +35,8 @@ class Prior:
 
     ``atoms`` is a tuple of (value, weight) pairs for discrete priors
     and None for the continuous Bernoulli-Gaussian. Weights must sum
-    to 1 and the second moment must equal 1 (both checked).
+    to 1, the second moment must equal 1 and rho must equal the mass of
+    the nonzero atoms (all checked).
     """
 
     rho: float
@@ -58,6 +59,10 @@ class Prior:
                 f"prior second moment is {m2!r}, expected 1 "
                 "(nonzero part must have second moment 1/rho)"
             )
+        nonzero = float(w[v != 0.0].sum())
+        if abs(nonzero - self.rho) > WEIGHT_TOL:
+            raise ConfigError(f"prior rho is {self.rho!r}, but its nonzero atoms "
+                              f"have mass {nonzero!r}")
 
     @classmethod
     def two_point(cls, rho: float) -> "Prior":
@@ -119,14 +124,6 @@ class Prior:
         return float(np.sum(self.atom_values * self.atom_weights))
 
 
-@dataclass(frozen=True)
-class SignalVector:
-    """Realized signal vector with the atom values of its generating prior."""
-
-    xi: np.ndarray
-    atoms: tuple[float, ...] | None = None
-
-
 def make_rng(seed: int, replica: int | None = None) -> np.random.Generator:
     """Splittable generator stream keyed by (seed, replica); streams never collide."""
     if replica is None:
@@ -136,7 +133,7 @@ def make_rng(seed: int, replica: int | None = None) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def draw_signal(prior: Prior, p: int, rng: np.random.Generator) -> SignalVector:
+def draw_signal(prior: Prior, p: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a signal vector with i.i.d. coordinates from the prior.
 
     Deterministic given (prior, p) and the state of ``rng``, e.g. ``make_rng(seed)``.
@@ -146,34 +143,30 @@ def draw_signal(prior: Prior, p: int, rng: np.random.Generator) -> SignalVector:
     if prior.is_discrete:
         values = prior.atom_values
         idx = rng.choice(len(values), size=p, p=prior.atom_weights)
-        xi = values[idx]
-        atoms = tuple(float(v) for v in values)
-    else:
-        # Bernoulli-Gaussian: draw the full normal block so the stream
-        # position does not depend on the realized support.
-        mask = rng.random(p) < prior.rho
-        gauss = rng.standard_normal(p) / np.sqrt(prior.rho)
-        xi = np.where(mask, gauss, 0.0)
-        atoms = None
-    return SignalVector(xi=xi, atoms=atoms)
+        return values[idx]
+    # Bernoulli-Gaussian: draw the full normal block so the stream
+    # position does not depend on the realized support.
+    mask = rng.random(p) < prior.rho
+    gauss = rng.standard_normal(p) / np.sqrt(prior.rho)
+    return np.where(mask, gauss, 0.0)
 
 
-def next_sample(signal: SignalVector, omega: float, rng: np.random.Generator) -> np.ndarray:
-    """One spiked-covariance sample y = sqrt(omega/p) * c * xi + a."""
+def next_sample(xi: np.ndarray, omega: float, rng: np.random.Generator) -> np.ndarray:
+    """One spiked-covariance sample y = sqrt(omega/p) * c * xi + a, with p = xi.size."""
     if omega < 0:
         raise ConfigError(f"omega must be >= 0, got {omega}")
     c = rng.standard_normal()
-    a = rng.standard_normal(signal.xi.size)
-    return np.sqrt(omega / signal.xi.size) * c * signal.xi + a
+    a = rng.standard_normal(xi.size)
+    return np.sqrt(omega / xi.size) * c * xi + a
 
 
-def draw_samples(signal: SignalVector, omega: float, rng: np.random.Generator, count: int) -> np.ndarray:
+def draw_samples(xi: np.ndarray, omega: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Batch of spiked samples, one per row; vectorized convenience for tests."""
     if omega < 0:
         raise ConfigError(f"omega must be >= 0, got {omega}")
     c = rng.standard_normal(count)
-    a = rng.standard_normal((count, signal.xi.size))
-    return np.sqrt(omega / signal.xi.size) * np.outer(c, signal.xi) + a
+    a = rng.standard_normal((count, xi.size))
+    return np.sqrt(omega / xi.size) * np.outer(c, xi) + a
 
 
 def discretize_prior(prior: Prior, n_nodes: int) -> Prior:
@@ -198,10 +191,8 @@ def discretize_prior(prior: Prior, n_nodes: int) -> Prior:
     for v, w in zip(values, masses):
         key = 0.0 if abs(v) < 1e-14 else float(v)
         merged[key] = merged.get(key, 0.0) + float(w)
-    atoms = tuple(sorted(merged.items()))
-    rho = sum(w for v, w in atoms if v != 0.0)
     try:
-        return Prior(rho=rho, atoms=atoms)
+        return Prior.from_atoms(sorted(merged.items()))
     except ConfigError as exc:
         raise ConfigError(
             f"gauss-hermite discretization with {n_nodes} node(s) cannot "

@@ -11,7 +11,9 @@ limit route takes too; `run_trajectory` adds the dimension p and the
 root seed as plain arguments, and `oist_step` reads p off the sample.
 Metrics (overlap with the signal, conditional coordinate histograms,
 support misclassification) are recorded at requested rescaled times
-t = k / p.
+t = k / p, and a run ends at the last of them, as `pde.solve` does. The
+CLI's `simulation.t_max` is not passed: it bounds the configured time
+lists and sets their null defaults (`config.resolve_times`).
 
 Monte Carlo engine. `run_trajectory` advances a batch of replicas
 together as the rows of preallocated (rows, p) arrays and updates them
@@ -46,20 +48,14 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateStateError, NumericError
 from .nonlinearity import Dynamics
-from .priors import Prior, SignalVector, draw_signal, make_rng
+from .priors import Prior, draw_signal, make_rng
 
 # doubles in one (rows, p) state or sample buffer of a batch
 BATCH_ELEMENTS = 2 ** 15
 # doubles in one batch's draw buffer: several steps per generator call
 DRAW_BLOCK_ELEMENTS = 2 ** 17
 
-
-@dataclass
-class EstimateState:
-    """Current estimate x (norm sqrt(p) after every completed step) and step count."""
-
-    x: np.ndarray
-    k: int = 0
+_CONTINUOUS_HISTOGRAMS = "conditional histograms require a discrete-prior signal"
 
 
 @dataclass
@@ -137,19 +133,18 @@ def _update_rows(x: np.ndarray, y: np.ndarray, tau: float, shrink: float) -> np.
     return norms
 
 
-def oist_step(state: EstimateState, y: np.ndarray, dynamics: Dynamics) -> EstimateState:
-    """One online update followed by renormalization to norm sqrt(p).
+def oist_step(x: np.ndarray, y: np.ndarray, dynamics: Dynamics) -> np.ndarray:
+    """The estimate after one online update of x against the sample y, renormalized
+    to norm sqrt(p); x is not changed.
 
     p is the length of the sample; the SNR of ``dynamics`` is not read.
     """
-    x = np.array(state.x, dtype=float, ndmin=2)
+    x = np.array(x, dtype=float, ndmin=2)
     y = np.array(y, dtype=float, ndmin=2)
     norms = _update_rows(x, y, dynamics.tau, dynamics.beta / y.shape[1])
     if norms[0] == 0.0:
-        raise DegenerateStateError(
-            f"estimate vanished after thresholding at step {state.k + 1}"
-        )
-    return EstimateState(x=x[0], k=state.k + 1)
+        raise DegenerateStateError("estimate vanished after thresholding")
+    return x[0]
 
 
 def cosine_similarity(x: np.ndarray, xi: np.ndarray) -> float:
@@ -165,21 +160,23 @@ def cosine_similarity(x: np.ndarray, xi: np.ndarray) -> float:
     return min(1.0, max(-1.0, value))
 
 
-def joint_histogram(x: np.ndarray, signal: SignalVector, bin_edges: np.ndarray) -> list[AtomHistogram]:
-    """Per-atom normalized histograms of the coordinates {x_i : xi_i = atom}.
+def joint_histogram(x: np.ndarray, xi: np.ndarray, prior: Prior,
+                    bin_edges: np.ndarray) -> list[AtomHistogram]:
+    """Per-atom normalized histograms of the coordinates {x_i : xi_i = atom},
+    one per atom of the prior that drew xi.
 
     Each histogram integrates to 1 over the binned range; atoms without
     occupants come back flagged empty.
     """
-    if signal.atoms is None:
-        raise ConfigError("conditional histograms require a discrete-prior signal")
+    if not prior.is_discrete:
+        raise ConfigError(_CONTINUOUS_HISTOGRAMS)
     bin_edges = np.asarray(bin_edges, dtype=float)
     if bin_edges.ndim != 1 or bin_edges.size < 2 or np.any(np.diff(bin_edges) <= 0):
         raise ConfigError("bin edges must be strictly increasing with >= 2 entries")
     widths = np.diff(bin_edges)
     out = []
-    for atom in signal.atoms:
-        vals = x[signal.xi == atom]
+    for atom in prior.atom_values.tolist():
+        vals = x[xi == atom]
         counts, _ = np.histogram(vals, bins=bin_edges)
         total = int(counts.sum())
         if total == 0:
@@ -189,12 +186,12 @@ def joint_histogram(x: np.ndarray, signal: SignalVector, bin_edges: np.ndarray) 
     return out
 
 
-def misclassification_rate(x: np.ndarray, signal: SignalVector, theta: float) -> float:
+def misclassification_rate(x: np.ndarray, xi: np.ndarray, theta: float) -> float:
     """Fraction of coordinates whose support call |x_i| > theta disagrees with xi_i != 0."""
     if theta <= 0:
         raise ValueError(f"support threshold theta must be > 0, got {theta}")
     est_support = np.abs(x) > theta
-    true_support = signal.xi != 0.0
+    true_support = xi != 0.0
     return float(np.mean(est_support != true_support))
 
 
@@ -211,7 +208,6 @@ class _Run:
     dynamics: Dynamics
     p: int
     seed: int
-    k_final: int
     record_times: np.ndarray
     histogram_times: np.ndarray
     x0_mean: float
@@ -239,13 +235,13 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     rngs = [make_rng(run.seed, replica) for replica in replicas]
     signals = [draw_signal(run.prior, p, rng) for rng in rngs]
     for replica, signal in zip(replicas, signals):
-        if not signal.xi.any():
+        if not signal.any():
             raise DegenerateStateError(f"replica {replica}: the signal drawn at p = {p} is "
                                        "all zeros, so its overlap is undefined")
     x = np.empty((rows, p))
     for row, rng in zip(x, rngs):
         row[:] = run.x0_mean + math.sqrt(run.x0_var) * rng.standard_normal(p)
-    xi = np.stack([signal.xi for signal in signals])
+    xi = np.stack(signals)
     block = max(1, DRAW_BLOCK_ELEMENTS // (rows * (p + 1)))
     draws = np.empty((rows, block, p + 1))
     y = np.empty((rows, p))
@@ -254,7 +250,7 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
 
     record_steps = _steps_for(run.record_times, p)
     hist_steps = _steps_for(run.histogram_times, p)
-    events = sorted(set(record_steps.tolist()) | set(hist_steps.tolist()) | {run.k_final})
+    events = sorted(set(record_steps.tolist()) | set(hist_steps.tolist()))
     q_values = np.empty((rows, len(record_steps)))
     misclass = np.empty((rows, len(record_steps)))
     histograms = [[None] * len(hist_steps) for _ in replicas]
@@ -262,11 +258,11 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     def record_at(k):
         for i in np.nonzero(record_steps == k)[0]:
             for row, signal in enumerate(signals):
-                q_values[row, i] = cosine_similarity(x[row], signal.xi)
+                q_values[row, i] = cosine_similarity(x[row], signal)
                 misclass[row, i] = misclassification_rate(x[row], signal, run.theta)
         for i in np.nonzero(hist_steps == k)[0]:
             for row, signal in enumerate(signals):
-                histograms[row][i] = joint_histogram(x[row], signal, run.bin_edges)
+                histograms[row][i] = joint_histogram(x[row], signal, run.prior, run.bin_edges)
 
     clock = time.perf_counter
     t_start = clock()
@@ -341,7 +337,6 @@ def run_trajectory(
     dynamics: Dynamics,
     p: int,
     seed: int,
-    t_max: float,
     record_times,
     replicas: int,
     x0_spec: tuple[float, float] = (1.0 / math.sqrt(2.0), 0.5),
@@ -355,32 +350,31 @@ def run_trajectory(
 
     Each replica draws a fresh signal of dimension p and a fresh i.i.d.
     initial estimate x0 ~ N(mean, var) from its own (seed, replica)
-    stream, then takes floor(p * t_max) updates with the step size,
-    SNR and shrinkage of ``dynamics``. Metrics are recorded at the
-    requested rescaled times (step k = floor(p * t)); histograms only
-    at histogram_times (defaults to record_times). Replicas are
-    deterministic functions of (seed, replica): with n_workers > 1 each
-    worker process runs one contiguous chunk of them, with the same
-    results. A ``diagnostics`` dict, when given, receives the run's
+    stream, then takes updates with the step size, SNR and shrinkage of
+    ``dynamics`` up to its last record or histogram time. Metrics are
+    recorded at the requested rescaled times (step k = floor(p * t));
+    histograms only at histogram_times (defaults to record_times), which
+    must be empty for a continuous prior. Every time must be finite and
+    >= 0. Replicas are deterministic functions of (seed, replica): with
+    n_workers > 1 each worker process runs one contiguous chunk of them,
+    with the same results. A ``diagnostics`` dict, when given, receives the run's
     replica-steps, replica-steps per wall second, and the seconds spent
     drawing, updating and recording, summed over the workers.
     """
     if p < 2:
         raise ConfigError(f"dimension p must be >= 2, got {p}")
-    if not 0 <= t_max < math.inf:
-        raise ConfigError(f"t_max must be finite and >= 0, got {t_max}")
     if replicas < 1:
         raise ConfigError(f"replicas must be >= 1, got {replicas}")
     record_times = np.asarray(record_times, dtype=float)
     if record_times.size == 0:
         raise ConfigError("record_times must not be empty")
-    if not np.all((record_times >= 0) & (record_times <= t_max)):
-        raise ConfigError("record_times must lie in [0, t_max]")
-    if histogram_times is None:
-        histogram_times = record_times
-    histogram_times = np.asarray(histogram_times, dtype=float)
-    if not np.all((histogram_times >= 0) & (histogram_times <= t_max)):
-        raise ConfigError("histogram_times must lie in [0, t_max]")
+    histogram_times = np.asarray(record_times if histogram_times is None else histogram_times,
+                                 dtype=float)
+    for name, times in (("record_times", record_times), ("histogram_times", histogram_times)):
+        if not np.all((times >= 0) & (times < math.inf)):  # NaN fails too
+            raise ConfigError(f"{name} must be finite and >= 0")
+    if histogram_times.size and not prior.is_discrete:
+        raise ConfigError(_CONTINUOUS_HISTOGRAMS)
     if bin_edges is None:
         bin_edges = default_bin_edges(prior.rho)
     if theta is None:
@@ -396,8 +390,7 @@ def run_trajectory(
             stacklevel=2,
         )
 
-    k_final = int(math.floor(t_max * p + 1e-9))
-    run = _Run(prior, dynamics, p, seed, k_final, record_times, histogram_times,
+    run = _Run(prior, dynamics, p, seed, record_times, histogram_times,
                x0_mean, x0_var, np.asarray(bin_edges, dtype=float), theta)
     chunks = _split(range(replicas), max(1, min(n_workers, replicas)))
     started = time.perf_counter()
@@ -409,7 +402,8 @@ def run_trajectory(
     wall_s = time.perf_counter() - started
     if diagnostics is not None:
         draw_s, update_s, record_s = sum(timings for _, timings in results).tolist()
-        steps = replicas * k_final
+        # each replica stops at its last event
+        steps = replicas * int(_steps_for(np.append(record_times, histogram_times), p).max())
         diagnostics.update(replica_steps=steps, steps_per_s=steps / wall_s,
                            draw_s=draw_s, update_s=update_s, record_s=record_s)
     return [record for records, _ in results for record in records]

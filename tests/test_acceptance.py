@@ -13,7 +13,6 @@ import pytest
 
 from oistlab import (
     Dynamics,
-    OjaParams,
     Prior,
     SteadyDensity,
     closed_form_q,
@@ -59,7 +58,6 @@ def oja_batch():
         Dynamics(tau=TAU, omega=OMEGA, beta=0.0),
         p=2000,
         seed=6001,
-        t_max=100.0,
         record_times=[0.0, 1.0, 5.0, 15.0, 100.0],
         histogram_times=[],
         replicas=20,
@@ -75,7 +73,6 @@ def oja_large_step_batch():
         Dynamics(tau=2.5, omega=OMEGA, beta=0.0),
         p=2000,
         seed=6002,
-        t_max=100.0,
         record_times=[0.0, 100.0],
         histogram_times=[],
         replicas=20,
@@ -91,7 +88,6 @@ def oist_band_batch():
         Dynamics(tau=TAU, omega=OMEGA, beta=BETA),
         p=2000,
         seed=6003,
-        t_max=15.0,
         record_times=np.arange(0.0, 15.5, 0.5),
         histogram_times=[],
         replicas=20,
@@ -107,7 +103,6 @@ def oist_hist_batch():
         Dynamics(tau=TAU, omega=OMEGA, beta=BETA),
         p=10000,
         seed=6004,
-        t_max=15.0,
         record_times=[0.0, 1.0, 15.0],
         histogram_times=[1.0, 15.0],
         replicas=20,
@@ -140,7 +135,7 @@ def test_criterion_1_oja_closed_form_vs_simulation(oja_batch):
     q = np.array([r.q_values for r in oja_batch])
     mean = q.mean(axis=0)
     se = q.std(axis=0, ddof=1) / math.sqrt(q.shape[0])
-    params = OjaParams(tau=TAU, omega=OMEGA)
+    params = Dynamics(tau=TAU, omega=OMEGA, beta=0.0)
     times = [1.0, 5.0, 15.0]
     details = []
     ok = True
@@ -276,7 +271,7 @@ def test_criterion_9a_ode_oracle():
     worst = 0.0
     for tau in (0.1, 0.5, 1.0, 2.0, 3.0):
         for omega in (0.1, 0.5, 1.0, 2.0):
-            params = OjaParams(tau=tau, omega=omega)
+            params = Dynamics(tau=tau, omega=omega, beta=0.0)
             for q0 in (0.05, 0.3, 0.9):
                 for t in (0.5, 5.0, 20.0):
                     gap = abs(ode_q(t, q0, params, dt=1e-3) - closed_form_q(t, q0, params))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oistlab
-from oistlab import cli, config as cfgmod, pde, steady
+from oistlab import cli, config as cfgmod, pde, simulate, steady
 from oistlab.cli import Repeat, main, write_table
 
 TINY = {
@@ -254,6 +254,28 @@ class TestSimulateCommand:
         assert code == 0
         assert all(t >= 0.0 for t in stage_times(out))
 
+    def test_run_ends_at_its_last_time(self, tmp_path):
+        # t_max is 0.5, but nothing is read past t = 0.25
+        cfg = write_config(tmp_path, {"simulation": {"record_times": [0.0, 0.25],
+                                                     "histogram_times": [0.125]}})
+        code, out = run(tmp_path, "simulate", "--config", cfg)
+        assert code == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["replica_steps"] == 2 * 16  # replicas x floor(p * 0.25)
+
+    def test_continuous_prior_histograms_refused_before_running(self, tmp_path, capsys,
+                                                                monkeypatch):
+        def never(*args):
+            raise AssertionError("simulated before refusing")
+
+        monkeypatch.setattr(simulate, "_run_chunk", never)
+        cfg = write_config(tmp_path, {"model": {"prior": "bernoulli_gaussian", "rho": 0.3}})
+        code, out = run(tmp_path, "simulate", "--config", cfg)
+        assert code == 2
+        assert ("configuration error: conditional histograms require a discrete-prior signal"
+                in capsys.readouterr().err)
+        assert not (out / "trajectory.csv").exists()
+
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         _, out_a = run(tmp_path / "a", "simulate", "--config", cfg)
@@ -415,6 +437,14 @@ class TestOjaTheoryCommand:
         code, _ = run(tmp_path, "oja-theory", "--config", write_config(tmp_path),
                       "--q0", "0.0")
         assert code == 2
+
+    def test_bernoulli_gaussian_overlap_is_exactly_zero(self, tmp_path, capsys):
+        # the symmetric continuous prior has mean 0, not its quadrature's rounding noise
+        cfg = write_config(tmp_path, {"model": {"prior": "bernoulli_gaussian", "rho": 0.3}})
+        code, out = run(tmp_path, "oja-theory", "--config", cfg)
+        assert code == 2
+        assert "initial overlap q0 is zero" in capsys.readouterr().err
+        assert not (out / "oja_theory.csv").exists()
 
     def test_manifest_stage_times(self, tmp_path):
         code, out = run(tmp_path, "oja-theory", "--config", write_config(tmp_path))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oistlab import ConfigError, Dynamics, OjaParams, Prior
+from oistlab import ConfigError, Dynamics, Prior
 from oistlab.config import (
     DEFAULT_CONFIG,
     build_discrete_prior,
@@ -159,7 +159,7 @@ def test_sweep_max_iter_message():
 
 @pytest.mark.parametrize("make", [
     lambda tau, omega: Dynamics(tau, omega, 0.0),
-    lambda tau, omega: OjaParams(tau, omega),
+    lambda tau, omega: Dynamics(tau=tau, omega=omega, beta=0.0),
 ], ids=["SteadyConfig", "OjaParams"])
 @pytest.mark.parametrize("tau, omega", [(0.0, 1.0), (-0.5, 1.0), (0.5, -0.1),
                                         (math.nan, 1.0), (0.5, math.nan),

@@ -9,7 +9,6 @@ from oistlab import (
     ConfigError,
     Dynamics,
     NumericError,
-    OjaParams,
     Prior,
     SteadyDensity,
     closed_form_q,
@@ -274,7 +273,7 @@ class TestSolve:
         # phi = 0: PDE overlap vs closed form, sup error <= 5e-3, shrinking
         # under refinement
         times = np.arange(0.0, 15.5, 0.5)
-        params = OjaParams(tau=0.5, omega=1.0)
+        params = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         errs = {}
         for n in (700, 1400):
             cfg = Dynamics(tau=0.5, omega=1.0, beta=0.0)
@@ -305,10 +304,19 @@ class TestSolve:
         dens /= dens.sum(axis=1, keepdims=True) * grid.dx
         state = ConditionalDensitySet(atoms=PRIOR.atom_values, weights=PRIOR.atom_weights,
                                       densities=dens, grid=grid, t=0.0, q=0.0, r=0.0)
-        state.q, state.r = moments(state, SOFT)
         cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
         sol = solve(cfg, state, np.arange(0.0, 10.5, 0.5))
         assert np.max(np.abs(sol.q_values - fp.q)) <= 1e-6
+
+    def test_start_moments_recomputed_under_the_model(self):
+        # a start built at beta = 0 caches r = 0; solve reads (q, r) under its own beta
+        grid = make_grid(n=900)
+        times = [0.0, 0.5]
+        matched = solve(MODEL, gaussian_start(grid, beta=MODEL.beta), times)
+        mismatched = solve(MODEL, gaussian_start(grid, beta=0.0), times)
+        assert matched.r_values[0] != 0.0
+        assert np.array_equal(mismatched.q_values, matched.q_values)
+        assert np.array_equal(mismatched.r_values, matched.r_values)
 
     def test_snapshots_and_series(self):
         times = [0.0, 0.5, 1.0]
@@ -509,10 +517,8 @@ def bernoulli_gaussian_start(grid):
     x = grid.centers
     densities = np.exp(-(x[None, :] - 0.1 * prior.atom_values[:, None]) ** 2)
     densities /= densities.sum(axis=1, keepdims=True) * grid.dx
-    state = ConditionalDensitySet(prior.atom_values, prior.atom_weights, densities,
-                                  grid, 0.0, 0.0, 0.0)
-    state.q, state.r = pdemod.moments(state, SOFT)
-    return state
+    return ConditionalDensitySet(prior.atom_values, prior.atom_weights, densities,
+                                 grid, 0.0, 0.0, 0.0)
 
 
 class TestKernelOracle:

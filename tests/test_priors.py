@@ -42,6 +42,12 @@ class TestPrior:
         with pytest.raises(ConfigError):
             Prior(rho=0.5, atoms=((0.0, 0.5), (1.0, 0.5)))
 
+    def test_rho_contradicting_atoms_rejected(self):
+        # default_theta reads rho, so a wrong one moves the support threshold
+        with pytest.raises(ConfigError, match="^prior rho is 0.5, but its nonzero atoms"):
+            Prior(0.5, Prior.two_point(0.05).atoms)
+        assert Prior(0.05, Prior.two_point(0.05).atoms) == Prior.two_point(0.05)
+
     def test_rho_range(self):
         with pytest.raises(ConfigError):
             Prior.two_point(0.0)
@@ -56,12 +62,12 @@ class TestPrior:
 class TestDrawSignal:
     def test_rho_one_degenerate(self):
         signal = draw_signal(Prior.two_point(1.0), 4, make_rng(0))
-        assert np.array_equal(signal.xi, np.ones(4))
+        assert np.array_equal(signal, np.ones(4))
 
     def test_two_point_counts_and_values(self):
         rho, p = 0.05, 10000
         signal = draw_signal(Prior.two_point(rho), p, make_rng(123))
-        nonzero = signal.xi[signal.xi != 0.0]
+        nonzero = signal[signal != 0.0]
         assert np.allclose(nonzero, 1.0 / math.sqrt(rho))
         # binomial concentration: 500 +- 5*sqrt(p*rho*(1-rho)) ~ 109
         slack = 5 * math.sqrt(p * rho * (1 - rho))
@@ -71,13 +77,13 @@ class TestDrawSignal:
         prior = Prior.two_point(0.05)
         a = draw_signal(prior, 1000, make_rng(9))
         b = draw_signal(prior, 1000, make_rng(9))
-        assert np.array_equal(a.xi, b.xi)
+        assert np.array_equal(a, b)
         c = draw_signal(prior, 1000, make_rng(10))
-        assert not np.array_equal(a.xi, c.xi)
+        assert not np.array_equal(a, c)
 
     def test_second_moment_concentrates(self):
         prior = Prior.two_point(0.05)
-        means = [np.mean(draw_signal(prior, 10000, make_rng(s)).xi ** 2) for s in range(100)]
+        means = [np.mean(draw_signal(prior, 10000, make_rng(s)) ** 2) for s in range(100)]
         assert abs(np.mean(means) - 1.0) <= 0.02
 
     def test_norm_concentration_per_draw(self):
@@ -88,15 +94,14 @@ class TestDrawSignal:
         bound = 5.0 * math.sqrt(var_xi2 / p)
         for seed in range(20):
             signal = draw_signal(prior, p, make_rng(seed))
-            assert abs(np.mean(signal.xi ** 2) - 1.0) <= bound
+            assert abs(np.mean(signal ** 2) - 1.0) <= bound
 
     def test_bernoulli_gaussian_support(self):
         prior = Prior.bernoulli_gaussian(0.3)
         signal = draw_signal(prior, 20000, make_rng(5))
-        frac = np.mean(signal.xi != 0.0)
+        frac = np.mean(signal != 0.0)
         assert abs(frac - 0.3) <= 0.02
-        assert abs(np.mean(signal.xi ** 2) - 1.0) <= 0.05
-        assert signal.atoms is None
+        assert abs(np.mean(signal ** 2) - 1.0) <= 0.05
 
     def test_small_p_rejected(self):
         with pytest.raises(ConfigError):
@@ -116,7 +121,7 @@ class TestNextSample:
         rng = make_rng(4)
         ys = draw_samples(signal, 1.0, rng, 1000000)
         cov = ys.T @ ys / ys.shape[0]
-        target = np.eye(4) + np.outer(signal.xi, signal.xi) / 4.0
+        target = np.eye(4) + np.outer(signal, signal) / 4.0
         assert np.max(np.abs(cov - target)) <= 0.01
 
     def test_forced_draws(self):
@@ -126,7 +131,7 @@ class TestNextSample:
 
         signal = draw_signal(Prior.two_point(0.5), 4, make_rng(1))
         y = next_sample(signal, 1.0, StubRng())
-        assert np.allclose(y, np.sqrt(1.0 / 4.0) * signal.xi)
+        assert np.allclose(y, np.sqrt(1.0 / 4.0) * signal)
 
     def test_unbiased(self):
         signal = draw_signal(Prior.two_point(0.5), 4, make_rng(6))

@@ -9,9 +9,7 @@ from oistlab import (
     ConfigError,
     DegenerateStateError,
     Dynamics,
-    EstimateState,
     NumericError,
-    OjaParams,
     Prior,
     closed_form_q,
     cosine_similarity,
@@ -66,29 +64,27 @@ class TestPhiEta:
 class TestOistStep:
     def test_zero_sample_no_threshold(self):
         cfg = Dynamics(tau=0.7, omega=1.0, beta=0.0)
-        state = EstimateState(x=np.array([1.0, 1.0]), k=0)
+        state = np.array([1.0, 1.0])
         out = oist_step(state, np.zeros(2), cfg)
-        assert np.allclose(out.x, state.x)
-        assert out.k == 1
+        assert np.allclose(out, state)
 
     def test_hand_computed_update(self):
         cfg = Dynamics(tau=1.0, omega=1.0, beta=0.0)
-        state = EstimateState(x=np.array([1.0, 1.0]), k=0)
+        state = np.array([1.0, 1.0])
         out = oist_step(state, np.array([1.0, 0.0]), cfg)
         expected = math.sqrt(2.0) * np.array([1.5, 1.0]) / np.linalg.norm([1.5, 1.0])
-        assert np.allclose(out.x, expected, atol=1e-12)
-        assert out.x[0] == pytest.approx(1.17670, abs=1e-5)
-        assert out.x[1] == pytest.approx(0.78446, abs=1e-5)
+        assert np.allclose(out, expected, atol=1e-12)
+        assert out[0] == pytest.approx(1.17670, abs=1e-5)
+        assert out[1] == pytest.approx(0.78446, abs=1e-5)
 
     def test_norm_invariant(self):
         p = 64
         cfg = Dynamics(tau=0.5, omega=1.0, beta=0.27)
         rng = make_rng(3)
-        state = EstimateState(x=math.sqrt(p) * _unit(rng.standard_normal(p)), k=0)
+        state = math.sqrt(p) * _unit(rng.standard_normal(p))
         for _ in range(200):
             state = oist_step(state, rng.standard_normal(p), cfg)
-            assert abs(np.sum(state.x ** 2) / p - 1.0) <= 1e-9
-        assert state.k == 200
+            assert abs(np.sum(state ** 2) / p - 1.0) <= 1e-9
 
     def test_matches_reference_oja(self):
         # two-line reference recursion, update then normalize
@@ -97,13 +93,13 @@ class TestOistStep:
         rng = make_rng(4)
         x_ref = rng.standard_normal(p)
         x_ref *= math.sqrt(p) / np.linalg.norm(x_ref)
-        state = EstimateState(x=x_ref.copy(), k=0)
+        state = x_ref.copy()
         for _ in range(50):
             y = rng.standard_normal(p)
             state = oist_step(state, y, cfg)
             x_tilde = x_ref + (cfg.tau / p) * y * (y @ x_ref)
             x_ref = math.sqrt(p) * x_tilde / np.linalg.norm(x_tilde)
-            assert np.allclose(state.x, x_ref, atol=1e-13)
+            assert np.allclose(state, x_ref, atol=1e-13)
 
     @pytest.mark.parametrize("beta", [0.0, 0.27], ids=["None", "threshold1"])
     def test_matches_one_sample_formula_exactly(self, beta):
@@ -112,20 +108,20 @@ class TestOistStep:
         cfg = Dynamics(tau=0.5, omega=1.0, beta=beta)
         rng = make_rng(5)
         x_ref = rng.standard_normal(p)
-        state = EstimateState(x=x_ref.copy(), k=0)
+        state = x_ref.copy()
         for _ in range(40):
             y = rng.standard_normal(p)
             state = oist_step(state, y, cfg)
             shrunk = eta_map(x_ref + (cfg.tau / p) * (y @ x_ref) * y, beta, p)
             x_ref = shrunk * (math.sqrt(p) / np.linalg.norm(shrunk))
-            assert np.array_equal(state.x, x_ref)
+            assert np.array_equal(state, x_ref)
 
     def test_degenerate_state(self):
         p = 2
         beta = 0.5
         cfg = Dynamics(tau=1.0, omega=1.0, beta=beta)
         # coordinates exactly at the shrinkage magnitude vanish under eta
-        state = EstimateState(x=np.array([beta / p, -beta / p]), k=0)
+        state = np.array([beta / p, -beta / p])
         with pytest.raises(DegenerateStateError):
             oist_step(state, np.zeros(p), cfg)
 
@@ -161,9 +157,9 @@ class TestJointHistogram:
     def test_point_masses(self):
         prior = Prior.two_point(0.25)
         a = prior.atom_values[1]
-        signal = _signal_from(np.array([0.0, 0.0, 0.0, a]), prior)
+        signal = np.array([0.0, 0.0, 0.0, a])
         edges = np.linspace(-1.0, 11.0, 25)
-        hists = joint_histogram(np.array([1.0, 1.0, 1.0, 9.0]), signal, edges)
+        hists = joint_histogram(np.array([1.0, 1.0, 1.0, 9.0]), signal, prior, edges)
         h0 = next(h for h in hists if h.atom == 0.0)
         ha = next(h for h in hists if h.atom == a)
         centers = 0.5 * (edges[:-1] + edges[1:])
@@ -175,7 +171,7 @@ class TestJointHistogram:
         signal = draw_signal(prior, 5000, make_rng(8))
         x = make_rng(9).standard_normal(5000)
         edges = default_bin_edges(0.05)
-        for h in joint_histogram(x, signal, edges):
+        for h in joint_histogram(x, signal, prior, edges):
             if h.density is not None:
                 assert abs(np.sum(h.density * np.diff(edges)) - 1.0) <= 1e-9
 
@@ -194,7 +190,7 @@ class TestJointHistogram:
         cdf = ndtr((edges - 1.0 / math.sqrt(2.0)) / math.sqrt(0.5))
         mass_in_range = cdf[-1] - cdf[0]
         truth = np.diff(cdf) / widths / mass_in_range
-        for h in joint_histogram(x, signal, edges):
+        for h in joint_histogram(x, signal, prior, edges):
             assert h.density is not None
             l1 = np.sum(np.abs(h.density - truth) * widths)
             assert l1 <= 0.02 * math.sqrt(100000 / h.count)
@@ -202,29 +198,27 @@ class TestJointHistogram:
     def test_empty_atom_flagged(self):
         prior = Prior.two_point(0.5)
         a = prior.atom_values[1]
-        signal = _signal_from(np.array([0.0, 0.0, 0.0, 0.0]), prior)
-        hists = joint_histogram(np.ones(4), signal, np.linspace(-1, 1, 5))
+        signal = np.array([0.0, 0.0, 0.0, 0.0])
+        hists = joint_histogram(np.ones(4), signal, prior, np.linspace(-1, 1, 5))
         ha = next(h for h in hists if h.atom == a)
         assert ha.count == 0 and ha.density is None
 
     def test_bad_edges_rejected(self):
         prior = Prior.two_point(0.5)
-        signal = _signal_from(np.zeros(4), prior)
+        signal = np.zeros(4)
         with pytest.raises(ConfigError):
-            joint_histogram(np.ones(4), signal, np.array([0.0, 0.0, 1.0]))
+            joint_histogram(np.ones(4), signal, prior, np.array([0.0, 0.0, 1.0]))
 
 
 class TestMisclassification:
     def test_perfect_recovery(self):
         prior = Prior.two_point(0.25)
         signal = draw_signal(prior, 1000, make_rng(12))
-        assert misclassification_rate(signal.xi, signal, theta=0.5) == 0.0
+        assert misclassification_rate(signal, signal, theta=0.5) == 0.0
 
     def test_all_zero_estimate(self):
         prior = Prior.two_point(0.05)
-        signal = _signal_from(
-            np.repeat([0.0, prior.atom_values[1]], [95, 5]), prior
-        )
+        signal = np.repeat([0.0, prior.atom_values[1]], [95, 5])
         rate = misclassification_rate(np.zeros(100), signal, theta=1.0)
         assert rate == pytest.approx(0.05)
 
@@ -244,21 +238,20 @@ class TestMisclassification:
 
     def test_bad_theta(self):
         prior = Prior.two_point(0.5)
-        signal = _signal_from(np.zeros(4), prior)
+        signal = np.zeros(4)
         with pytest.raises(ValueError):
             misclassification_rate(np.ones(4), signal, theta=0.0)
 
 
 class TestRunTrajectory:
     def test_step_count(self):
-        # floor(p * t_max) steps and the requested record grid
+        # floor(p * t) steps to the last record time, and the requested record grid
         prior = Prior.two_point(0.2)
         recs = run_trajectory(
             prior,
             Dynamics(tau=0.5, omega=1.0, beta=0.0),
             p=50,
             seed=1,
-            t_max=1.5,
             record_times=[0.0, 1.5],
             replicas=1,
         )
@@ -273,7 +266,6 @@ class TestRunTrajectory:
             Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=10000,
             seed=21,
-            t_max=0.0,
             record_times=[0.0],
             replicas=8,
         )
@@ -287,7 +279,6 @@ class TestRunTrajectory:
             dynamics=Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=100,
             seed=77,
-            t_max=2.0,
             record_times=[0.0, 1.0, 2.0],
             replicas=3,
         )
@@ -304,7 +295,6 @@ class TestRunTrajectory:
             Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=500,
             seed=5,
-            t_max=3.0,
             record_times=np.linspace(0, 3, 7),
             replicas=2,
         )
@@ -327,15 +317,15 @@ class TestRunTrajectory:
         signal = draw_signal(prior, p, make_rng(32))
         x0 = 0.5 + rng.standard_normal(p)
         sample_rng = make_rng(33)
-        state_a = EstimateState(x=x0.copy(), k=0)
-        state_b = EstimateState(x=-x0.copy(), k=0)
+        state_a = x0.copy()
+        state_b = -x0.copy()
         from oistlab import next_sample
 
         for _ in range(60):
             y = next_sample(signal, 1.0, sample_rng)
             state_a = oist_step(state_a, y, cfg)
             state_b = oist_step(state_b, -y, cfg)
-            assert np.allclose(state_b.x, -state_a.x, atol=1e-12)
+            assert np.allclose(state_b, -state_a, atol=1e-12)
 
     def test_oja_matches_closed_form(self):
         # phi = 0 empirical overlap vs the analytic curve, 3 standard errors
@@ -347,14 +337,13 @@ class TestRunTrajectory:
             Dynamics(tau=0.5, omega=1.0, beta=0.0),
             p=p,
             seed=2024,
-            t_max=5.0,
             record_times=times,
             replicas=n_rep,
             n_workers=2,
         )
         q = np.array([r.q_values for r in recs])
         mean, se = q.mean(axis=0), q.std(axis=0, ddof=1) / math.sqrt(n_rep)
-        params = OjaParams(tau=0.5, omega=1.0)
+        params = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         for j, t in enumerate(times[1:], start=1):
             predicted = closed_form_q(t, mean[0], params)
             assert abs(mean[j] - predicted) <= 3.0 * se[j], (t, mean[j], predicted, se[j])
@@ -369,7 +358,7 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         dynamics, seed = Dynamics(tau=0.5, omega=1.0, beta=beta), 17
         record_times = [0.0, 10 / p, 30 / p]
-        recs = run_trajectory(prior, dynamics, p, seed, t_max=30 / p, record_times=record_times,
+        recs = run_trajectory(prior, dynamics, p, seed, record_times=record_times,
                               replicas=9, histogram_times=[10 / p, 30 / p],
                               n_workers=n_workers)
         edges, theta = default_bin_edges(prior.rho), default_theta(prior.rho)
@@ -377,16 +366,16 @@ class TestRunTrajectory:
             assert rec.replica_id == replica
             rng = make_rng(seed, replica)
             signal = draw_signal(prior, p, rng)
-            state = EstimateState(x=1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p))
+            state = 1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p)
             q, mis, hists = [], [], []
             for k in range(31):
                 if k:
                     state = oist_step(state, next_sample(signal, dynamics.omega, rng), dynamics)
                 if k in (0, 10, 30):
-                    q.append(cosine_similarity(state.x, signal.xi))
-                    mis.append(misclassification_rate(state.x, signal, theta))
+                    q.append(cosine_similarity(state, signal))
+                    mis.append(misclassification_rate(state, signal, theta))
                 if k in (10, 30):
-                    hists.append(joint_histogram(state.x, signal, edges))
+                    hists.append(joint_histogram(state, signal, prior, edges))
             assert np.array_equal(rec.q_values, q)
             assert np.array_equal(rec.misclass, mis)
             for got, want in zip(rec.histograms, hists, strict=True):
@@ -402,7 +391,6 @@ class TestRunTrajectory:
                 Dynamics(tau=0.5, omega=1.0, beta=0.0),
                 p=50,
                 seed=1,
-                t_max=0.1,
                 record_times=[0.0],
                 replicas=1,
             )
@@ -411,31 +399,20 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         dynamics = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[], replicas=1)
+            run_trajectory(prior, dynamics, 50, 1, record_times=[], replicas=1)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[2.0], replicas=1)
+            run_trajectory(prior, dynamics, 50, 1, record_times=[-0.5], replicas=1)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[0.5], replicas=0)
+            run_trajectory(prior, dynamics, 50, 1, record_times=[0.5], replicas=0)
         with pytest.raises(ConfigError):
-            run_trajectory(prior, dynamics, 1, 1, t_max=1.0, record_times=[0.5], replicas=1)
-        for bad in ([math.nan], [0.0, math.nan]):
+            run_trajectory(prior, dynamics, 1, 1, record_times=[0.5], replicas=1)
+        for bad in ([math.nan], [0.0, math.nan], [math.inf], [0.0, -math.inf]):
             with pytest.raises(ConfigError, match="^record_times"):
-                run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=bad, replicas=1)
+                run_trajectory(prior, dynamics, 50, 1, record_times=bad, replicas=1)
             with pytest.raises(ConfigError, match="^histogram_times"):
-                run_trajectory(prior, dynamics, 50, 1, t_max=1.0, record_times=[0.5],
+                run_trajectory(prior, dynamics, 50, 1, record_times=[0.5],
                                replicas=1, histogram_times=bad)
-        for t_max in (math.nan, math.inf):
-            with pytest.raises(ConfigError, match="^t_max"):
-                run_trajectory(prior, dynamics, 50, 1, t_max=t_max, record_times=[0.5],
-                               replicas=1)
 
 
 def _unit(v):
     return v / np.linalg.norm(v)
-
-
-def _signal_from(xi, prior):
-    from oistlab import SignalVector
-
-    return SignalVector(xi=np.asarray(xi, dtype=float),
-                        atoms=tuple(float(v) for v in prior.atom_values))

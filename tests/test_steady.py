@@ -22,7 +22,6 @@ from oistlab import (
     sweep_omega,
 )
 from oistlab import steady
-from oistlab.oja import OjaParams
 from oistlab.priors import discretize_prior
 from oistlab.steady import H_MIN, default_r_init, g_scale, h_curvature
 
@@ -430,7 +429,7 @@ class TestSolveFixedPoint:
 
     def test_oja_reduction_matches_analytic_steady_state(self):
         fp = solve_fixed_point(CFG_OJA, PRIOR, (0.5, 0.0), tol=1e-12)
-        expected = steady_state_q(OjaParams(tau=0.5, omega=1.0))
+        expected = steady_state_q(Dynamics(tau=0.5, omega=1.0, beta=0.0))
         assert abs(fp.q ** 2 - expected ** 2) <= 1e-6
         assert fp.r == pytest.approx(0.0, abs=1e-15)
 
@@ -486,7 +485,7 @@ class TestSweep:
         assert 0.25 < result.omega_c <= 0.25 + spacing + 1e-12
         # overlap matches the analytic law above threshold
         for pt in result.points:
-            expected = steady_state_q(OjaParams(tau=0.5, omega=pt.omega))
+            expected = steady_state_q(Dynamics(tau=0.5, omega=pt.omega, beta=0.0))
             if pt.omega > 0.25 + spacing:
                 assert pt.q_star == pytest.approx(expected, abs=1e-5)
 
@@ -528,7 +527,8 @@ class TestSweep:
         cfg = dc_replace(CFG_OJA, omega=0.5)
         start = (0.2, 0.5 * g_scale(0.2, cfg))
         fp = steady._Newton(PRIOR, 1e-7, 10000).solve(cfg, start)
-        assert fp.q == pytest.approx(-steady_state_q(OjaParams(tau=0.5, omega=0.5)), abs=1e-6)
+        assert fp.q == pytest.approx(
+            -steady_state_q(Dynamics(tau=0.5, omega=0.5, beta=0.0)), abs=1e-6)
         assert fp.residual <= 1e-7 and not fp.converged
 
     def test_empty_grid_rejected(self):
