@@ -25,7 +25,7 @@ from .priors import (
     next_sample,
 )
 from .simulate import (
-    TrajectoryRecord,
+    Trajectory,
     cosine_similarity,
     joint_histogram,
     misclassification_rate,
@@ -53,7 +53,7 @@ __all__ = [
     "OistlabError",
     "Prior",
     "SteadyDensity",
-    "TrajectoryRecord",
+    "Trajectory",
     "closed_form_q",
     "cosine_similarity",
     "discretize_prior",

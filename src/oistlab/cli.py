@@ -178,14 +178,12 @@ def _with_stage_times(diagnostics: dict, started: float, solved: float) -> dict:
 
 
 def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[Path], dict]:
-    prior = cfgmod.build_prior(cfg)
     sim = cfg["simulation"]
     record_times, histogram_times = cfgmod.resolve_times(cfg, "simulation", "record_times",
                                                          "histogram_times")
-    diagnostics: dict = {}
     started = time.perf_counter()
-    records = run_trajectory(
-        prior=prior,
+    run = run_trajectory(
+        prior=cfgmod.build_prior(cfg),
         dynamics=cfgmod.build_dynamics(cfg),
         p=int(cfg["model"]["p"]),
         seed=int(sim["seed"]),
@@ -196,34 +194,24 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         bin_edges=cfgmod.resolve_bin_edges(cfg),
         theta=cfgmod.resolve_theta(cfg),
         n_workers=threads,
-        diagnostics=diagnostics,
     )
     solved = time.perf_counter()
 
-    # every record shares the run's record times and histogram bins
-    n_times = len(records[0].times)
-    traj_cols = [
-        Repeat([rec.replica_id for rec in records], each=n_times),
-        Repeat(records[0].times, tile=len(records)),
-        np.concatenate([rec.q_values for rec in records]),
-        np.concatenate([rec.misclass for rec in records]),
-    ]
-    blocks = [(rec.replica_id, t, hist) for rec in records
-              for t, hists in zip(rec.histogram_times, rec.histograms)
-              for hist in hists if hist.density is not None]
-    edges = records[0].bin_edges
+    n_rep, n_times = run.q_values.shape
+    traj_cols = [Repeat(range(n_rep), each=n_times), Repeat(run.times, tile=n_rep),
+                 run.q_values.ravel(), run.misclass.ravel()]
+    # one block per (replica, time, atom) with an occupant, in that order
+    totals = run.histogram_counts.sum(axis=3)
+    replica, t_idx, atom_idx = np.nonzero(totals)
+    edges = run.bin_edges
     n_bins = len(edges) - 1
-    hist_cols = [
-        Repeat([replica for replica, _, _ in blocks], each=n_bins),
-        Repeat([t for _, t, _ in blocks], each=n_bins),
-        Repeat([hist.atom for _, _, hist in blocks], each=n_bins),
-        Repeat(0.5 * (edges[:-1] + edges[1:]), tile=len(blocks)),
-        [d for _, _, hist in blocks for d in hist.density.tolist()],
-    ]
-    q_matrix = np.array([rec.q_values for rec in records])
-    n_rep = len(records)
-    q_std = q_matrix.std(axis=0, ddof=1) if n_rep > 1 else np.zeros(q_matrix.shape[1])
-    summary_cols = [record_times, q_matrix.mean(axis=0), q_std, [n_rep] * len(record_times)]
+    density = run.histogram_counts[replica, t_idx, atom_idx] / (
+        totals[replica, t_idx, atom_idx][:, None] * np.diff(edges))
+    hist_cols = [Repeat(replica, each=n_bins), Repeat(run.histogram_times[t_idx], each=n_bins),
+                 Repeat(run.atoms[atom_idx], each=n_bins),
+                 Repeat(0.5 * (edges[:-1] + edges[1:]), tile=len(replica)), density.ravel()]
+    q_std = run.q_values.std(axis=0, ddof=1) if n_rep > 1 else np.zeros(n_times)
+    summary_cols = [run.times, run.q_values.mean(axis=0), q_std, [n_rep] * n_times]
     files = [
         write_table(outdir / "trajectory.csv", ["replica", "t", "Q", "misclass"], traj_cols, fmt),
         write_table(outdir / "histograms.csv",
@@ -231,6 +219,8 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         write_table(outdir / "summary.csv", ["t", "Q_mean", "Q_std", "n_replicas"],
                     summary_cols, fmt),
     ]
+    diagnostics = {key: getattr(run, key) for key in (
+        "replica_steps", "steps_per_s", "draw_s", "update_s", "record_s")}
     return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
@@ -272,8 +262,9 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
 
 def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
                    q0_override: float | None) -> tuple[list[Path], dict]:
+    configured = cfgmod.build_dynamics(cfg)
     # the closed form is plain Oja's, whatever the configured shrinkage
-    model = Dynamics(cfg["algorithm"]["tau"], cfg["model"]["omega"], 0.0)
+    model = Dynamics(configured.tau, configured.omega, 0.0)
     if q0_override is not None and not 0.0 < abs(q0_override) <= 1.0:
         raise ConfigError("--q0 must be a finite nonzero overlap in [-1, 1]")
     q0 = cfgmod.initial_overlap(cfg) if q0_override is None else q0_override
@@ -287,7 +278,16 @@ def cmd_oja_theory(cfg: dict, outdir: Path, fmt: str,
     q_values = [closed_form_q(t, q0, model) for t in times]
     solved = time.perf_counter()
     files = [write_table(outdir / "oja_theory.csv", ["t", "Q"], [times, q_values], fmt)]
-    return files, {"diagnostics": _with_stage_times({}, started, solved)}
+    if configured.beta:
+        print(f"oja-theory: the closed form is plain Oja's, so {files[0].name} leaves out "
+              f"the configured beta = {configured.beta!r}", file=sys.stderr)
+    return files, {"diagnostics": _with_stage_times({"beta": model.beta}, started, solved)}
+
+
+def _note_unconverged(path: Path, count: int, total: int) -> None:
+    """Name a table's unconverged rows on stderr; the table keeps them."""
+    if count:
+        print(f"{count} of {total} rows of {path.name} are unconverged", file=sys.stderr)
 
 
 def _selected_fixed_point(results):
@@ -320,6 +320,7 @@ def cmd_steady(cfg: dict, outdir: Path, fmt: str,
         "max_residual": max(fp.residual for fp in results),
         "unconverged": sum(not fp.converged for fp in results),
     }
+    _note_unconverged(files[0], diagnostics["unconverged"], len(results))
     if with_density:
         fp = _selected_fixed_point(results)
         centers = cfgmod.build_grid(cfg, prior).centers
@@ -348,8 +349,10 @@ def cmd_sweep(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
                [";".join(format(v, ".9g") for v in pt.distinct_q) for pt in points]]
     path = write_table(outdir / "sweep.csv",
                        ["omega", "Q_star", "converged", "branch", "distinct_Q"], columns, fmt)
+    diagnostics = result.diagnostics()
+    _note_unconverged(path, diagnostics["unconverged_points"], len(points))
     return [path], {"omega_c": result.omega_c,
-                    "diagnostics": _with_stage_times(result.diagnostics(), started, solved)}
+                    "diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -59,30 +59,30 @@ _CONTINUOUS_HISTOGRAMS = "conditional histograms require a discrete-prior signal
 
 
 @dataclass
-class AtomHistogram:
-    """Normalized histogram of estimate coordinates on one signal atom.
+class Trajectory:
+    """One Monte Carlo run; row i of every per-replica array is replica i.
 
-    ``density`` is None when no coordinate sits on the atom (flagged
-    empty rather than fabricated).
+    ``q_values`` and ``misclass`` have shape (replicas, times), and
+    ``histogram_counts`` holds the int bin counts of shape (replicas,
+    histogram_times, atoms, bins): an atom without occupants is a row of
+    zeros. ``atoms`` is empty when no histogram is taken. The costs are
+    the replica-steps, replica-steps per wall second of the run, and the
+    seconds spent drawing, updating and recording, summed over the workers.
     """
 
-    atom: float
-    count: int
-    density: np.ndarray | None
-
-
-@dataclass
-class TrajectoryRecord:
-    """Metrics of a single replica along the rescaled-time grid."""
-
-    replica_id: int
     seed: int
     times: np.ndarray
+    histogram_times: np.ndarray
+    bin_edges: np.ndarray
+    atoms: np.ndarray
     q_values: np.ndarray
     misclass: np.ndarray
-    histogram_times: np.ndarray
-    histograms: list  # list over histogram_times of list[AtomHistogram]
-    bin_edges: np.ndarray
+    histogram_counts: np.ndarray
+    replica_steps: int
+    steps_per_s: float
+    draw_s: float
+    update_s: float
+    record_s: float
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,29 +161,17 @@ def cosine_similarity(x: np.ndarray, xi: np.ndarray) -> float:
 
 
 def joint_histogram(x: np.ndarray, xi: np.ndarray, prior: Prior,
-                    bin_edges: np.ndarray) -> list[AtomHistogram]:
-    """Per-atom normalized histograms of the coordinates {x_i : xi_i = atom},
-    one per atom of the prior that drew xi.
-
-    Each histogram integrates to 1 over the binned range; atoms without
-    occupants come back flagged empty.
-    """
+                    bin_edges: np.ndarray) -> np.ndarray:
+    """Bin counts of the coordinates {x_i : xi_i = atom}, of shape (atoms, bins),
+    one row per atom of the prior that drew xi; an atom without occupants is a
+    row of zeros."""
     if not prior.is_discrete:
         raise ConfigError(_CONTINUOUS_HISTOGRAMS)
     bin_edges = np.asarray(bin_edges, dtype=float)
     if bin_edges.ndim != 1 or bin_edges.size < 2 or np.any(np.diff(bin_edges) <= 0):
         raise ConfigError("bin edges must be strictly increasing with >= 2 entries")
-    widths = np.diff(bin_edges)
-    out = []
-    for atom in prior.atom_values.tolist():
-        vals = x[xi == atom]
-        counts, _ = np.histogram(vals, bins=bin_edges)
-        total = int(counts.sum())
-        if total == 0:
-            out.append(AtomHistogram(atom=atom, count=0, density=None))
-        else:
-            out.append(AtomHistogram(atom=atom, count=total, density=counts / (total * widths)))
-    return out
+    return np.array([np.histogram(x[xi == atom], bins=bin_edges)[0]
+                     for atom in prior.atom_values.tolist()])
 
 
 def misclassification_rate(x: np.ndarray, xi: np.ndarray, theta: float) -> float:
@@ -213,6 +201,7 @@ class _Run:
     x0_mean: float
     x0_var: float
     bin_edges: np.ndarray
+    atoms: np.ndarray
     theta: float
 
 
@@ -223,8 +212,10 @@ def _split(items: range, parts: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[TrajectoryRecord]:
-    """Advance the replicas together, one row each.
+def _run_batch(run: _Run, replicas: range,
+               timings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance the replicas together, one row each, and return their
+    overlaps, misclassification rates and histogram counts.
 
     Adds the seconds spent drawing, updating and recording to timings[0],
     timings[1] and timings[2]; the clock is read once per draw block and
@@ -253,7 +244,8 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
     events = sorted(set(record_steps.tolist()) | set(hist_steps.tolist()))
     q_values = np.empty((rows, len(record_steps)))
     misclass = np.empty((rows, len(record_steps)))
-    histograms = [[None] * len(hist_steps) for _ in replicas]
+    counts = np.empty((rows, len(hist_steps), len(run.atoms), len(run.bin_edges) - 1),
+                      dtype=np.int64)
 
     def record_at(k):
         for i in np.nonzero(record_steps == k)[0]:
@@ -262,7 +254,7 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
                 misclass[row, i] = misclassification_rate(x[row], signal, run.theta)
         for i in np.nonzero(hist_steps == k)[0]:
             for row, signal in enumerate(signals):
-                histograms[row][i] = joint_histogram(x[row], signal, run.prior, run.bin_edges)
+                counts[row, i] = joint_histogram(x[row], signal, run.prior, run.bin_edges)
 
     clock = time.perf_counter
     t_start = clock()
@@ -296,29 +288,18 @@ def _run_batch(run: _Run, replicas: range, timings: np.ndarray) -> list[Trajecto
             t_start, t_done = t_done, clock()
             timings[2] += t_done - t_start
 
-    return [
-        TrajectoryRecord(
-            replica_id=replica,
-            seed=run.seed,
-            times=run.record_times,
-            q_values=q_values[row],
-            misclass=misclass[row],
-            histogram_times=run.histogram_times,
-            histograms=histograms[row],
-            bin_edges=run.bin_edges,
-        )
-        for row, replica in enumerate(replicas)
-    ]
+    return q_values, misclass, counts
 
 
-def _run_chunk(run: _Run, replicas: range) -> tuple[list[TrajectoryRecord], np.ndarray]:
-    """Run a contiguous chunk of replicas in batches of near-equal size."""
+def _run_chunk(run: _Run, replicas: range) -> tuple[np.ndarray, ...]:
+    """Run a contiguous chunk of replicas in batches of near-equal size; returns
+    `_run_batch`'s arrays over the chunk and the seconds spent drawing,
+    updating and recording."""
     max_rows = max(1, BATCH_ELEMENTS // run.p)
     timings = np.zeros(3)
-    records = []
-    for batch in _split(replicas, -(-len(replicas) // max_rows)):
-        records.extend(_run_batch(run, batch, timings))
-    return records, timings
+    batches = [_run_batch(run, batch, timings)
+               for batch in _split(replicas, -(-len(replicas) // max_rows))]
+    return (*map(np.concatenate, zip(*batches)), timings)
 
 
 def default_bin_edges(rho: float, n_bins: int = 101) -> np.ndarray:
@@ -344,8 +325,7 @@ def run_trajectory(
     bin_edges: np.ndarray | None = None,
     theta: float | None = None,
     n_workers: int = 1,
-    diagnostics: dict | None = None,
-) -> list[TrajectoryRecord]:
+) -> Trajectory:
     """Run independent replicas of the online estimator and record metrics.
 
     Each replica draws a fresh signal of dimension p and a fresh i.i.d.
@@ -357,9 +337,7 @@ def run_trajectory(
     must be empty for a continuous prior. Every time must be finite and
     >= 0. Replicas are deterministic functions of (seed, replica): with
     n_workers > 1 each worker process runs one contiguous chunk of them,
-    with the same results. A ``diagnostics`` dict, when given, receives the run's
-    replica-steps, replica-steps per wall second, and the seconds spent
-    drawing, updating and recording, summed over the workers.
+    with the same results: one `Trajectory` whose row i is replica i.
     """
     if p < 2:
         raise ConfigError(f"dimension p must be >= 2, got {p}")
@@ -383,15 +361,16 @@ def run_trajectory(
     x0_mean, x0_var = float(x0_spec[0]), float(x0_spec[1])
     if x0_var <= 0:
         raise ConfigError(f"x0 variance must be > 0, got {x0_var}")
-    if prior.is_discrete and x0_mean * prior.mean == 0.0:
+    if x0_mean * prior.mean == 0.0:
         warnings.warn(
             "configured x0 law gives zero expected initial overlap; the "
             "deterministic limit requires a nonzero starting overlap",
             stacklevel=2,
         )
 
+    atoms = prior.atom_values if histogram_times.size else np.empty(0)
     run = _Run(prior, dynamics, p, seed, record_times, histogram_times,
-               x0_mean, x0_var, np.asarray(bin_edges, dtype=float), theta)
+               x0_mean, x0_var, np.asarray(bin_edges, dtype=float), atoms, theta)
     chunks = _split(range(replicas), max(1, min(n_workers, replicas)))
     started = time.perf_counter()
     if len(chunks) > 1:
@@ -400,10 +379,11 @@ def run_trajectory(
     else:
         results = [_run_chunk(run, chunks[0])]
     wall_s = time.perf_counter() - started
-    if diagnostics is not None:
-        draw_s, update_s, record_s = sum(timings for _, timings in results).tolist()
-        # each replica stops at its last event
-        steps = replicas * int(_steps_for(np.append(record_times, histogram_times), p).max())
-        diagnostics.update(replica_steps=steps, steps_per_s=steps / wall_s,
-                           draw_s=draw_s, update_s=update_s, record_s=record_s)
-    return [record for records, _ in results for record in records]
+    *arrays, timings = zip(*results)
+    draw_s, update_s, record_s = sum(timings).tolist()
+    # each replica stops at its last event
+    steps = replicas * int(_steps_for(np.append(record_times, histogram_times), p).max())
+    return Trajectory(seed, record_times, histogram_times, run.bin_edges, atoms,
+                      *map(np.concatenate, arrays), replica_steps=steps,
+                      steps_per_s=steps / wall_s, draw_s=draw_s, update_s=update_s,
+                      record_s=record_s)

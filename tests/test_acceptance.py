@@ -33,7 +33,6 @@ RHO = 0.05
 TAU = 0.5
 BETA = 0.27
 OMEGA = 1.0
-PEAK = 1.0 / math.sqrt(RHO)
 PRIOR = Prior.two_point(RHO)
 STEADY_CFG = Dynamics(tau=TAU, omega=OMEGA, beta=BETA)
 WORKERS = min(2, os.cpu_count() or 1)
@@ -132,7 +131,7 @@ def informative_fixed_point():
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_oja_closed_form_vs_simulation(oja_batch):
-    q = np.array([r.q_values for r in oja_batch])
+    q = oja_batch.q_values
     mean = q.mean(axis=0)
     se = q.std(axis=0, ddof=1) / math.sqrt(q.shape[0])
     params = Dynamics(tau=TAU, omega=OMEGA, beta=0.0)
@@ -148,7 +147,7 @@ def test_criterion_1_oja_closed_form_vs_simulation(oja_batch):
 
 
 def test_criterion_2_oja_steady_state(oja_batch):
-    q_final = np.mean([r.q_values[-1] for r in oja_batch])
+    q_final = np.mean(oja_batch.q_values[:, -1])
     target = math.sqrt(0.6)
     gap = abs(q_final - target)
     report(2, gap <= 0.05,
@@ -156,30 +155,24 @@ def test_criterion_2_oja_steady_state(oja_batch):
 
 
 def test_criterion_3_oja_phase_transition(oja_large_step_batch):
-    abs_q = np.mean([abs(r.q_values[-1]) for r in oja_large_step_batch])
+    abs_q = np.mean(np.abs(oja_large_step_batch.q_values[:, -1]))
     report(3, abs_q <= 0.1,
            f"Oja tau=2.5 (tau > 2*omega) t=100 mean |overlap| {abs_q:.4f} <= 0.1")
 
 
 def test_criterion_4_pde_vs_histograms(oist_hist_batch, pde_solution):
-    edges = oist_hist_batch[0].bin_edges
+    edges = oist_hist_batch.bin_edges
     widths = np.diff(edges)
     by_time = dict(zip(pde_solution.times.tolist(), pde_solution.snapshots))
+    # pooled over the replicas: an empty atom adds a row of zeros
+    pooled_counts = oist_hist_batch.histogram_counts.sum(axis=0)
     ok = True
     details = []
-    for t_idx, t in enumerate([1.0, 15.0]):
+    for t_idx, t in enumerate(oist_hist_batch.histogram_times.tolist()):
         snap = by_time[t]
-        for atom in (0.0, PEAK):
-            pooled = None
-            count = 0
-            for rec in oist_hist_batch:
-                hist = next(h for h in rec.histograms[t_idx] if h.atom == atom)
-                if hist.density is None:
-                    continue
-                add = hist.density * hist.count
-                pooled = add if pooled is None else pooled + add
-                count += hist.count
-            pooled = pooled / count
+        for a_idx, atom in enumerate(oist_hist_batch.atoms.tolist()):
+            counts = pooled_counts[t_idx, a_idx]
+            pooled = counts / (counts.sum() * widths)
             atom_idx = int(np.argmin(np.abs(snap.atoms - atom)))
             cum = np.concatenate([[0.0], np.cumsum(snap.densities[atom_idx]) * snap.grid.dx])
             pde_binned = np.diff(np.interp(edges, snap.grid.interfaces, cum)) / widths
@@ -190,7 +183,7 @@ def test_criterion_4_pde_vs_histograms(oist_hist_batch, pde_solution):
 
 
 def test_criterion_5_pde_inside_simulation_band(oist_band_batch, pde_solution):
-    q = np.array([r.q_values for r in oist_band_batch])
+    q = oist_band_batch.q_values
     mean = q.mean(axis=0)
     band = 2.0 * q.std(axis=0, ddof=1)
     gaps = np.abs(pde_solution.q_values - mean)

@@ -305,6 +305,37 @@ class TestSimulateCommand:
         rows = json.loads((out / "trajectory.json").read_text())
         assert {"replica", "t", "Q", "misclass"} == set(rows[0])
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_atom_block_not_written(self, tmp_path, fmt):
+        # at seed 7 and p = 16, replica 0 draws no -1/sqrt(rho) coordinate
+        cfg = write_config(tmp_path, {
+            "model": {"prior": "signed_two_point", "rho": 0.2, "p": 16},
+            "simulation": {"replicas": 3, "seed": 7, "record_times": [0.0, 0.5],
+                           "histogram_times": [0.5]},
+        })
+        with pytest.warns(UserWarning, match="zero expected initial overlap"):
+            code, out = run(tmp_path, "simulate", "--config", cfg, "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            rows = json.loads((out / "histograms.json").read_text())
+        else:
+            lines = (out / "histograms.csv").read_text().splitlines()
+            rows = [dict(zip(lines[0].split(","), map(float, line.split(","))))
+                    for line in lines[1:]]
+        blocks = {}
+        for row in rows:
+            blocks.setdefault((row["replica"], row["t"], row["xi_atom"]), []).append(row)
+        negative = -1.0 / math.sqrt(0.2)
+        assert {key for key in blocks if key[2] == negative} == {(1, 0.5, negative),
+                                                                 (2, 0.5, negative)}
+        assert len(blocks) == 8
+        edges = simulate.default_bin_edges(0.2)
+        centers = (0.5 * (edges[:-1] + edges[1:])).tolist()
+        for block in blocks.values():
+            assert [row["bin_center"] for row in block] == centers
+            mass = sum(row["density"] for row in block) * (edges[1] - edges[0])
+            assert mass == pytest.approx(1.0, abs=1e-12)
+
 
 class TestPdeCommand:
     def test_writes_tables(self, tmp_path):
@@ -460,6 +491,19 @@ class TestOjaTheoryCommand:
                 in capsys.readouterr().err)
         assert not (out / "oja_theory.csv").exists()
 
+    def test_configured_shrinkage_named(self, tmp_path, capsys):
+        # the curve is plain Oja's: the manifest records its beta, stderr the one left out
+        code, out = run(tmp_path, "oja-theory", "--config", write_config(tmp_path))
+        assert code == 0
+        assert ("the closed form is plain Oja's, so oja_theory.csv leaves out the "
+                "configured beta = 0.27") in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["diagnostics"]["beta"] == 0.0
+        plain = write_config(tmp_path, {"algorithm": {"threshold": "none"}})
+        code, out_plain = run(tmp_path / "plain", "oja-theory", "--config", plain)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "oja_theory.csv").read_bytes() == (out_plain / "oja_theory.csv").read_bytes()
+
     def test_histogram_times_past_the_run_accepted(self, tmp_path):
         # no histogram is written, so the default histogram times may pass a short t_max
         cfg = write_config(tmp_path, {"simulation": {"t_max": 0.5,
@@ -478,7 +522,7 @@ class TestSteadyCommand:
         branches = [line.split(",")[5] for line in lines[1:]]
         assert "uninformative" in branches
 
-    def test_manifest_diagnostics(self, tmp_path):
+    def test_manifest_diagnostics(self, tmp_path, capsys):
         # one Newton step per attempt leaves at least one init unconverged
         cfg = write_config(tmp_path, {"steady": {"inits": [[0.0, None], [0.5, None]],
                                                  "max_iter": 1}})
@@ -491,6 +535,8 @@ class TestSteadyCommand:
         assert diagnostics["max_residual"] == max(float(row[4]) for row in rows)
         assert diagnostics["unconverged"] == sum(row[6] == "false" for row in rows)
         assert diagnostics["unconverged"] >= 1
+        assert (f"{diagnostics['unconverged']} of 2 rows of fixed_point.csv are unconverged"
+                in capsys.readouterr().err)
 
     def test_manifest_stage_times(self, tmp_path):
         code, out = run(tmp_path, "steady", "--config", write_config(tmp_path), "--density")
@@ -642,6 +688,18 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
         (row,) = [row for row in rows if row[0].startswith("0.2448")]
         assert row[1:] == ["0", "true", "uninformative", "0"]
+
+    def test_manifest_diagnostics(self, tmp_path, capsys):
+        # one Newton step per SNR leaves points unconverged; stderr counts them
+        cfg = write_config(tmp_path, {"sweep": {"max_iter": 1}})
+        code, out = run(tmp_path, "sweep", "--config", cfg)
+        assert code == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["unconverged_points"] == sum(row[2] == "false" for row in rows)
+        assert diagnostics["unconverged_points"] >= 1
+        assert (f"{diagnostics['unconverged_points']} of 3 rows of sweep.csv are unconverged"
+                in capsys.readouterr().err)
 
     def test_parallel_matches_serial(self, tmp_path):
         cfg = write_config(tmp_path)

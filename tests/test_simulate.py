@@ -159,21 +159,23 @@ class TestJointHistogram:
         a = prior.atom_values[1]
         signal = np.array([0.0, 0.0, 0.0, a])
         edges = np.linspace(-1.0, 11.0, 25)
-        hists = joint_histogram(np.array([1.0, 1.0, 1.0, 9.0]), signal, prior, edges)
-        h0 = next(h for h in hists if h.atom == 0.0)
-        ha = next(h for h in hists if h.atom == a)
+        h0, ha = joint_histogram(np.array([1.0, 1.0, 1.0, 9.0]), signal, prior, edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        assert centers[np.argmax(h0.density)] == pytest.approx(1.0, abs=0.5)
-        assert centers[np.argmax(ha.density)] == pytest.approx(9.0, abs=0.5)
+        assert (h0.sum(), ha.sum()) == (3, 1)
+        assert centers[np.argmax(h0)] == pytest.approx(1.0, abs=0.5)
+        assert centers[np.argmax(ha)] == pytest.approx(9.0, abs=0.5)
 
     def test_mass_one(self):
+        # every binned coordinate is counted once, under its own atom
         prior = Prior.two_point(0.05)
         signal = draw_signal(prior, 5000, make_rng(8))
-        x = make_rng(9).standard_normal(5000)
+        x = 3.0 * make_rng(9).standard_normal(5000)
         edges = default_bin_edges(0.05)
-        for h in joint_histogram(x, signal, prior, edges):
-            if h.density is not None:
-                assert abs(np.sum(h.density * np.diff(edges)) - 1.0) <= 1e-9
+        counts = joint_histogram(x, signal, prior, edges)
+        assert counts.shape == (2, len(edges) - 1)
+        binned = (x >= edges[0]) & (x <= edges[-1])
+        for atom, row in zip(prior.atom_values, counts, strict=True):
+            assert row.sum() == np.sum(binned & (signal == atom))
 
     def test_matches_gaussian_density(self):
         # x ~ N(1/sqrt(2), 1/2) against the exact law: L1 <= 0.02 at 1e5
@@ -190,18 +192,18 @@ class TestJointHistogram:
         cdf = ndtr((edges - 1.0 / math.sqrt(2.0)) / math.sqrt(0.5))
         mass_in_range = cdf[-1] - cdf[0]
         truth = np.diff(cdf) / widths / mass_in_range
-        for h in joint_histogram(x, signal, prior, edges):
-            assert h.density is not None
-            l1 = np.sum(np.abs(h.density - truth) * widths)
-            assert l1 <= 0.02 * math.sqrt(100000 / h.count)
+        for counts in joint_histogram(x, signal, prior, edges):
+            total = counts.sum()
+            l1 = np.sum(np.abs(counts / (total * widths) - truth) * widths)
+            assert l1 <= 0.02 * math.sqrt(100000 / total)
 
     def test_empty_atom_flagged(self):
         prior = Prior.two_point(0.5)
         a = prior.atom_values[1]
         signal = np.array([0.0, 0.0, 0.0, 0.0])
-        hists = joint_histogram(np.ones(4), signal, prior, np.linspace(-1, 1, 5))
-        ha = next(h for h in hists if h.atom == a)
-        assert ha.count == 0 and ha.density is None
+        counts = joint_histogram(np.ones(4), signal, prior, np.linspace(-1, 1, 5))
+        assert prior.atom_values[1] == a
+        assert counts[0].tolist() == [0, 0, 0, 4] and not counts[1].any()
 
     def test_bad_edges_rejected(self):
         prior = Prior.two_point(0.5)
@@ -247,7 +249,7 @@ class TestRunTrajectory:
     def test_step_count(self):
         # floor(p * t) steps to the last record time, and the requested record grid
         prior = Prior.two_point(0.2)
-        recs = run_trajectory(
+        run = run_trajectory(
             prior,
             Dynamics(tau=0.5, omega=1.0, beta=0.0),
             p=50,
@@ -255,13 +257,14 @@ class TestRunTrajectory:
             record_times=[0.0, 1.5],
             replicas=1,
         )
-        assert np.array_equal(recs[0].times, [0.0, 1.5])
-        assert recs[0].q_values.shape == (2,)
+        assert np.array_equal(run.times, [0.0, 1.5])
+        assert run.q_values.shape == (1, 2)
+        assert run.replica_steps == 75
 
     def test_initial_overlap_concentration(self):
         # E[Q0] = sqrt(rho/2) for x0 ~ N(1/sqrt(2), 1/2)
         prior = Prior.two_point(0.05)
-        recs = run_trajectory(
+        run = run_trajectory(
             prior,
             Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=10000,
@@ -269,7 +272,7 @@ class TestRunTrajectory:
             record_times=[0.0],
             replicas=8,
         )
-        q0 = np.array([r.q_values[0] for r in recs])
+        q0 = run.q_values[:, 0]
         assert np.all(np.abs(q0 - math.sqrt(0.05 / 2.0)) <= 0.03)
 
     def test_deterministic(self):
@@ -284,13 +287,13 @@ class TestRunTrajectory:
         )
         a = run_trajectory(**kwargs)
         b = run_trajectory(**kwargs)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.q_values, rb.q_values)
-            assert np.array_equal(ra.misclass, rb.misclass)
+        assert np.array_equal(a.q_values, b.q_values)
+        assert np.array_equal(a.misclass, b.misclass)
+        assert np.array_equal(a.histogram_counts, b.histogram_counts)
 
     def test_q_range_and_histogram_mass(self):
         prior = Prior.two_point(0.1)
-        recs = run_trajectory(
+        run = run_trajectory(
             prior,
             Dynamics(tau=0.5, omega=1.0, beta=0.27),
             p=500,
@@ -298,13 +301,11 @@ class TestRunTrajectory:
             record_times=np.linspace(0, 3, 7),
             replicas=2,
         )
-        for rec in recs:
-            assert np.all(rec.q_values >= -1.0) and np.all(rec.q_values <= 1.0)
-            widths = np.diff(rec.bin_edges)
-            for hists in rec.histograms:
-                for h in hists:
-                    if h.density is not None:
-                        assert abs(np.sum(h.density * widths) - 1.0) <= 1e-9
+        assert np.all(run.q_values >= -1.0) and np.all(run.q_values <= 1.0)
+        # each histogram counts at most the p coordinates, most of them in range
+        assert run.histogram_counts.shape == (2, 7, 2, len(run.bin_edges) - 1)
+        totals = run.histogram_counts.sum(axis=(2, 3))
+        assert np.all((totals > 250) & (totals <= 500))
 
     def test_odd_symmetry(self):
         # negating x0 and xi jointly negates the trajectory pathwise; the
@@ -332,7 +333,7 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.05)
         p, n_rep = 2000, 20
         times = [0.0, 1.0, 5.0]
-        recs = run_trajectory(
+        q = run_trajectory(
             prior,
             Dynamics(tau=0.5, omega=1.0, beta=0.0),
             p=p,
@@ -340,8 +341,7 @@ class TestRunTrajectory:
             record_times=times,
             replicas=n_rep,
             n_workers=2,
-        )
-        q = np.array([r.q_values for r in recs])
+        ).q_values
         mean, se = q.mean(axis=0), q.std(axis=0, ddof=1) / math.sqrt(n_rep)
         params = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         for j, t in enumerate(times[1:], start=1):
@@ -358,12 +358,12 @@ class TestRunTrajectory:
         prior = Prior.two_point(0.1)
         dynamics, seed = Dynamics(tau=0.5, omega=1.0, beta=beta), 17
         record_times = [0.0, 10 / p, 30 / p]
-        recs = run_trajectory(prior, dynamics, p, seed, record_times=record_times,
-                              replicas=9, histogram_times=[10 / p, 30 / p],
-                              n_workers=n_workers)
+        run = run_trajectory(prior, dynamics, p, seed, record_times=record_times,
+                             replicas=9, histogram_times=[10 / p, 30 / p],
+                             n_workers=n_workers)
         edges, theta = default_bin_edges(prior.rho), default_theta(prior.rho)
-        for replica, rec in enumerate(recs):
-            assert rec.replica_id == replica
+        assert run.q_values.shape == (9, 3)
+        for replica in range(9):
             rng = make_rng(seed, replica)
             signal = draw_signal(prior, p, rng)
             state = 1.0 / math.sqrt(2.0) + math.sqrt(0.5) * rng.standard_normal(p)
@@ -376,16 +376,33 @@ class TestRunTrajectory:
                     mis.append(misclassification_rate(state, signal, theta))
                 if k in (10, 30):
                     hists.append(joint_histogram(state, signal, prior, edges))
-            assert np.array_equal(rec.q_values, q)
-            assert np.array_equal(rec.misclass, mis)
-            for got, want in zip(rec.histograms, hists, strict=True):
-                for g, w in zip(got, want, strict=True):
-                    assert (g.atom, g.count) == (w.atom, w.count)
-                    assert np.array_equal(g.density, w.density)
+            assert np.array_equal(run.q_values[replica], q)
+            assert np.array_equal(run.misclass[replica], mis)
+            assert np.array_equal(run.histogram_counts[replica], hists)
 
-    def test_zero_overlap_warns(self):
-        prior = Prior.signed_two_point(0.2)
-        with pytest.warns(UserWarning):
+    def test_replica_rows_and_fields(self):
+        # row i of each array is replica i; no histogram time means no atoms
+        prior = Prior.two_point(0.2)
+        dynamics = Dynamics(tau=0.5, omega=1.0, beta=0.27)
+        kwargs = dict(p=60, seed=3, record_times=[0.0, 0.5], replicas=3)
+        run = run_trajectory(prior, dynamics, histogram_times=[0.5], **kwargs)
+        assert (run.seed, run.replica_steps) == (3, 90)
+        assert run.q_values.shape == run.misclass.shape == (3, 2)
+        assert np.array_equal(run.atoms, prior.atom_values)
+        assert run.histogram_counts.shape == (3, 1, 2, 101)
+        assert run.histogram_counts.dtype.kind == "i"
+        assert np.array_equal(run.histogram_times, [0.5])
+        assert np.array_equal(run.bin_edges, default_bin_edges(0.2))
+        assert run.steps_per_s > 0 and min(run.draw_s, run.update_s, run.record_s) >= 0
+        bare = run_trajectory(prior, dynamics, histogram_times=[], **kwargs)
+        assert bare.atoms.size == 0 and bare.histogram_counts.shape == (3, 0, 0, 101)
+        assert np.array_equal(bare.q_values, run.q_values)
+
+    @pytest.mark.parametrize("prior", [Prior.signed_two_point(0.2),
+                                       Prior.bernoulli_gaussian(0.2)],
+                             ids=["signed_two_point", "bernoulli_gaussian"])
+    def test_zero_overlap_warns(self, prior):
+        with pytest.warns(UserWarning, match="zero expected initial overlap"):
             run_trajectory(
                 prior,
                 Dynamics(tau=0.5, omega=1.0, beta=0.0),
@@ -393,6 +410,7 @@ class TestRunTrajectory:
                 seed=1,
                 record_times=[0.0],
                 replicas=1,
+                histogram_times=[],
             )
 
     def test_validation(self):
