@@ -238,20 +238,20 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     solution = pdemod.solve(dynamics, start, all_times, cfg["pde"]["dt"])
     solved = time.perf_counter()
 
-    by_time = dict(zip(solution.times.tolist(), solution.snapshots))
-    moments = [by_time[t] for t in moment_times]
-    # every snapshot holds the same atoms on the same grid
-    atoms = solution.snapshots[0].atoms
-    centers = solution.snapshots[0].grid.centers
+    # every table time is one of the distinct solved times, so searchsorted finds its row
+    moment_rows = np.searchsorted(solution.times, moment_times)
+    density_rows = np.searchsorted(solution.times, density_times)
+    atoms, centers = solution.atoms, solution.grid.centers
     density_cols = [
         Repeat(density_times, each=len(atoms) * len(centers)),
         Repeat(atoms, each=len(centers), tile=len(density_times)),
         Repeat(centers, tile=len(density_times) * len(atoms)),
-        [d for t in density_times for d in by_time[t].densities.ravel().tolist()],
+        solution.densities[density_rows].ravel(),
     ]
     files = [
         write_table(outdir / "moments.csv", ["t", "Q", "R"],
-                    [moment_times, [s.q for s in moments], [s.r for s in moments]], fmt),
+                    [moment_times, solution.q_values[moment_rows],
+                     solution.r_values[moment_rows]], fmt),
         write_table(outdir / "densities.csv", ["t", "xi_atom", "x", "density"],
                     density_cols, fmt),
     ]

@@ -16,7 +16,8 @@ step. The coefficients depend only on the model, a
 ``nonlinearity.Dynamics`` (tau, omega, beta), so the solver takes a
 model and a state: ``solve(dynamics, start, record_times, dt)``
 integrates any nonnegative ``ConditionalDensitySet``, such as
-``initial_density``'s Gaussian start or a stationary profile.
+``initial_density``'s Gaussian start or a stationary profile, into one
+``PdeSolution`` that stacks the densities at the record times.
 
 Discretization: finite volume on a uniform cell-centred grid with
 no-flux ends. The flux between cells i and i+1 is the exponentially
@@ -69,7 +70,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -130,10 +130,6 @@ class ConditionalDensitySet:
     t: float
     q: float
     r: float
-
-    def copy(self) -> "ConditionalDensitySet":
-        return replace(self, atoms=self.atoms.copy(), weights=self.weights.copy(),
-                       densities=self.densities.copy())
 
 
 def drift(x, xi, q, r, tau, omega, beta):
@@ -249,17 +245,13 @@ def _interface_drift(state: ConditionalDensitySet, dynamics: Dynamics) -> np.nda
     return gamma
 
 
-def auto_dt(state: ConditionalDensitySet, dynamics: Dynamics,
-            gamma: np.ndarray | None = None) -> float:
+def auto_dt(state: ConditionalDensitySet, dynamics: Dynamics) -> float:
     """Step of COURANT cells per step at the fastest drift: dt = COURANT * dx / max|gamma|.
 
     Falls back to dx^2 / (2D) where the drift vanishes everywhere.
-    ``gamma`` is the interface drift of ``state``, when the caller has it.
     """
-    if gamma is None:
-        gamma = _interface_drift(state, dynamics)
     dx = state.grid.dx
-    gmax = float(np.max(np.abs(gamma)))
+    gmax = float(np.max(np.abs(_interface_drift(state, dynamics))))
     if gmax > 0.0:
         return COURANT * dx / gmax
     return dx * dx / (2.0 * diffusion_coefficient(dynamics.tau, dynamics.omega, state.q))
@@ -280,25 +272,18 @@ def _fitted_diffusion(v: np.ndarray, diffusion: float, dx: float) -> np.ndarray:
     return bern
 
 
-class _FluxOperator(NamedTuple):
-    """The flux operator A of one state's drift, before scaling by dt/dx.
+def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> np.ndarray:
+    """The flux operator A of ``state``'s drift before scaling by dt/dx, shared
+    by every step from ``state``: its fitted weights, of shape (2, cells).
 
     With the flux J = w+ P_i - w- P_{i+1} through the interface right of
-    cell i, ``weights[0]`` holds w+ and ``weights[1]`` holds w- per cell,
-    flat over the chained atoms, and 0 at each atom's last cell, which has
-    no flux on its right. ``gamma`` is the interface drift they come from.
+    cell i, row 0 holds w+ and row 1 holds w- per cell, flat over the
+    chained atoms, and 0 at each atom's last cell, which has no flux on
+    its right.
     """
-
-    gamma: np.ndarray
-    weights: np.ndarray
-
-
-def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> _FluxOperator:
-    """The fitted flux weights of ``state``'s drift, shared by every step from ``state``."""
-    gamma = _interface_drift(state, dynamics)
     # the interface right of every cell, the domain's end included, so that
     # every array below is contiguous; the end's weights are zeroed last
-    v = gamma[:, 1:].copy()
+    v = _interface_drift(state, dynamics)[:, 1:].copy()
     fitted = _fitted_diffusion(v, diffusion_coefficient(dynamics.tau, dynamics.omega, state.q),
                                state.grid.dx)
     weights = np.empty((2, *v.shape))
@@ -308,11 +293,11 @@ def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> _FluxOpe
     w_right += fitted
     w_left += fitted
     weights[:, :, -1] = 0.0
-    return _FluxOperator(gamma, weights.reshape(2, -1))
+    return weights.reshape(2, -1)
 
 
 def step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float | None = None,
-         operator: _FluxOperator | None = None) -> ConditionalDensitySet:
+         operator: np.ndarray | None = None) -> ConditionalDensitySet:
     """Advance all conditional densities by one backward-Euler step.
 
     (q, r) stay frozen at their start-of-step values while the step is
@@ -321,17 +306,17 @@ def step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float | None = No
     ``_flux_operator(state, dynamics)``, when the caller has it.
     ``state`` is left as it was.
     """
+    if dt is None:
+        dt = auto_dt(state, dynamics)
     if operator is None:
         operator = _flux_operator(state, dynamics)
-    if dt is None:
-        dt = auto_dt(state, dynamics, operator.gamma)
     # (I + dt A) P_new = P_old: row i is P_i + (dt/dx) (J_{i+1/2} - J_{i-1/2}),
     # so its sub- and super-diagonal hold -lam w+_{i-1} and -lam w-_i, and its
     # diagonal is (1 + lam w+_i) + lam w-_{i-1}. Rounding is symmetric, so
     # w (-lam) is -(w lam) exactly. The atoms' systems are chained into one;
     # the ends carry no flux, so the entries coupling one atom's block to the
     # next are zero (-0.0, which the solve treats as 0).
-    lower, upper = operator.weights * (-dt / state.grid.dx)
+    lower, upper = operator * (-dt / state.grid.dx)
     diag = np.subtract(1.0, lower)
     diag[1:] -= upper[:-1]
     p = state.densities
@@ -347,20 +332,24 @@ def step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float | None = No
 
 @dataclass
 class PdeSolution:
-    """Recorded (t, q, r) series with density snapshots at the record times.
+    """One run: the state at every record time, on the start's grid and atoms.
 
-    ``n_steps`` counts accepted steps. ``dt_min`` and ``dt_max`` span
-    them (0 when none was), the shortened steps that land on record
-    times included. Under "auto", ``n_rejected`` counts the trial steps
-    that missed the tolerance and ``n_first_order`` the accepted steps
-    that kept the half-step result because the extrapolation went
-    negative. ``mass_error`` is the final max |mass - 1| over the atoms.
+    Row i of ``densities`` (times, atoms, cells), ``q_values`` and
+    ``r_values`` is the state at ``times[i]``. ``n_steps`` counts
+    accepted steps. ``dt_min`` and ``dt_max`` span them (0 when none
+    was), the shortened steps that land on record times included. Under
+    "auto", ``n_rejected`` counts the trial steps that missed the
+    tolerance and ``n_first_order`` the accepted steps that kept the
+    half-step result because the extrapolation went negative.
+    ``mass_error`` is the final max |mass - 1| over the atoms.
     """
 
     times: np.ndarray
     q_values: np.ndarray
     r_values: np.ndarray
-    snapshots: list
+    densities: np.ndarray
+    grid: Grid
+    atoms: np.ndarray
     n_steps: int
     n_rejected: int
     n_first_order: int
@@ -405,13 +394,13 @@ def solve(
     dt: float | str = "auto",
 ) -> PdeSolution:
     """Integrate the limit equations of ``dynamics`` from ``start`` and
-    snapshot the state at record_times.
+    record the state at the sorted record_times.
 
     ``start`` is any nonnegative state, such as ``initial_density``'s
-    Gaussian or a stationary profile; the run copies it, keeps its grid
-    and atoms, and recomputes its (q, r) under ``dynamics.beta``. The
-    record times must be finite and >= 0; one before ``start.t`` records
-    the state as it is then. A numeric ``dt`` is used
+    Gaussian or a stationary profile; the run leaves it unchanged, keeps
+    its grid and atoms, and recomputes its (q, r) under
+    ``dynamics.beta``. The record times must be finite and >= 0; one
+    before ``start.t`` records the state as it is then. A numeric ``dt`` is used
     as an upper bound (shortened to land exactly on record times).
     "auto" takes error-controlled extrapolated steps
     (``_extrapolated_step``) at the tolerance STEP_TOL * dx^2, starting
@@ -427,7 +416,8 @@ def solve(
         raise ConfigError("record_times must lie in [0, inf)")
     if not start.densities.min() >= 0.0:  # NaN fails too
         raise ConfigError("start has a negative or NaN density cell")
-    state = start.copy()
+    # no step writes into a density array, so the run may share the start's
+    state = replace(start)
     # the cached (q, r) of the start may belong to another beta
     state.q, state.r = moments(state, dynamics.beta)
 
@@ -435,10 +425,11 @@ def solve(
     if adaptive:
         tol = STEP_TOL * state.grid.dx ** 2
     dt_trial = auto_dt(state, dynamics) if adaptive else float(dt)
-    times, qs, rs, snaps = [], [], [], []
+    q_values, r_values = np.empty(record_times.size), np.empty(record_times.size)
+    densities = np.empty((record_times.size, *state.densities.shape))
     n_steps = n_rejected = n_first_order = 0
     dt_min, dt_max = math.inf, 0.0
-    for t_next in record_times:
+    for i, t_next in enumerate(record_times):
         while state.t < t_next - 1e-12:
             h = min(dt_trial, float(t_next) - state.t)
             if not adaptive:
@@ -460,21 +451,11 @@ def solve(
             n_steps += 1
             dt_min = min(dt_min, h)
             dt_max = max(dt_max, h)
-        times.append(t_next)
-        qs.append(state.q)
-        rs.append(state.r)
-        snaps.append(state.copy())
+        q_values[i], r_values[i] = state.q, state.r
+        densities[i] = state.densities
 
     masses = state.densities.sum(axis=1) * state.grid.dx
-    return PdeSolution(
-        times=np.asarray(times),
-        q_values=np.asarray(qs),
-        r_values=np.asarray(rs),
-        snapshots=snaps,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-        n_first_order=n_first_order,
-        dt_min=dt_min if n_steps else 0.0,
-        dt_max=dt_max,
-        mass_error=float(np.max(np.abs(masses - 1.0))),
-    )
+    return PdeSolution(record_times, q_values, r_values, densities, start.grid,
+                       start.atoms.copy(), n_steps, n_rejected, n_first_order,
+                       dt_min=dt_min if n_steps else 0.0, dt_max=dt_max,
+                       mass_error=float(np.max(np.abs(masses - 1.0))))

@@ -160,6 +160,19 @@ def cosine_similarity(x: np.ndarray, xi: np.ndarray) -> float:
     return min(1.0, max(-1.0, value))
 
 
+def _checked_bin_edges(bin_edges) -> np.ndarray:
+    """The edges as floats, refused unless 1-D and strictly increasing with >= 2 entries."""
+    bin_edges = np.asarray(bin_edges, dtype=float)
+    if bin_edges.ndim != 1 or bin_edges.size < 2 or not np.all(np.diff(bin_edges) > 0):
+        raise ConfigError("bin edges must be strictly increasing with >= 2 entries")
+    return bin_edges
+
+
+def _check_theta(theta: float) -> None:
+    if not 0 < theta < math.inf:  # NaN fails too
+        raise ConfigError(f"support threshold theta must be finite and > 0, got {theta}")
+
+
 def joint_histogram(x: np.ndarray, xi: np.ndarray, prior: Prior,
                     bin_edges: np.ndarray) -> np.ndarray:
     """Bin counts of the coordinates {x_i : xi_i = atom}, of shape (atoms, bins),
@@ -167,17 +180,14 @@ def joint_histogram(x: np.ndarray, xi: np.ndarray, prior: Prior,
     row of zeros."""
     if not prior.is_discrete:
         raise ConfigError(_CONTINUOUS_HISTOGRAMS)
-    bin_edges = np.asarray(bin_edges, dtype=float)
-    if bin_edges.ndim != 1 or bin_edges.size < 2 or np.any(np.diff(bin_edges) <= 0):
-        raise ConfigError("bin edges must be strictly increasing with >= 2 entries")
+    bin_edges = _checked_bin_edges(bin_edges)
     return np.array([np.histogram(x[xi == atom], bins=bin_edges)[0]
                      for atom in prior.atom_values.tolist()])
 
 
 def misclassification_rate(x: np.ndarray, xi: np.ndarray, theta: float) -> float:
     """Fraction of coordinates whose support call |x_i| > theta disagrees with xi_i != 0."""
-    if theta <= 0:
-        raise ValueError(f"support threshold theta must be > 0, got {theta}")
+    _check_theta(theta)
     est_support = np.abs(x) > theta
     true_support = xi != 0.0
     return float(np.mean(est_support != true_support))
@@ -353,14 +363,14 @@ def run_trajectory(
             raise ConfigError(f"{name} must be finite and >= 0")
     if histogram_times.size and not prior.is_discrete:
         raise ConfigError(_CONTINUOUS_HISTOGRAMS)
-    if bin_edges is None:
-        bin_edges = default_bin_edges(prior.rho)
-    if theta is None:
-        theta = default_theta(prior.rho)
+    bin_edges = _checked_bin_edges(default_bin_edges(prior.rho) if bin_edges is None
+                                   else bin_edges)
+    theta = default_theta(prior.rho) if theta is None else theta
+    _check_theta(theta)
 
     x0_mean, x0_var = float(x0_spec[0]), float(x0_spec[1])
-    if x0_var <= 0:
-        raise ConfigError(f"x0 variance must be > 0, got {x0_var}")
+    if not (abs(x0_mean) < math.inf and 0 < x0_var < math.inf):  # NaN fails too
+        raise ConfigError(f"x0 law needs a finite mean and a finite variance > 0, got {x0_spec}")
     if x0_mean * prior.mean == 0.0:
         warnings.warn(
             "configured x0 law gives zero expected initial overlap; the "
@@ -370,7 +380,7 @@ def run_trajectory(
 
     atoms = prior.atom_values if histogram_times.size else np.empty(0)
     run = _Run(prior, dynamics, p, seed, record_times, histogram_times,
-               x0_mean, x0_var, np.asarray(bin_edges, dtype=float), atoms, theta)
+               x0_mean, x0_var, bin_edges, atoms, theta)
     chunks = _split(range(replicas), max(1, min(n_workers, replicas)))
     started = time.perf_counter()
     if len(chunks) > 1:

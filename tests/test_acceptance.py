@@ -163,19 +163,20 @@ def test_criterion_3_oja_phase_transition(oja_large_step_batch):
 def test_criterion_4_pde_vs_histograms(oist_hist_batch, pde_solution):
     edges = oist_hist_batch.bin_edges
     widths = np.diff(edges)
-    by_time = dict(zip(pde_solution.times.tolist(), pde_solution.snapshots))
+    row = {t: i for i, t in enumerate(pde_solution.times.tolist())}
+    grid = pde_solution.grid
     # pooled over the replicas: an empty atom adds a row of zeros
     pooled_counts = oist_hist_batch.histogram_counts.sum(axis=0)
     ok = True
     details = []
     for t_idx, t in enumerate(oist_hist_batch.histogram_times.tolist()):
-        snap = by_time[t]
+        densities = pde_solution.densities[row[t]]
         for a_idx, atom in enumerate(oist_hist_batch.atoms.tolist()):
             counts = pooled_counts[t_idx, a_idx]
             pooled = counts / (counts.sum() * widths)
-            atom_idx = int(np.argmin(np.abs(snap.atoms - atom)))
-            cum = np.concatenate([[0.0], np.cumsum(snap.densities[atom_idx]) * snap.grid.dx])
-            pde_binned = np.diff(np.interp(edges, snap.grid.interfaces, cum)) / widths
+            atom_idx = int(np.argmin(np.abs(pde_solution.atoms - atom)))
+            cum = np.concatenate([[0.0], np.cumsum(densities[atom_idx]) * grid.dx])
+            pde_binned = np.diff(np.interp(edges, grid.interfaces, cum)) / widths
             l1 = float(np.sum(np.abs(pooled - pde_binned) * widths))
             ok = ok and l1 <= 0.1
             details.append(f"(t={t}, xi={atom:.2f}): L1={l1:.3f}")

@@ -390,23 +390,31 @@ class TestPdeCommand:
             assert diagnostics[key] == getattr(solution, key)
         assert 0 <= diagnostics["n_first_order"] <= diagnostics["n_steps"]
 
-    def test_densities_match_solver_snapshots(self, tmp_path):
-        path = write_config(tmp_path)
+    @pytest.mark.parametrize("lists", [
+        {},
+        {"record_times": [0.0, 0.1, 0.2], "density_times": [0.05, 0.2]},
+    ], ids=["default", "interleaved"])
+    def test_tables_match_solver_rows(self, tmp_path, lists):
+        # each table holds exactly its own times, read off the one run over both lists
+        path = write_config(tmp_path, {"pde": lists})
         code, out = run(tmp_path, "pde", "--config", path)
         assert code == 0
         cfg = cfgmod.validate_config(cfgmod.load_config(path))
         prior = cfgmod.build_discrete_prior(cfg)
-        times = cfg["pde"]["density_times"]
+        record_times, density_times = cfg["pde"]["record_times"], cfg["pde"]["density_times"]
         model = cfgmod.build_dynamics(cfg)
         start = pde.initial_density(cfg["simulation"]["x0_mean"], cfg["simulation"]["x0_var"],
                                     cfgmod.build_grid(cfg, prior), prior, model.beta)
-        solution = pde.solve(model, start, sorted(set(times) | set(cfg["pde"]["record_times"])),
+        solution = pde.solve(model, start, sorted(set(density_times) | set(record_times)),
                              cfg["pde"]["dt"])
-        by_time = dict(zip(solution.times.tolist(), solution.snapshots))
-        rows = [(t, atom, x, d) for t in times
-                for atom, dens in zip(by_time[t].atoms, by_time[t].densities)
-                for x, d in zip(by_time[t].grid.centers, dens)]
-        assert len(rows) == 2 * 96
+        row = {t: i for i, t in enumerate(solution.times.tolist())}
+        moments = [(t, solution.q_values[row[t]], solution.r_values[row[t]])
+                   for t in record_times]
+        assert (out / "moments.csv").read_text() == render_rows(["t", "Q", "R"], moments, "csv")
+        rows = [(t, atom, x, d) for t in density_times
+                for atom, dens in zip(solution.atoms, solution.densities[row[t]])
+                for x, d in zip(solution.grid.centers, dens)]
+        assert len(rows) == len(density_times) * 2 * 96
         expected = render_rows(["t", "xi_atom", "x", "density"], rows, "csv")
         assert (out / "densities.csv").read_text() == expected
 

@@ -251,8 +251,7 @@ class TestStep:
         grid = make_grid()
         cfg = Dynamics(tau=0.5, omega=1.0, beta=SOFT)
         state = initial_density(1.0 / math.sqrt(2.0), 0.5, grid, PRIOR, SOFT)
-        wild = state.copy()
-        wild.q, wild.r = 0.0, -2000.0
+        wild = replace(state, q=0.0, r=-2000.0)
         for start in (state, wild):
             new = step(start, cfg, dt=1.0)
             assert np.all(new.densities >= 0.0)
@@ -318,13 +317,14 @@ class TestSolve:
         assert np.array_equal(mismatched.q_values, matched.q_values)
         assert np.array_equal(mismatched.r_values, matched.r_values)
 
-    def test_snapshots_and_series(self):
+    def test_densities_and_series(self):
         times = [0.0, 0.5, 1.0]
-        sol = solve(MODEL, gaussian_start(make_grid()), times)
+        start = gaussian_start(make_grid())
+        sol = solve(MODEL, start, times)
         assert np.array_equal(sol.times, times)
-        assert len(sol.snapshots) == 3
-        for snap, q in zip(sol.snapshots, sol.q_values):
-            assert snap.q == q
+        assert sol.densities.shape == (3, 2, 700)
+        for density, q, r in zip(sol.densities, sol.q_values, sol.r_values, strict=True):
+            assert moments(replace(start, densities=density), SOFT) == (q, r)
         assert sol.q_values[2] > sol.q_values[0]  # overlap grows at these settings
 
     def test_fixed_dt_honored(self):
@@ -334,7 +334,7 @@ class TestSolve:
     def test_multi_atom_asymmetric_prior(self):
         prior = Prior.from_atoms([(-1.0, 0.2), (0.0, 0.6), (2.0, 0.2)])
         sol = solve(MODEL, gaussian_start(Grid(-6.0, 8.0, 700), prior), [0.0, 0.5])
-        assert len(sol.snapshots[0].atoms) == 3
+        assert len(sol.atoms) == 3 and sol.densities.shape[1] == 3
         assert sol.q_values[0] == pytest.approx(
             (1.0 / math.sqrt(2.0)) * prior.mean / 1.0, abs=1e-9
         )
@@ -376,10 +376,8 @@ class TestSolve:
         before = (start.densities.tobytes(), start.atoms.tobytes(), start.weights.tobytes(),
                   start.t, start.q, start.r)
         sol = solve(MODEL, start, [0.0, 0.5])
-        for snap in sol.snapshots:
-            assert snap.grid == start.grid and snap.densities.shape == (3, 300)
-            assert np.array_equal(snap.atoms, start.atoms)
-            assert np.array_equal(snap.weights, start.weights)
+        assert sol.grid == start.grid and sol.densities.shape == (2, 3, 300)
+        assert np.array_equal(sol.atoms, start.atoms)
         assert (sol.q_values[0], sol.r_values[0]) == (start.q, start.r)
         assert (start.densities.tobytes(), start.atoms.tobytes(), start.weights.tobytes(),
                 start.t, start.q, start.r) == before
@@ -397,11 +395,11 @@ class TestAutoStep:
         assert reference_run.times[-1] == 15.0
         assert reference_run.n_steps <= 400
 
-    def test_snapshots_are_densities(self, reference_run):
+    def test_recorded_densities_are_densities(self, reference_run):
         dx = make_grid(n=900).dx
-        for snap in reference_run.snapshots:
-            assert np.all(snap.densities >= 0.0)
-            masses = snap.densities.sum(axis=1) * dx
+        for densities in reference_run.densities:
+            assert np.all(densities >= 0.0)
+            masses = densities.sum(axis=1) * dx
             assert np.max(np.abs(masses - 1.0)) <= 1e-12
 
     def test_second_order_in_time(self):
@@ -417,8 +415,8 @@ class TestAutoStep:
         dx = make_grid(n=900).dx
         for t in (1.0, 3.0):
             i = int(np.searchsorted(times, t))
-            p_ref = (4.0 * fine.snapshots[i].densities - coarse.snapshots[i].densities) / 3.0
-            l1 = np.abs(auto.snapshots[i].densities - p_ref).sum(axis=1) * dx
+            p_ref = (4.0 * fine.densities[i] - coarse.densities[i]) / 3.0
+            l1 = np.abs(auto.densities[i] - p_ref).sum(axis=1) * dx
             assert np.all(l1 <= 1e-3)
 
     def test_negative_extrapolation_falls_back_to_half_steps(self):
@@ -433,13 +431,14 @@ class TestAutoStep:
         assert np.min(2.0 * fine.densities - coarse.densities) < 0.0
         sol = solve(cfg, start, [dt])
         assert sol.n_steps == 1 and sol.n_first_order == 1
-        assert np.array_equal(sol.snapshots[0].densities, fine.densities)
+        assert np.array_equal(sol.densities[0], fine.densities)
         assert sol.q_values[0] == fine.q and sol.r_values[0] == fine.r
 
 
 
 # The kernel before the shared flux operator and the lighter moments, kept
-# verbatim as the oracle that `solve` must reproduce bit for bit.
+# verbatim (but for `auto_dt`, which no longer takes the drift) as the oracle
+# that `solve` must reproduce bit for bit.
 def oracle_moments(state, beta):
     dx = state.grid.dx
     masses = state.densities.sum(axis=1) * dx
@@ -457,7 +456,7 @@ def oracle_step(state, cfg, dt=None, gamma=None):
     if gamma is None:
         gamma = pdemod._interface_drift(state, cfg)
     if dt is None:
-        dt = pdemod.auto_dt(state, cfg, gamma)
+        dt = pdemod.auto_dt(state, cfg)
     dx = state.grid.dx
     diffusion = pdemod.diffusion_coefficient(cfg.tau, cfg.omega, state.q)
 
@@ -539,26 +538,29 @@ class TestKernelOracle:
             patch.setattr(pdemod, "step", oracle_step)
             patch.setattr(pdemod, "_extrapolated_step", oracle_extrapolated_step)
             want = solve(cfg, initial(), times, dt)
-        assert len(got.snapshots[0].atoms) == (21 if start is bernoulli_gaussian_start else 2)
+        assert len(got.atoms) == (21 if start is bernoulli_gaussian_start else 2)
         if start is narrow_start:
             assert got.n_first_order > 0
         for key in ("n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error"):
             assert getattr(got, key) == getattr(want, key), key
-        for values in ("times", "q_values", "r_values"):
+        # every recorded density, at every record time t with its q and r
+        for values in ("times", "q_values", "r_values", "densities", "atoms"):
             assert getattr(got, values).tobytes() == getattr(want, values).tobytes()
-        for mine, theirs in zip(got.snapshots, want.snapshots, strict=True):
-            assert mine.densities.tobytes() == theirs.densities.tobytes()
-            assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
+        assert got.densities.shape == (len(times), len(got.atoms), grid.n)
+        assert got.grid == want.grid
 
 
 def later_start(grid):
     # past the first steps, which keep their half-step results
-    return solve(MODEL, gaussian_start(grid), [0.5]).snapshots[-1]
+    start = gaussian_start(grid)
+    sol = solve(MODEL, start, [0.5])
+    return replace(start, densities=sol.densities[-1], t=0.5, q=sol.q_values[-1],
+                   r=sol.r_values[-1])
 
 
 class TestNoAliasing:
     # each step writes only into arrays it allocates itself: no state the
-    # caller holds, and no recorded snapshot, may share memory with another
+    # caller holds, and no run's result, may share memory with another
 
     @pytest.mark.parametrize("start", [gaussian_start, narrow_start],
                              ids=["reference", "narrow-start"])
@@ -567,23 +569,19 @@ class TestNoAliasing:
         first, second = (solve(MODEL, start(REFERENCE_GRID), times) for _ in range(2))
         for key in ("n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error"):
             assert getattr(first, key) == getattr(second, key), key
-        for values in ("times", "q_values", "r_values"):
+        for values in ("times", "q_values", "r_values", "densities", "atoms"):
             assert getattr(first, values).tobytes() == getattr(second, values).tobytes()
-        for mine, theirs in zip(first.snapshots, second.snapshots, strict=True):
-            assert mine.densities.tobytes() == theirs.densities.tobytes()
-            assert (mine.t, mine.q, mine.r) == (theirs.t, theirs.q, theirs.r)
 
     @pytest.mark.parametrize("start", [gaussian_start, narrow_start],
                              ids=["reference", "narrow-start"])
-    def test_snapshots_share_no_memory(self, start):
+    def test_result_shares_no_memory(self, start):
         initial = start(REFERENCE_GRID)
         before = initial.densities.tobytes()
         sol = solve(MODEL, initial, [0.0, 0.1, 0.5, 1.0])
         # the run records both extrapolated and kept half-step results
         assert 0 < sol.n_first_order < sol.n_steps
-        arrays = [initial.densities, initial.atoms, initial.weights]
-        for snap in sol.snapshots:
-            arrays += [snap.densities, snap.atoms, snap.weights]
+        arrays = [initial.densities, initial.atoms, initial.weights, sol.times, sol.q_values,
+                  sol.r_values, sol.densities, sol.atoms]
         for i, mine in enumerate(arrays):
             for theirs in arrays[i + 1:]:
                 assert not np.shares_memory(mine, theirs)
@@ -596,11 +594,14 @@ class TestNoAliasing:
         state = start(REFERENCE_GRID)
         before = (state.densities.tobytes(), state.t, state.q, state.r)
         operator = pdemod._flux_operator(state, cfg)
-        weights = operator.weights.tobytes()
+        weights = operator.tobytes()
         dt = auto_dt(state, cfg)
         new = step(state, cfg, dt)
         step(state, cfg, 0.5 * dt, operator)
-        step(state, cfg)
+        # a step without dt is the step of auto_dt, bit for bit
+        auto = step(state, cfg)
+        assert ((auto.densities.tobytes(), auto.t, auto.q, auto.r)
+                == (new.densities.tobytes(), new.t, new.q, new.r))
         accepted, _, first_order = pdemod._extrapolated_step(state, cfg, dt, math.inf)
         assert first_order == (start is narrow_start)
         kept = accepted.densities.tobytes()
@@ -608,7 +609,7 @@ class TestNoAliasing:
         rejected, _, _ = pdemod._extrapolated_step(state, cfg, dt, 0.0)
         assert rejected is None
         assert (state.densities.tobytes(), state.t, state.q, state.r) == before
-        assert operator.weights.tobytes() == weights
+        assert operator.tobytes() == weights
         assert accepted.densities.tobytes() == kept
         arrays = [state.densities, new.densities, accepted.densities, again.densities]
         for i, mine in enumerate(arrays):

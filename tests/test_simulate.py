@@ -22,6 +22,7 @@ from oistlab import (
     run_trajectory,
 )
 from oistlab.priors import make_rng, next_sample
+from oistlab import simulate
 from oistlab.simulate import BATCH_ELEMENTS, default_bin_edges, default_theta
 
 
@@ -430,6 +431,23 @@ class TestRunTrajectory:
             with pytest.raises(ConfigError, match="^histogram_times"):
                 run_trajectory(prior, dynamics, 50, 1, record_times=[0.5],
                                replicas=1, histogram_times=bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"theta": math.nan}, {"theta": -1.0}, {"theta": math.inf},
+        {"bin_edges": [1.0, 0.0]}, {"bin_edges": [0.0, math.nan, 1.0]},
+        {"x0_spec": (0.7, math.nan)}, {"x0_spec": (math.inf, 0.5)},
+        {"x0_spec": (math.nan, 0.5)}, {"x0_spec": (0.7, math.inf)},
+    ], ids=["theta-nan", "theta-negative", "theta-inf", "edges-decreasing", "edges-nan",
+            "x0-var-nan", "x0-mean-inf", "x0-mean-nan", "x0-var-inf"])
+    def test_metric_and_start_inputs_refused_before_the_run(self, monkeypatch, bad):
+        def run_chunk(*args):
+            raise AssertionError("the replicas ran")
+
+        monkeypatch.setattr(simulate, "_run_chunk", run_chunk)
+        with pytest.raises(ConfigError):
+            run_trajectory(Prior.two_point(0.1), Dynamics(tau=0.5, omega=1.0, beta=0.27),
+                           50, 1, record_times=[0.0, 1.0], replicas=1, histogram_times=[5.0],
+                           **bad)
 
 
 def _unit(v):
