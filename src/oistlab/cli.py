@@ -59,10 +59,6 @@ class Repeat(NamedTuple):
     tile: int = 1
 
 
-# A plain (not `Repeat`) column of these kinds is formatted by the row
-# template itself: "%.17g" % v equals format(float(v), ".17g") and
-# "%r" % v equals float.__repr__(v).
-_PLACEHOLDERS = {"csv": ({float, np.float64}, "%.17g"), "json": ({float}, "%r")}
 _BLOCK_ROWS = 4096
 
 
@@ -74,84 +70,64 @@ def _row_count(columns: list) -> int:
     return lengths[0] if lengths else 0
 
 
-def _template_column(column, fmt: str):
-    """One column of the row template.
+def _cells(column, fmt: str):
+    """An iterator over the text of a column's cells, in row order.
 
-    Returns (placeholder, values) for a plain float column, whose values
-    the template formats, or (None, its cells in row order, with `%`
-    escaped) for any other column, whose cells go into the template as
-    text. A JSON float column that holds nan or +-inf is text, so that
-    `_cell` writes json's constants for them.
+    A `Repeat` formats each distinct value once. A plain column of floats
+    (CSV: float or np.float64; JSON: float, with a finite sum so that no
+    nan or +-inf needs json's constants) is formatted `_BLOCK_ROWS` values
+    per `%`: "%.17g" % v equals format(float(v), ".17g") and "%r" % v
+    equals float.__repr__(v). Every other cell goes through `_cell`.
     """
     values = column.values if isinstance(column, Repeat) else column
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    if not isinstance(column, Repeat):
-        kinds, placeholder = _PLACEHOLDERS[fmt]
-        # a finite sum rules out nan and +-inf; an overflowing one only costs speed
-        if set(map(type, values)) <= kinds and (fmt == "csv" or math.isfinite(sum(values))):
-            return placeholder, values
-    cells = [_cell(value, fmt).replace("%", "%%") for value in values]
-    if not isinstance(column, Repeat):
-        return None, cells
-    if column.each != 1:
-        cells = list(chain.from_iterable(map(repeat, cells, repeat(column.each))))
-    return None, chain.from_iterable(repeat(cells, column.tile))
-
-
-def _blocks(columns: list, n_rows: int, leads: list[str], tail: str, fmt: str):
-    """Yield the text of every row, leads[j] before cell j and `tail` after
-    the last, `_BLOCK_ROWS` rows at a time, each block formatted by one `%`."""
-    # the row template is text pieces, with a text column's cells between each two
-    pieces, texts, floats = [""], [], []
-    for lead, column in zip(leads, columns):
-        placeholder, values = _template_column(column, fmt)
-        pieces[-1] += lead.replace("%", "%%")
-        if placeholder is None:
-            texts.append(values)
-            pieces.append("")
-        else:
-            pieces[-1] += placeholder
-            floats.append(values)
-    pieces[-1] += tail
-    rows = zip(*chain.from_iterable(zip(map(repeat, pieces), texts)), repeat(pieces[-1]))
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n_rows)
-        template = "".join(chain.from_iterable(islice(rows, stop - start)))
-        if len(floats) == 1:
-            values = tuple(floats[0][start:stop])
-        else:
-            values = tuple(chain.from_iterable(zip(*(col[start:stop] for col in floats))))
-        yield template % values
+    if isinstance(column, Repeat):
+        cells = [_cell(value, fmt) for value in values]
+        if column.each != 1:
+            cells = list(chain.from_iterable(map(repeat, cells, repeat(column.each))))
+        return chain.from_iterable(repeat(cells, column.tile))
+    kinds, spec = ({float, np.float64}, "%.17g\0") if fmt == "csv" else ({float}, "%r\0")
+    # a finite sum rules out nan and +-inf; an overflowing one only costs speed
+    if not (set(map(type, values)) <= kinds and (fmt == "csv" or math.isfinite(sum(values)))):
+        return map(_cell, values, repeat(fmt))
+    blocks = (values[start:start + _BLOCK_ROWS] for start in range(0, len(values), _BLOCK_ROWS))
+    return chain.from_iterable((spec * len(block) % tuple(block)).split("\0")[:-1]
+                               for block in blocks)
 
 
 def write_table(path: Path, header: list[str], columns: list, fmt: str) -> Path:
     """Write a table given one sequence (or `Repeat`) of values per header column.
 
-    JSON has the bytes of `json.dumps` with `indent=1` over one dict per
-    row, and a newline.
+    Each column yields its cell text (`_cells`), and the rows are joined
+    from those cells and written `_BLOCK_ROWS` at a time, so no table is
+    held whole. CSV rows are the cells joined by ",". JSON has the bytes
+    of `json.dumps` with `indent=1` over one dict per row, and a newline.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} column names for {len(columns)} columns")
     n_rows = _row_count(columns)
+    cells = [_cells(column, fmt) for column in columns]
     if fmt == "json":
         path = path.with_suffix(".json")
         leads = [(",\n  " if j else ",\n {\n  ") + json.dumps(name) + ": "
                  for j, name in enumerate(header)]
-        with path.open("w") as out:
-            blocks = _blocks(columns, n_rows, leads, "\n }", fmt)
-            first = next(blocks, None)
-            if first is None:
-                out.write("[]\n")
-            else:
-                out.write("[\n" + first[2:])  # no ",\n" before the first row
-                out.writelines(blocks)
-                out.write("\n]\n")
+        head, foot = ("[", "\n]\n") if n_rows else ("[]\n", "")
+
+        def render(block):  # each row opens with the "," after the row before it
+            pieces = chain.from_iterable(zip(map(repeat, leads), block))
+            return "".join(map("".join, zip(*pieces, repeat("\n }"))))
     else:
-        with path.open("w") as out:
-            out.write(",".join(header) + "\n")
-            out.writelines(_blocks(columns, n_rows, ["," if j else "" for j in range(len(header))],
-                                   "\n", fmt))
+        head, foot = ",".join(header) + "\n", ""
+
+        def render(block):
+            return "\n".join(map(",".join, zip(*block))) + "\n"
+    with path.open("w") as out:
+        out.write(head)
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            text = render([islice(column, _BLOCK_ROWS) for column in cells])
+            out.write(text[1:] if fmt == "json" and not start else text)
+        out.write(foot)
     return path
 
 
@@ -257,6 +233,12 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
     ]
     diagnostics = {key: getattr(solution, key) for key in (
         "n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error")}
+    # health over the record times: E[x^2] of the atom mixture stays 1 in a
+    # sound run, and mass in an outermost cell means the grid holds too little
+    dx, densities = solution.grid.dx, solution.densities
+    second_moments = densities @ (centers * centers) * dx @ start.weights
+    diagnostics["norm_error"] = float(np.max(np.abs(second_moments - 1.0)))
+    diagnostics["edge_mass"] = float(densities[:, :, [0, -1]].max() * dx)
     return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 

@@ -79,6 +79,7 @@ _HALF_KS = [tuple(0.5 * k for k in range(depth, 3, -1))
             for depth in range(5 + int(60.0 / Z_TAIL))]
 MAX_BACKTRACKS = 8
 MIN_CONTINUATION_STEP = 1e-8
+DAMPING = 0.5  # solve_fixed_point's step from the iterate toward its image under the map
 
 
 def erfcx_scaled(x):
@@ -393,11 +394,10 @@ def solve_fixed_point(
     cfg: Dynamics,
     prior: Prior,
     init: tuple[float, float],
-    damping: float = 0.5,
     tol: float = 1e-9,
     max_iter: int = 10000,
 ) -> FixedPoint:
-    """Damped iteration (q, r) <- (1 - damping)(q, r) + damping * map(q, r).
+    """Damped iteration (q, r) <- (1 - DAMPING)(q, r) + DAMPING * map(q, r).
 
     Iterates are projected back to h >= 1e-8 whenever they overshoot
     the domain boundary (the uninformative solution sits exactly on
@@ -407,8 +407,6 @@ def solve_fixed_point(
     ``converged`` certifies a residual <= tol, not an attracting root: no
     stability is tested. ``oistlab steady`` runs Newton (``roots_from_inits``).
     """
-    if not 0.0 < damping <= 1.0:
-        raise ConfigError(f"damping must lie in (0, 1], got {damping}")
     q, r = float(init[0]), float(init[1])
     r = _project_h(q, r, cfg)
     if h_curvature(q, r, cfg) <= 0:
@@ -422,8 +420,8 @@ def solve_fixed_point(
             best = (residual, q, r)
         if residual <= tol:
             return _fixed_point(q, r, residual, True, iteration)
-        q = (1.0 - damping) * q + damping * q_new
-        r = (1.0 - damping) * r + damping * r_new
+        q = (1.0 - DAMPING) * q + DAMPING * q_new
+        r = (1.0 - DAMPING) * r + DAMPING * r_new
         r = _project_h(q, r, cfg)
 
     residual, q, r = best

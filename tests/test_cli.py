@@ -196,6 +196,28 @@ def test_write_table_matches_row_wise_rendering(tmp_path_factory, table, fmt):
     assert path.read_text() == render_rows(header, rows, fmt)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1,
+                                    2 * cli._BLOCK_ROWS + 3])
+def test_write_table_across_block_seams(tmp_path, n_rows, fmt):
+    # rows are written _BLOCK_ROWS at a time. The Repeat period, the least
+    # factor of n_rows above 2, runs across the seams (every period of a
+    # 4096-row column divides the block), and the float column's only nan
+    # lies in the last row, past the first block of the two longer tables.
+    period = next(k for k in range(3, n_rows + 1) if n_rows % k == 0)
+    rng = np.random.default_rng(n_rows)
+    late_nan = rng.standard_normal(n_rows).tolist()
+    late_nan[-1] = math.nan
+    header = ["tiled", "each", "text", "x", "late_nan"]
+    columns = [Repeat([(0.125 * k, k % 2 == 0, -k, f"{k}%s")[k % 4] for k in range(period)],
+                      tile=n_rows // period),
+               Repeat(rng.standard_normal(n_rows // period), each=period),
+               [f"r{i}%d%%" for i in range(n_rows)], rng.standard_normal(n_rows), late_nan]
+    path = write_table(tmp_path / "table.csv", header, columns, fmt)
+    rows = list(zip(*map(expand, columns)))
+    assert path.read_text() == render_rows(header, rows, fmt)
+
+
 class TestSimulateCommand:
     def test_writes_tables(self, tmp_path):
         code, out = run(tmp_path, "simulate", "--config", write_config(tmp_path))
@@ -374,6 +396,26 @@ class TestPdeCommand:
         assert 0.0 <= diagnostics["mass_error"] <= 1e-8
         assert diagnostics["solve_s"] >= 0.0
         assert diagnostics["write_s"] >= 0.0
+
+    @pytest.mark.parametrize("config, healthy", [
+        ({}, True),
+        ({"model": {"omega": 0.15}, "pde": {"dt": 0.2, "t_max": 200}}, False),
+    ], ids=["reference", "wall-state"])
+    def test_manifest_health(self, tmp_path, config, healthy):
+        # the default model at the reference grid keeps E[x^2] = 1 and its
+        # tails empty; at omega = 0.15 it runs into the grid's wall, and
+        # the run still succeeds, reporting it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out = run(tmp_path, "pde", "--config", str(path))
+        assert code == 0
+        diagnostics = json.loads((out / "manifest.json").read_text())["diagnostics"]
+        if healthy:
+            assert diagnostics["norm_error"] < 1e-3
+            assert diagnostics["edge_mass"] < 1e-6
+        else:
+            assert diagnostics["norm_error"] > 1.0
+            assert diagnostics["edge_mass"] > 0.1
 
     def test_manifest_step_counts(self, tmp_path):
         path = write_config(tmp_path)

@@ -454,8 +454,9 @@ class TestSolveFixedPoint:
         assert fp.iterations == 5
 
     def test_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            solve_fixed_point(CFG, PRIOR, (0.5, 0.0), damping=0.0)
+        # the damping is the module's DAMPING, not an argument
+        with pytest.raises(TypeError):
+            solve_fixed_point(CFG, PRIOR, (0.5, 0.0), damping=0.5)
 
 
 class TestZeroRootMultiplier:
