@@ -15,7 +15,7 @@ from .errors import (
     NumericError,
     OistlabError,
 )
-from .nonlinearity import Dynamics, eta_map, phi_eval
+from .nonlinearity import Dynamics, phi_eval
 from .oja import closed_form_q, ode_q, steady_state_q
 from .priors import (
     Prior,
@@ -60,7 +60,6 @@ __all__ = [
     "draw_samples",
     "draw_signal",
     "erfcx_scaled",
-    "eta_map",
     "fixed_point_map",
     "fixed_point_map_quadrature",
     "joint_histogram",

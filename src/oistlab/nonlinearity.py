@@ -1,16 +1,18 @@
-"""Elementwise shrinkage nonlinearity used by the online update.
+"""The model every route takes, its shrinkage force and its limit coefficients.
 
-The update applies eta(x) = x - phi(x)/p to every coordinate, where
-phi is the shrinkage force derived from the sparsity penalty:
+The online update (``simulate.oist_step``) applies eta(x) = x - phi(x)/p
+to every coordinate, where phi is the shrinkage force derived from the
+sparsity penalty:
 
     phi(x) = beta * sign(x)     (iterative soft thresholding)
 
 with beta >= 0; beta = 0 is plain Oja. We fix sign(0) = 0, so eta
 always maps the origin to itself.
 
-``Dynamics`` (tau, omega, beta) is the model every route takes, and the
-diffusion and restoring coefficients of its limit equations live beside
-it, so the stationary analysis reads them without loading the PDE solver.
+``Dynamics`` (tau, omega, beta) is the model every route takes. The PDE
+and the stationary analysis share the two coefficients of its limit
+equations, which take the model: the diffusion D(q) and the confinement
+tau*omega*q^2 - r + D(q).
 """
 from __future__ import annotations
 
@@ -35,12 +37,6 @@ def phi_mean(x, width: float, beta: float):
     return beta * np.clip(2.0 * np.asarray(x) / width, -1.0, 1.0)
 
 
-def eta_map(x_vec, beta: float, p: int):
-    """Elementwise shrinkage map eta(x) = x - phi(x)/p."""
-    x_vec = np.asarray(x_vec, dtype=float)
-    return x_vec - phi_eval(x_vec, beta) / p
-
-
 @dataclass(frozen=True)
 class Dynamics:
     """Step size tau > 0, SNR omega >= 0 and shrinkage strength beta >= 0, all finite.
@@ -63,11 +59,11 @@ class Dynamics:
             raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
 
 
-def diffusion_coefficient(tau: float, omega: float, q: float) -> float:
-    """Shared diffusion scale D = tau^2 (1 + omega q^2) / 2 of the limit equations."""
-    return 0.5 * tau ** 2 * (1.0 + omega * q * q)
+def diffusion_coefficient(dynamics: Dynamics, q: float) -> float:
+    """Diffusion D = tau^2 (1 + omega q^2) / 2 of the limit equations; the stationary g."""
+    return 0.5 * dynamics.tau ** 2 * (1.0 + dynamics.omega * q * q)
 
 
-def restoring_coefficient(tau: float, omega: float, q: float, r: float) -> float:
+def restoring_coefficient(dynamics: Dynamics, q: float, r: float) -> float:
     """Linear confinement tau*omega*q^2 - r + D(q) of the drift; twice the stationary h."""
-    return tau * omega * q * q - r + diffusion_coefficient(tau, omega, q)
+    return dynamics.tau * dynamics.omega * q * q - r + diffusion_coefficient(dynamics, q)

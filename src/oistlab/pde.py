@@ -132,12 +132,6 @@ class ConditionalDensitySet:
     r: float
 
 
-def drift(x, xi, q, r, tau, omega, beta):
-    """Per-coordinate drift of the limiting dynamics (vectorized in x)."""
-    return (tau * omega * q * xi - phi_eval(x, beta)
-            - np.asarray(x) * restoring_coefficient(tau, omega, q, r))
-
-
 @functools.lru_cache(maxsize=16)
 def _grid_tables(grid: Grid, beta: float) -> tuple[np.ndarray, ...]:
     """Arrays fixed by (grid, beta), computed once and shared read-only.
@@ -236,12 +230,13 @@ def initial_density(
 def _interface_drift(state: ConditionalDensitySet, dynamics: Dynamics) -> np.ndarray:
     """Mean drift between the cell centres beside every interface, shape (n_atoms, n+1).
 
-    It is ``drift`` with phi(x) replaced by its mean between the centres.
+    It is gamma at the interface with phi replaced by its mean between the
+    centres, which is phi itself at both ends and away from x = 0.
     """
     _, _, x_if, phi_bar = _grid_tables(state.grid, dynamics.beta)
     gamma = np.subtract((dynamics.tau * dynamics.omega * state.q) * state.atoms[:, None],
                         phi_bar)
-    gamma -= x_if * restoring_coefficient(dynamics.tau, dynamics.omega, state.q, state.r)
+    gamma -= x_if * restoring_coefficient(dynamics, state.q, state.r)
     return gamma
 
 
@@ -254,7 +249,7 @@ def auto_dt(state: ConditionalDensitySet, dynamics: Dynamics) -> float:
     gmax = float(np.max(np.abs(_interface_drift(state, dynamics))))
     if gmax > 0.0:
         return COURANT * dx / gmax
-    return dx * dx / (2.0 * diffusion_coefficient(dynamics.tau, dynamics.omega, state.q))
+    return dx * dx / (2.0 * diffusion_coefficient(dynamics, state.q))
 
 
 def _fitted_diffusion(v: np.ndarray, diffusion: float, dx: float) -> np.ndarray:
@@ -284,8 +279,7 @@ def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> np.ndarr
     # the interface right of every cell, the domain's end included, so that
     # every array below is contiguous; the end's weights are zeroed last
     v = _interface_drift(state, dynamics)[:, 1:].copy()
-    fitted = _fitted_diffusion(v, diffusion_coefficient(dynamics.tau, dynamics.omega, state.q),
-                               state.grid.dx)
+    fitted = _fitted_diffusion(v, diffusion_coefficient(dynamics, state.q), state.grid.dx)
     weights = np.empty((2, *v.shape))
     w_right, w_left = weights
     np.maximum(v, 0.0, out=w_right)

@@ -348,6 +348,8 @@ def run_trajectory(
     >= 0. Replicas are deterministic functions of (seed, replica): with
     n_workers > 1 each worker process runs one contiguous chunk of them,
     with the same results: one `Trajectory` whose row i is replica i.
+    The draws do not depend on ``dynamics``: two models run at one seed
+    are paired, replica i seeing the same signal, start and samples.
     """
     if p < 2:
         raise ConfigError(f"dimension p must be >= 2, got {p}")

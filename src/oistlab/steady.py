@@ -92,16 +92,6 @@ def erfcx_scaled(x):
     return _erfcx(x) / SQRT_PI
 
 
-def g_scale(q: float, cfg: Dynamics) -> float:
-    """Diffusion scale g = tau^2 (1 + omega q^2) / 2, the PDE's D(q)."""
-    return diffusion_coefficient(cfg.tau, cfg.omega, q)
-
-
-def h_curvature(q: float, r: float, cfg: Dynamics) -> float:
-    """Quadratic-confinement coefficient h = (tau*omega*q^2 - r + g)/2."""
-    return 0.5 * restoring_coefficient(cfg.tau, cfg.omega, q, r)
-
-
 def _scaled_terms(z_minus: float, z_plus: float, ex_minus: float,
                   ex_plus: float) -> tuple[float, float, float, float]:
     """erfcx at (z_minus, z_plus) jointly rescaled by exp(-M).
@@ -137,8 +127,8 @@ class SteadyDensity:
         self.q = float(q)
         self.r = float(r)
         self.cfg = cfg
-        self.g = g_scale(q, cfg)
-        self.h = h_curvature(q, r, cfg)
+        self.g = diffusion_coefficient(cfg, q)
+        self.h = 0.5 * restoring_coefficient(cfg, q, r)
         self.beta = cfg.beta
         self.tilt = cfg.tau * cfg.omega * q * xi
 
@@ -236,8 +226,8 @@ def fixed_point_map_with_jacobian(q: float, r: float, cfg: Dynamics, prior: Prio
     """
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
-    g = g_scale(q, cfg)
-    h = h_curvature(q, r, cfg)
+    g = diffusion_coefficient(cfg, q)
+    h = 0.5 * restoring_coefficient(cfg, q, r)
     if h <= 0:
         raise NonNormalizableError(f"fixed-point map outside its domain: h={h:.3e} <= 0")
     beta = cfg.beta
@@ -318,8 +308,8 @@ def fixed_point_map_quadrature(q: float, r: float, cfg: Dynamics, prior: Prior) 
 
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
-    g = g_scale(q, cfg)
-    h = h_curvature(q, r, cfg)
+    g = diffusion_coefficient(cfg, q)
+    h = 0.5 * restoring_coefficient(cfg, q, r)
     if h <= 0:
         raise NonNormalizableError(f"fixed-point map outside its domain: h={h:.3e} <= 0")
     beta = cfg.beta
@@ -362,32 +352,34 @@ def fixed_point_map_quadrature(q: float, r: float, cfg: Dynamics, prior: Prior) 
 
 @dataclass
 class FixedPoint:
-    """Converged (or best-effort) solution of the self-consistency system."""
+    """Converged (or best-effort) solution of the self-consistency system; q sets its branch."""
 
     q: float
     r: float
     residual: float
-    branch: str
     converged: bool
     iterations: int
+
+    @property
+    def branch(self) -> str:
+        return "uninformative" if abs(self.q) <= EPS_UNINFORMATIVE else "informative"
 
 
 def _project_h(q: float, r: float, cfg: Dynamics) -> float:
     """Pull r back so that h(q, r) >= H_MIN."""
-    r_cap = restoring_coefficient(cfg.tau, cfg.omega, q, 0.0) - 2.0 * H_MIN
+    r_cap = restoring_coefficient(cfg, q, 0.0) - 2.0 * H_MIN
     return min(r, r_cap)
 
 
 def default_r_init(q: float, cfg: Dynamics) -> float:
     """The r start g(q)/2 for a q start: it keeps h = (tau omega q^2 + g/2)/2 > 0."""
-    return 0.5 * g_scale(q, cfg)
+    return 0.5 * diffusion_coefficient(cfg, q)
 
 
-def _fixed_point(q: float, r: float, residual: float, converged: bool,
-                 iterations: int) -> FixedPoint:
-    branch = "uninformative" if abs(q) <= EPS_UNINFORMATIVE else "informative"
-    return FixedPoint(q=q, r=r, residual=residual, branch=branch, converged=converged,
-                      iterations=iterations)
+def _refuse_non_finite(values, name: str) -> None:
+    """ConfigError unless every value is a finite number."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} must be finite, got {tuple(values)}")
 
 
 def solve_fixed_point(
@@ -406,10 +398,12 @@ def solve_fixed_point(
 
     ``converged`` certifies a residual <= tol, not an attracting root: no
     stability is tested. ``oistlab steady`` runs Newton (``roots_from_inits``).
+    A start that is not finite is refused.
     """
     q, r = float(init[0]), float(init[1])
+    _refuse_non_finite((q, r), "init")
     r = _project_h(q, r, cfg)
-    if h_curvature(q, r, cfg) <= 0:
+    if 0.5 * restoring_coefficient(cfg, q, r) <= 0:
         raise ConfigError(f"initial point (q={q}, r={r}) lies outside the h > 0 domain")
 
     best = (math.inf, q, r)
@@ -419,19 +413,19 @@ def solve_fixed_point(
         if residual < best[0]:
             best = (residual, q, r)
         if residual <= tol:
-            return _fixed_point(q, r, residual, True, iteration)
+            return FixedPoint(q, r, residual, True, iteration)
         q = (1.0 - DAMPING) * q + DAMPING * q_new
         r = (1.0 - DAMPING) * r + DAMPING * r_new
         r = _project_h(q, r, cfg)
 
     residual, q, r = best
-    return _fixed_point(q, r, residual, False, max_iter)
+    return FixedPoint(q, r, residual, False, max_iter)
 
 
 def uninformative_fixed_point(cfg: Dynamics) -> FixedPoint:
     """The exact zero-overlap solution: (0, tau^2/2) on the h = 0 boundary
     when beta > 0 (a Laplace law), and (0, 0) when beta = 0 (a Gaussian)."""
-    return _fixed_point(0.0, 0.5 * cfg.tau ** 2 if cfg.beta > 0.0 else 0.0, 0.0, True, 0)
+    return FixedPoint(0.0, 0.5 * cfg.tau ** 2 if cfg.beta > 0.0 else 0.0, 0.0, True, 0)
 
 
 def omega_spinodal(cfg: Dynamics) -> float:
@@ -530,8 +524,8 @@ class _Newton:
         q = float(init[0])
         side = math.copysign(1.0, q)
         r = _project_h(q, float(init[1]), cfg)
-        if h_curvature(q, r, cfg) < self.margin:
-            return _fixed_point(q, r, math.inf, False, 0)
+        if 0.5 * restoring_coefficient(cfg, q, r) < self.margin:
+            return FixedPoint(q, r, math.inf, False, 0)
         fq, fr, fq_q, fq_r, fr_q, fr_r = self._evaluate(q, r, cfg)
         residual = max(abs(fq - q), abs(fr - r))
         for iteration in range(self.max_iter + 1):
@@ -544,14 +538,14 @@ class _Newton:
             step_r = (c * gq - a * gr) / det
             if max(residual, abs(step_q), abs(step_r)) <= self.tol:
                 accepted = side * q > EPS_UNINFORMATIVE and a + d < 0.0 and det > 0.0
-                return _fixed_point(q, r, residual, accepted, iteration)
+                return FixedPoint(q, r, residual, accepted, iteration)
             if iteration == self.max_iter:
                 break
             self.iterations += 1
             scale = 1.0
             for _ in range(MAX_BACKTRACKS):
                 q_new, r_new = q + scale * step_q, r + scale * step_r
-                if h_curvature(q_new, r_new, cfg) >= self.margin:
+                if 0.5 * restoring_coefficient(cfg, q_new, r_new) >= self.margin:
                     trial = self._evaluate(q_new, r_new, cfg)
                     res_new = max(abs(trial[0] - q_new), abs(trial[1] - r_new))
                     if res_new < residual:
@@ -561,7 +555,7 @@ class _Newton:
                 break
             q, r, residual = q_new, r_new, res_new
             fq, fr, fq_q, fq_r, fr_q, fr_r = trial
-        return _fixed_point(q, r, residual, False, iteration)
+        return FixedPoint(q, r, residual, False, iteration)
 
     def continue_root(self, cfg: Dynamics, branch: list[tuple[float, FixedPoint]],
                       omega_to: float) -> tuple[FixedPoint | None, tuple[float, float] | None]:
@@ -604,10 +598,12 @@ class _Newton:
         accepted root is continued down the list. Below the end of its
         branch every SNR gets the exact zero root, converged iff it
         attracts. If no start is accepted at the anchor, every SNR gets
-        the least-residual attempt, unconverged.
+        the least-residual attempt, unconverged. Empty or non-finite
+        starts are refused before any map call.
         """
         if not starts:
             raise ConfigError("starts must hold at least one overlap")
+        _refuse_non_finite(starts, "starts")
         omega_s = omega_spinodal(cfg)
         omega = max(omegas[0], 2.0 * omega_s)
         cfg_a = dc_replace(cfg, omega=omega)
@@ -658,8 +654,12 @@ def roots_from_inits(
     Otherwise Newton runs from the init, and where it is not accepted
     the init gets the root at cfg.omega of the trace ``sweep_omega``
     runs from ``starts``, traced once for all inits. F_q is odd in q, so
-    a negative init gets that root's mirror image.
+    a negative init gets that root's mirror image. An init that is not
+    finite is refused before any map call.
     """
+    inits = list(inits)
+    for init in inits:
+        _refuse_non_finite(init, "init")
     newton = _Newton(prior, tol, max_iter)
     traced = None
     results = []

@@ -18,7 +18,6 @@ from oistlab.pde import (
     ConditionalDensitySet,
     Grid,
     auto_dt,
-    drift,
     initial_density,
     moments,
     solve,
@@ -61,21 +60,61 @@ class TestGrid:
                 Grid(lo, hi, 900)
 
 
+def drift_at(grid, atoms, q, r, model=MODEL):
+    """``_interface_drift`` of a state on ``grid`` at the given (q, r)."""
+    atoms = np.asarray(atoms, dtype=float)
+    state = ConditionalDensitySet(atoms=atoms, weights=np.full(atoms.size, 1.0 / atoms.size),
+                                  densities=np.ones((atoms.size, grid.n)), grid=grid,
+                                  t=0.0, q=q, r=r)
+    return pdemod._interface_drift(state, model)
+
+
+def point_drift(x, xi, q, r, beta):
+    """The drift gamma(x) of the module docstring at tau = 0.5, omega = 1, written out."""
+    tau, omega = 0.5, 1.0
+    confinement = tau * omega * q * q - r + 0.5 * tau ** 2 * (1.0 + omega * q * q)
+    return tau * omega * q * xi - beta * np.sign(x) - x * confinement
+
+
 class TestDrift:
+    # dx = 1/8, so the interfaces sit exactly on 0, 0.5 and 1
+    GRID = Grid(-4.0, 4.0, 64)
+
     def test_zero_atom_value(self):
-        got = drift(1.0, 0.0, q=0.0, r=0.0, tau=0.5, omega=1.0, beta=SOFT)
+        gamma = drift_at(self.GRID, [0.0], q=0.0, r=0.0)
+        got = gamma[0, np.flatnonzero(self.GRID.interfaces == 1.0)[0]]
         assert got == pytest.approx(-0.395, abs=1e-12)
 
     def test_origin_keeps_only_signal_term(self):
-        for xi in (0.0, 1.3, -2.0):
-            got = drift(0.0, xi, q=0.4, r=0.1, tau=0.5, omega=1.0, beta=SOFT)
-            assert got == pytest.approx(0.5 * 1.0 * 0.4 * xi, abs=1e-12)
+        # phi's mean between the centres either side of x = 0 is 0
+        gamma = drift_at(self.GRID, [0.0, 1.3, -2.0], q=0.4, r=0.1)
+        got = gamma[:, np.flatnonzero(self.GRID.interfaces == 0.0)[0]]
+        assert got == pytest.approx(0.5 * 1.0 * 0.4 * np.array([0.0, 1.3, -2.0]), abs=1e-12)
 
     def test_reference_value(self):
-        got = drift(0.5, PEAK, q=0.5, r=0.2, tau=0.5, omega=1.0, beta=SOFT)
+        gamma = drift_at(self.GRID, [PEAK], q=0.5, r=0.2)
+        got = gamma[0, np.flatnonzero(self.GRID.interfaces == 0.5)[0]]
         expected = 0.5 * 1.0 * 0.5 * PEAK - 0.27 - 0.5 * (0.125 - 0.2 + 0.15625)
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(0.80741, abs=1e-5)
+
+    @pytest.mark.parametrize("beta", [SOFT, 0.0])
+    def test_point_formula_away_from_zero_and_mean_phi_beside_it(self, beta):
+        # no interface on 0: one interval between centres holds it, where phi
+        # is replaced by its mean 2 beta x / dx; every other interface, the two
+        # ends included, takes phi at the interface
+        grid = Grid(-3.0, 4.0, 90)
+        x_if = grid.interfaces
+        atoms = np.array([-PEAK, 0.0, PEAK])
+        gamma = drift_at(grid, atoms, q=0.6, r=0.15, model=replace(MODEL, beta=beta))
+        assert gamma.shape == (3, grid.n + 1)
+        near = np.abs(x_if) < 0.5 * grid.dx
+        assert near.sum() == 1 and x_if[near][0] != 0.0
+        expected = point_drift(x_if, atoms[:, None], 0.6, 0.15, beta)
+        assert np.allclose(gamma[:, ~near], expected[:, ~near], rtol=0.0, atol=1e-12)
+        x0 = x_if[near][0]
+        with_mean_phi = point_drift(x0, atoms, 0.6, 0.15, beta=0.0) - beta * 2.0 * x0 / grid.dx
+        assert np.allclose(gamma[:, near][:, 0], with_mean_phi, rtol=0.0, atol=1e-12)
 
 
 class TestMoments:
@@ -202,9 +241,7 @@ class TestStep:
         dt = 0.5 * auto_dt(state, cfg)
         elapsed = 0.0
         for _ in range(100):
-            gamma = drift(grid.interfaces, state.atoms[0], state.q, state.r,
-                          tau, 0.0, 0.0)
-            assert np.max(np.abs(gamma)) == 0.0
+            assert np.max(np.abs(pdemod._interface_drift(state, cfg))) == 0.0
             state = step(state, cfg, dt=dt)
             elapsed += dt
             state.q = 0.0
@@ -217,7 +254,7 @@ class TestStep:
         # must translate by c*dt per step within one cell
         import oistlab.pde as pdemod
 
-        monkeypatch.setattr(pdemod, "diffusion_coefficient", lambda tau, omega, q: 0.0)
+        monkeypatch.setattr(pdemod, "diffusion_coefficient", lambda dynamics, q: 0.0)
         c = 0.8
         monkeypatch.setattr(
             pdemod, "_interface_drift",
@@ -458,7 +495,7 @@ def oracle_step(state, cfg, dt=None, gamma=None):
     if dt is None:
         dt = pdemod.auto_dt(state, cfg)
     dx = state.grid.dx
-    diffusion = pdemod.diffusion_coefficient(cfg.tau, cfg.omega, state.q)
+    diffusion = pdemod.diffusion_coefficient(cfg, state.q)
 
     v = gamma[:, 1:-1]
     fitted = pdemod._fitted_diffusion(v, diffusion, dx)

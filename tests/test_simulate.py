@@ -14,7 +14,6 @@ from oistlab import (
     closed_form_q,
     cosine_similarity,
     draw_signal,
-    eta_map,
     joint_histogram,
     misclassification_rate,
     oist_step,
@@ -35,23 +34,36 @@ class TestPhiEta:
         assert phi_eval(-2.0, thr) == pytest.approx(-0.27)
         assert phi_eval(5.0, 0.0) == 0.0
 
+    # with a zero sample, oist_step is the shrinkage eta(x) = x - phi(x)/p
+    # followed by the renormalization to norm sqrt(p)
     def test_eta_zero_vector(self):
-        assert np.all(eta_map(np.zeros(4), 0.27, 4) == 0.0)
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=0.27)
+        assert np.all(np.zeros(4) - phi_eval(np.zeros(4), 0.27) / 4 == 0.0)
+        # a zero coordinate stays exactly zero under the update
+        out = oist_step(np.array([2.0, 0.0, 0.0, 0.0]), np.zeros(4), cfg)
+        assert np.array_equal(out, [2.0, 0.0, 0.0, 0.0])
 
     def test_eta_value(self):
-        out = eta_map(np.array([1.0]), 0.27, 10000)
-        assert out[0] == pytest.approx(0.999973, abs=1e-12)
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=0.27)
+        out = oist_step(np.array([1.6, 1.2, 0.0, 0.0]), np.zeros(4), cfg)
+        # eta gives (1.5325, 1.1325, 0, 0), of norm sqrt(3.6311125)
+        expected = np.array([1.5325, 1.1325, 0.0, 0.0]) * (2.0 / math.sqrt(3.6311125))
+        assert np.allclose(out, expected, rtol=0.0, atol=1e-14)
+        assert out[0] == pytest.approx(1.608461, abs=1e-6)
 
     def test_eta_identity_without_threshold(self):
         x = np.array([0.3, -1.2, 4.0])
-        assert np.array_equal(eta_map(x, 0.0, 100), x)
+        assert np.array_equal(x - phi_eval(x, 0.0) / 100, x)
 
     @given(st.floats(-1e6, 1e6), st.floats(0.0, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_eta_odd(self, x, beta):
-        left = eta_map(np.array([-x]), beta, 50)
-        right = eta_map(np.array([x]), beta, 50)
-        assert left[0] == -right[0]
+        # the update is odd in the estimate, bit for bit
+        cfg = Dynamics(tau=0.5, omega=1.0, beta=beta)
+        y = np.array([0.5, -0.3, 0.2])
+        left = oist_step(np.array([-x, -1.0, 2.0]), y, cfg)
+        right = oist_step(np.array([x, 1.0, -2.0]), y, cfg)
+        assert np.array_equal(left, -right)
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +125,8 @@ class TestOistStep:
         for _ in range(40):
             y = rng.standard_normal(p)
             state = oist_step(state, y, cfg)
-            shrunk = eta_map(x_ref + (cfg.tau / p) * (y @ x_ref) * y, beta, p)
+            z = x_ref + (cfg.tau / p) * (y @ x_ref) * y
+            shrunk = z - phi_eval(z, beta) / p
             x_ref = shrunk * (math.sqrt(p) / np.linalg.norm(shrunk))
             assert np.array_equal(state, x_ref)
 
@@ -448,6 +461,28 @@ class TestRunTrajectory:
             run_trajectory(Prior.two_point(0.1), Dynamics(tau=0.5, omega=1.0, beta=0.27),
                            50, 1, record_times=[0.0, 1.0], replicas=1, histogram_times=[5.0],
                            **bad)
+
+    def test_same_seed_pairs_the_replicas_across_models(self):
+        # the draws depend on (seed, replica) and p, not on the model: two models
+        # at one seed see the same signal, start and samples, so their per-replica
+        # difference has a sliver of the variance of an unpaired difference
+        def run(beta, omega=1.0, seed=11):
+            return run_trajectory(Prior.two_point(0.05), Dynamics(0.5, omega, beta), 400, seed,
+                                  record_times=[0.0, 0.5, 1.0, 2.0], replicas=24,
+                                  histogram_times=[0.0])
+
+        runs = {(beta, omega): run(beta, omega) for beta in (0.27, 0.20, 0.0)
+                for omega in (1.0, 0.6)}
+        soft = runs[0.27, 1.0]
+        again = run(0.27)
+        assert np.array_equal(again.q_values, soft.q_values)
+        assert np.array_equal(again.histogram_counts, soft.histogram_counts)
+        for other in runs.values():
+            assert np.array_equal(other.q_values[:, 0], soft.q_values[:, 0])
+            assert np.array_equal(other.histogram_counts[:, 0], soft.histogram_counts[:, 0])
+        paired = soft.q_values - runs[0.20, 1.0].q_values
+        unpaired = soft.q_values - run(0.20, seed=12).q_values
+        assert np.all(paired[:, 1:].var(axis=0) < 0.01 * unpaired[:, 1:].var(axis=0))
 
 
 def _unit(v):

@@ -22,8 +22,9 @@ from oistlab import (
     sweep_omega,
 )
 from oistlab import steady
+from oistlab.nonlinearity import diffusion_coefficient, restoring_coefficient
 from oistlab.priors import discretize_prior
-from oistlab.steady import H_MIN, default_r_init, g_scale, h_curvature
+from oistlab.steady import H_MIN, default_r_init
 
 PRIOR = Prior.two_point(0.05)
 CFG = Dynamics(tau=0.5, omega=1.0, beta=0.27)
@@ -79,8 +80,8 @@ class TestSteadyDensity:
         # beta = 0, q = 0: centered Gaussian with variance g/(2h)
         cfg = Dynamics(tau=0.5, omega=1.0, beta=0.0)
         r = 0.05
-        g = g_scale(0.0, cfg)
-        h = h_curvature(0.0, r, cfg)
+        g = diffusion_coefficient(cfg, 0.0)
+        h = 0.5 * restoring_coefficient(cfg, 0.0, r)
         var = g / (2.0 * h)
         dens = SteadyDensity(1.0, 0.0, r, cfg)
         x = np.linspace(-4.0, 4.0, 1001)
@@ -101,7 +102,7 @@ class TestSteadyDensity:
             q = rng.uniform(-0.95, 0.95)
             r = rng.uniform(-0.3, 0.3)
             xi = rng.choice([0.0, 1.0, -2.0, 1.0 / math.sqrt(0.05)])
-            if h_curvature(q, r, CFG) <= 0.01:
+            if 0.5 * restoring_coefficient(CFG, q, r) <= 0.01:
                 continue
             dens = SteadyDensity(xi, q, r, CFG)
             total = 0.0
@@ -147,7 +148,7 @@ class TestFixedPointMap:
 
     def test_uninformative_limit_of_r(self):
         # h -> 0+ with q = 0: the shrinkage moment tends to g = tau^2/2
-        g = g_scale(0.0, CFG)
+        g = diffusion_coefficient(CFG, 0.0)
         for eps in (1e-4, 1e-6, 1e-8):
             _, r_new = fixed_point_map(0.0, g - eps, CFG, PRIOR)
             assert abs(r_new - g) <= 10.0 * eps
@@ -163,8 +164,8 @@ class TestFixedPointMap:
     def test_extreme_arguments_stay_finite(self):
         # deep h -> 0 projection territory: huge |z| must not overflow
         q = 0.9
-        r = CFG.tau * CFG.omega * q * q + g_scale(q, CFG) - 1e-8
-        assert 0 < h_curvature(q, r, CFG) < 1e-8
+        r = CFG.tau * CFG.omega * q * q + diffusion_coefficient(CFG, q) - 1e-8
+        assert 0 < 0.5 * restoring_coefficient(CFG, q, r) < 1e-8
         q_new, r_new = fixed_point_map(q, r, CFG, PRIOR)
         assert np.isfinite(q_new) and np.isfinite(r_new)
 
@@ -190,8 +191,8 @@ def _oracle_scaled_pair(z_minus, z_plus):
 def _oracle_fixed_point_map(q, r, cfg, prior, ms=None):
     if not prior.is_discrete:
         raise ConfigError("fixed-point map needs a discrete prior; discretize it first")
-    g = g_scale(q, cfg)
-    h = h_curvature(q, r, cfg)
+    g = diffusion_coefficient(cfg, q)
+    h = 0.5 * restoring_coefficient(cfg, q, r)
     if h <= 0:
         raise NonNormalizableError(f"fixed-point map outside its domain: h={h:.3e} <= 0")
     beta = cfg.beta
@@ -216,8 +217,8 @@ def _oracle_fixed_point_map(q, r, cfg, prior, ms=None):
 
 
 def _oracle_log_z(xi, q, r, cfg):
-    g = g_scale(q, cfg)
-    h = h_curvature(q, r, cfg)
+    g = diffusion_coefficient(cfg, q)
+    h = 0.5 * restoring_coefficient(cfg, q, r)
     tilt = cfg.tau * cfg.omega * q * xi
     root = math.sqrt(g * h)
     m, t_minus, t_plus = _oracle_scaled_pair((cfg.beta - tilt) / (2.0 * root),
@@ -240,8 +241,8 @@ def _domain_points(rng, cfg, n):
         q = rng.uniform(-1.2, 1.2)
         cfg_w = dc_replace(cfg, omega=rng.uniform(0.0, 2.0))
         h = 10.0 ** rng.uniform(-12.0, 1.0)
-        r = cfg_w.tau * cfg_w.omega * q * q + g_scale(q, cfg_w) - 2.0 * h
-        if h_curvature(q, r, cfg_w) > 0:
+        r = cfg_w.tau * cfg_w.omega * q * q + diffusion_coefficient(cfg_w, q) - 2.0 * h
+        if 0.5 * restoring_coefficient(cfg_w, q, r) > 0:
             points.append((q, r, cfg_w))
     return points
 
@@ -347,7 +348,7 @@ class TestJacobian:
             cfg_w = dc_replace(cfg, omega=omega)
             for q in (-0.6, 0.0, 0.05, 0.3, 0.6, 0.9):
                 for h in (0.3, 0.03, 3e-3):
-                    r = cfg_w.tau * omega * q * q + g_scale(q, cfg_w) - 2.0 * h
+                    r = cfg_w.tau * omega * q * q + diffusion_coefficient(cfg_w, q) - 2.0 * h
                     got = _assert_jacobian_matches(q, r, cfg_w, prior, 1e-3 * h)
                     if cfg.beta == 0.0:
                         # r' = 0 for every (q, r), so its row is exactly zero
@@ -357,9 +358,10 @@ class TestJacobian:
     @pytest.mark.parametrize("h", [1e-6, 1e-7])
     def test_matches_on_the_reflection_branch_at_the_h_margin(self, q, h):
         # z- of the informative atom is ~ -1e3: its erfcx takes the reflection
-        r = CFG.tau * CFG.omega * q * q + g_scale(q, CFG) - 2.0 * h
+        r = CFG.tau * CFG.omega * q * q + diffusion_coefficient(CFG, q) - 2.0 * h
         tilt = CFG.tau * CFG.omega * abs(q) / math.sqrt(PRIOR.rho)
-        z_minus = (CFG.beta - tilt) / (2.0 * math.sqrt(g_scale(q, CFG) * h_curvature(q, r, CFG)))
+        g = diffusion_coefficient(CFG, q)
+        z_minus = (CFG.beta - tilt) / (2.0 * math.sqrt(g * 0.5 * restoring_coefficient(CFG, q, r)))
         assert z_minus < -1e3
         for prior in (PRIOR, BG_21):
             _assert_jacobian_matches(q, r, CFG, prior, 1e-3 * h)
@@ -371,10 +373,11 @@ class TestJacobian:
         # h -> 0 the law turns Laplace and J tends, linearly in h, to
         # diag(omega / omega_s, tau^4 / (2 beta^2))
         cfg = dc_replace(CFG, omega=omega)
-        assert cfg.beta / (2.0 * math.sqrt(g_scale(0.0, cfg) * 1e-7)) > 1e3
+        g = diffusion_coefficient(cfg, 0.0)
+        assert cfg.beta / (2.0 * math.sqrt(g * 1e-7)) > 1e3
         for prior in (PRIOR, BG_21):
             near, far = (np.array(steady.fixed_point_map_with_jacobian(
-                0.0, g_scale(0.0, cfg) - 2.0 * h, cfg, prior)[2:]) for h in (1e-7, 2e-7))
+                0.0, g - 2.0 * h, cfg, prior)[2:]) for h in (1e-7, 2e-7))
             assert near[1] == near[2] == 0.0
             limit = 2.0 * near - far
             assert limit[0] == pytest.approx(omega / steady.omega_spinodal(cfg), rel=1e-9)
@@ -384,7 +387,7 @@ class TestJacobian:
         # q = 0.9, h = 0.03: z+ of the informative atom is past Z_TAIL, so
         # the Jacobian needs _tail_moments there; the map keeps the bits
         q = 0.9
-        r = CFG.tau * CFG.omega * q * q + g_scale(q, CFG) - 2.0 * 0.03
+        r = CFG.tau * CFG.omega * q * q + diffusion_coefficient(CFG, q) - 2.0 * 0.03
         calls = []
 
         def counted(z, t):
@@ -458,6 +461,34 @@ class TestSolveFixedPoint:
         with pytest.raises(TypeError):
             solve_fixed_point(CFG, PRIOR, (0.5, 0.0), damping=0.5)
 
+    def test_branch_is_read_off_q(self):
+        fp = solve_fixed_point(CFG, PRIOR, (0.5, default_r_init(0.5, CFG)), tol=1e-10)
+        assert fp.branch == "informative"
+        # the label follows q through dc_replace, as when roots_from_inits mirrors a root
+        assert dc_replace(fp, q=-fp.q).branch == "informative"
+        assert dc_replace(fp, q=0.0).branch == "uninformative"
+
+
+SIGNED = Prior.signed_two_point(0.05)
+
+
+@pytest.mark.parametrize("solve, match", [
+    (lambda: solve_fixed_point(CFG, SIGNED, (math.nan, 0.1)), "^init"),
+    (lambda: solve_fixed_point(CFG, SIGNED, (0.5, math.inf)), "^init"),
+    (lambda: steady.roots_from_inits(CFG, SIGNED, [(math.nan, 0.1)]), "^init"),
+    (lambda: steady.roots_from_inits(CFG, SIGNED, [(0.5, math.nan)]), "^init"),
+    (lambda: sweep_omega(CFG, SIGNED, [0.3], starts=(math.nan,)), "^starts"),
+], ids=["solve-nan-q", "solve-inf-r", "inits-nan-q", "inits-nan-r", "sweep-nan-start"])
+def test_non_finite_start_refused(solve, match, monkeypatch):
+    # refused before the kernel runs, which a NaN would reach as a bare ValueError
+    # and an infinite r would reach projected onto the h cap
+    def kernel(*args):
+        raise AssertionError("the map was called")
+
+    monkeypatch.setattr(steady, "fixed_point_map_with_jacobian", kernel)
+    with pytest.raises(ConfigError, match=match):
+        solve()
+
 
 class TestZeroRootMultiplier:
     @pytest.mark.parametrize("cfg", [CFG, CFG_OJA], ids=["soft", "beta0"])
@@ -526,7 +557,7 @@ class TestSweep:
     def test_newton_keeps_the_side_of_its_start(self):
         # plain Oja at 0.5: Newton from q = 0.2 overshoots onto the mirror root
         cfg = dc_replace(CFG_OJA, omega=0.5)
-        start = (0.2, 0.5 * g_scale(0.2, cfg))
+        start = (0.2, 0.5 * diffusion_coefficient(cfg, 0.2))
         fp = steady._Newton(PRIOR, 1e-7, 10000).solve(cfg, start)
         assert fp.q == pytest.approx(
             -steady_state_q(Dynamics(tau=0.5, omega=0.5, beta=0.0)), abs=1e-6)
@@ -566,8 +597,7 @@ class TestSweep:
             assert fp.converged and fp.iterations > 0
 
     def test_prediction_extrapolates_the_recorded_roots(self):
-        fp = steady.FixedPoint(q=0.3, r=0.1, residual=0.0, branch="informative",
-                               converged=True, iterations=0)
+        fp = steady.FixedPoint(q=0.3, r=0.1, residual=0.0, converged=True, iterations=0)
         # one recorded root is the start itself, bit for bit
         assert steady._predict([(0.5, fp)], 0.4) == (0.3, 0.1)
         # three roots on a quadratic in omega predict it exactly; older ones are ignored
@@ -685,7 +715,7 @@ class TestSweep:
         root = fsolve(g, [0.517, 0.156], xtol=1e-13)
         assert root[0] == pytest.approx(0.516969, abs=1e-5)
         assert np.max(np.abs(g(root))) <= 1e-12
-        assert h_curvature(root[0], root[1], cfg) > 1e3 * H_MIN
+        assert 0.5 * restoring_coefficient(cfg, root[0], root[1]) > 1e3 * H_MIN
         eps = 1e-7
         jac = np.column_stack([(g(root + [eps, 0.0]) - g(root)) / eps,
                                (g(root) - g(root - [0.0, eps])) / eps]) + np.eye(2)
@@ -718,7 +748,7 @@ def _quadrature_residual(q, cfg):
     def excess(r):
         return fixed_point_map_quadrature(q, r, cfg, PRIOR)[1] - r
 
-    r_cap = cfg.tau * cfg.omega * q * q + g_scale(q, cfg) - 2e-4  # h = 1e-4
+    r_cap = cfg.tau * cfg.omega * q * q + diffusion_coefficient(cfg, q) - 2e-4  # h = 1e-4
     rs = np.linspace(r_cap - 0.3, r_cap, 61)
     values = [excess(r) for r in rs]
     roots = [brentq(excess, a, b, xtol=1e-14)
