@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, config as cfgmod, pde as pdemod
 from .errors import ConfigError, NumericError
-from .nonlinearity import Dynamics
+from .nonlinearity import Dynamics, restoring_coefficient
 from .oja import closed_form_q
 from .simulate import run_trajectory
 from .steady import SteadyDensity, default_r_init, roots_from_inits, sweep_omega
@@ -232,13 +232,18 @@ def cmd_pde(cfg: dict, outdir: Path, fmt: str) -> tuple[list[Path], dict]:
                     density_cols, fmt),
     ]
     diagnostics = {key: getattr(solution, key) for key in (
-        "n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error")}
+        "n_steps", "n_rejected", "n_first_order", "n_solves", "dt_min", "dt_max", "mass_error")}
     # health over the record times: E[x^2] of the atom mixture stays 1 in a
     # sound run, and mass in an outermost cell means the grid holds too little
     dx, densities = solution.grid.dx, solution.densities
     second_moments = densities @ (centers * centers) * dx @ start.weights
     diagnostics["norm_error"] = float(np.max(np.abs(second_moments - 1.0)))
     diagnostics["edge_mass"] = float(densities[:, :, [0, -1]].max() * dx)
+    # the stationary h, half the confinement: a negative h lets the density drift outward
+    h = [restoring_coefficient(dynamics, q, r) / 2.0
+         for q, r in zip(solution.q_values.tolist(), solution.r_values.tolist())]
+    least = int(np.argmin(h))
+    diagnostics["min_h"], diagnostics["min_h_t"] = h[least], float(solution.times[least])
     return files, {"diagnostics": _with_stage_times(diagnostics, started, solved)}
 
 

@@ -47,23 +47,32 @@ mass is conserved to rounding. The systems of all atoms are chained
 into one tridiagonal solve (LAPACK dgtsv).
 
 Step size: a numeric dt is taken as given, capped to land on record
-times. "auto" controls the error of each step instead. From one state
-it takes one step of dt (coarse) and two of dt/2 (fine), the second
-with (q, r) and the drift recomputed. The coarse step and the first
-half step share one flux operator: the fitted weights w+- of a drift
-are computed once and scaled by dt/dx for each solve, so an accepted
-step fits two drifts for its three solves. It estimates the error as
-err = max(|q_c - q_f|, |r_c - r_f|). If err <= tol = STEP_TOL * dx^2
-it accepts the Richardson value 2 fine - coarse, which is second order
-in time, splitting included, and has unit mass to rounding; where that
-value has a negative cell it accepts fine, an M-matrix result, so
-every accepted density is nonnegative without clipping. If err > tol
-it retries a shorter step. The next trial step is
-dt * min(4, max(0.2, 0.9 sqrt(tol / err))); a step shortened to land
-on a record time does not shrink it. The first trial is ``auto_dt``,
-COURANT cells per step at the fastest drift. No stability bound
-applies, and tol shrinks with dx, so time and space errors fall
-together under refinement.
+times: one backward-Euler step each. "auto" controls the error of each
+step instead, and its main step is a linearly implicit variable-step
+BDF2 step (``_bdf2_step``; Ascher, Ruuth & Wetton 1995). From the last
+two accepted states, with the step ratio w = h / h_prev and
+c0 = (1+2w)/(1+w), it takes one solve,
+(I + (h/c0) A(q*, r*)) P_new = ((1+w) P_n - w^2/(1+w) P_{n-1}) / c0,
+with (q*, r*) extrapolated linearly from the last two accepted (q, r).
+It is L-stable, and I + (h/c0) A is the same M-matrix as a
+backward-Euler step's; the right side has unit mass, so P_new has it to
+rounding. Milne's device estimates the local error in (q, r) from the
+gap between P_new's moments and the quadratic through the last three
+accepted (t, q, r). Where P_new has a negative cell, one backward-Euler
+step of h replaces it, so every accepted density is nonnegative without
+clipping. The first two steps have no history: each is one
+backward-Euler step of dt (coarse) and two of dt/2 (fine), sharing one
+flux operator, accepted as the Richardson value 2 fine - coarse (or
+fine, where that value has a negative cell) when
+max(|q_c - q_f|, |r_c - r_f|) <= STEP_TOL * dx^2. A step whose error
+exceeds its tolerance (BDF2_TOL * dx^2 for BDF2) is retried shorter.
+The next trial BDF2 step is h * min(2, max(0.2, 0.9 (tol / err)^(1/3))),
+and at most twice the last accepted step, below BDF2's zero-stability
+bound 1 + sqrt(2); the record times are landed on in one or two equal
+steps, and a step so shortened does not shrink the next one. The first
+trial is ``auto_dt``, COURANT cells per step at the fastest drift. No
+stability bound applies, and the tolerances shrink with dx, so time and
+space errors fall together under refinement.
 """
 from __future__ import annotations
 
@@ -82,7 +91,8 @@ from .priors import Prior
 
 MASS_TOL = 1e-8
 COURANT = 1.0
-STEP_TOL = 0.04  # "auto" step: error allowed per step in (q, r), in units of dx^2
+STEP_TOL = 0.04  # "auto" start-up step: error allowed per step in (q, r), in units of dx^2
+BDF2_TOL = 0.0003  # "auto" BDF2 step: local error allowed in (q, r), in units of dx^2
 _LEAST_DOUBLE = math.ulp(0.0)  # 5e-324
 
 
@@ -333,9 +343,12 @@ class PdeSolution:
     accepted steps. ``dt_min`` and ``dt_max`` span them (0 when none
     was), the shortened steps that land on record times included. Under
     "auto", ``n_rejected`` counts the trial steps that missed the
-    tolerance and ``n_first_order`` the accepted steps that kept the
-    half-step result because the extrapolation went negative.
-    ``mass_error`` is the final max |mass - 1| over the atoms.
+    tolerance and ``n_first_order`` the accepted steps that fell back
+    to a first-order result because the second-order one went negative:
+    a start-up step's half steps, or a backward-Euler step in place of
+    a BDF2 step. ``n_solves`` counts every tridiagonal solve, rejected
+    trials and fallbacks included. ``mass_error`` is the final
+    max |mass - 1| over the atoms.
     """
 
     times: np.ndarray
@@ -347,6 +360,7 @@ class PdeSolution:
     n_steps: int
     n_rejected: int
     n_first_order: int
+    n_solves: int
     dt_min: float
     dt_max: float
     mass_error: float
@@ -354,14 +368,16 @@ class PdeSolution:
 
 def _extrapolated_step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float,
                        tol: float) -> tuple[ConditionalDensitySet | None, float, bool]:
-    """One error-controlled "auto" step of length dt from ``state``.
+    """One error-controlled start-up step of length dt from ``state``.
 
-    Takes one backward-Euler step of dt (coarse) and two of dt/2 (fine)
-    and estimates the error as max(|q_c - q_f|, |r_c - r_f|). Returns
-    (None, err, False) when err > tol. Otherwise returns the Richardson
-    value 2 fine - coarse, second order in time, frozen-(q, r) splitting
-    included; where it has a negative cell, it returns fine instead,
-    flagged True. Both have unit mass to rounding.
+    "auto" takes it for the first two steps of a run, which have no
+    history for ``_bdf2_step``. It takes one backward-Euler step of dt
+    (coarse) and two of dt/2 (fine), three solves, and estimates the
+    error as max(|q_c - q_f|, |r_c - r_f|). Returns (None, err, False)
+    when err > tol. Otherwise returns the Richardson value 2 fine -
+    coarse, second order in time, frozen-(q, r) splitting included;
+    where it has a negative cell, it returns fine instead, flagged True.
+    Both have unit mass to rounding.
     """
     operator = _flux_operator(state, dynamics)
     coarse = step(state, dynamics, dt, operator)
@@ -381,6 +397,54 @@ def _extrapolated_step(state: ConditionalDensitySet, dynamics: Dynamics, dt: flo
     return fine, err, first_order
 
 
+def _bdf2_step(older: ConditionalDensitySet, old: ConditionalDensitySet,
+               state: ConditionalDensitySet, dynamics: Dynamics, h: float,
+               tol: float) -> tuple[ConditionalDensitySet | None, float, bool]:
+    """One error-controlled variable-step BDF2 step of length h from ``state``.
+
+    ``older``, ``old`` and ``state`` are the last three accepted states.
+    With the step ratio w = h / (state.t - old.t) and c0 = (1+2w)/(1+w),
+    it takes one solve,
+
+        (I + (h/c0) A(q*, r*)) P_new = ((1+w) P - w^2/(1+w) P_old) / c0,
+
+    with (q*, r*) extrapolated linearly from ``old`` and ``state``. The
+    right side has unit mass, so P_new has it to rounding. Milne's
+    device estimates the local error in (q, r) from the gap to the
+    quadratic through the three states' (t, q, r); it returns
+    (None, err, False) when err > tol. Where P_new has a negative cell,
+    one backward-Euler step of h from ``state`` replaces it, flagged True.
+    """
+    h_old, h_older = state.t - old.t, old.t - older.t
+    w = h / h_old
+    c0 = (1.0 + 2.0 * w) / (1.0 + w)
+    rhs = ((1.0 + w) / c0) * state.densities
+    rhs -= (w * w / ((1.0 + w) * c0)) * old.densities
+    guess = ConditionalDensitySet(state.atoms, state.weights, rhs, state.grid, state.t,
+                                  state.q + w * (state.q - old.q),
+                                  state.r + w * (state.r - old.r))
+    new = step(guess, dynamics, h / c0)
+    new.t = state.t + h
+    # with y''' the third derivative of q or r, the quadratic through the
+    # three states misses y(t_new) by y'''/6 h (h + h_old) (h + h_old + h_older)
+    # and the BDF2 value by y'''/6 h (h + h_old) h/c0, with opposite signs
+    predicted = []
+    for y2, y1, y0 in ((older.q, old.q, state.q), (older.r, old.r, state.r)):
+        slope = (y0 - y1) / h_old
+        curvature = (slope - (y1 - y2) / h_older) / (h_old + h_older)
+        predicted.append(y0 + h * (slope + (h + h_old) * curvature))
+    share = (h / c0) / (h / c0 + h + h_old + h_older)
+    err = share * max(abs(new.q - predicted[0]), abs(new.r - predicted[1]))
+    if math.isnan(err):
+        raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
+    if err > tol:
+        return None, err, False
+    first_order = bool(new.densities.min() < 0.0)
+    if first_order:
+        new = step(state, dynamics, h)
+    return new, err, first_order
+
+
 def solve(
     dynamics: Dynamics,
     start: ConditionalDensitySet,
@@ -396,9 +460,10 @@ def solve(
     ``dynamics.beta``. The record times must be finite and >= 0; one
     before ``start.t`` records the state as it is then. A numeric ``dt`` is used
     as an upper bound (shortened to land exactly on record times).
-    "auto" takes error-controlled extrapolated steps
-    (``_extrapolated_step``) at the tolerance STEP_TOL * dx^2, starting
-    from ``auto_dt``.
+    "auto" takes error-controlled BDF2 steps (``_bdf2_step``) at the
+    tolerance BDF2_TOL * dx^2, after two start-up steps
+    (``_extrapolated_step``) at STEP_TOL * dx^2, the first of
+    ``auto_dt``.
     """
     if dt != "auto" and (isinstance(dt, str) or not dt > 0):
         raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
@@ -417,20 +482,37 @@ def solve(
 
     adaptive = dt == "auto"
     if adaptive:
-        tol = STEP_TOL * state.grid.dx ** 2
+        start_tol, bdf2_tol = STEP_TOL * state.grid.dx ** 2, BDF2_TOL * state.grid.dx ** 2
     dt_trial = auto_dt(state, dynamics) if adaptive else float(dt)
     q_values, r_values = np.empty(record_times.size), np.empty(record_times.size)
     densities = np.empty((record_times.size, *state.densities.shape))
-    n_steps = n_rejected = n_first_order = 0
+    n_steps = n_rejected = n_first_order = n_solves = 0
     dt_min, dt_max = math.inf, 0.0
+    recent = [state]  # the last three accepted states, the newest last
     for i, t_next in enumerate(record_times):
         while state.t < t_next - 1e-12:
-            h = min(dt_trial, float(t_next) - state.t)
+            remaining = float(t_next) - state.t
             if not adaptive:
+                h = min(dt_trial, remaining)
                 state = step(state, dynamics, h)
+                n_solves += 1
             else:
-                new, err, first_order = _extrapolated_step(state, dynamics, h, tol)
-                growth = min(4.0, max(0.2, 0.9 * math.sqrt(tol / err))) if err > 0.0 else 4.0
+                bdf2 = len(recent) == 3
+                # BDF2 is zero-stable for step ratios below 1 + sqrt(2)
+                h_max = min(dt_trial, 2.0 * (state.t - recent[1].t)) if bdf2 else dt_trial
+                # land on the record time in one or two equal steps
+                h = (remaining if remaining <= h_max
+                     else 0.5 * remaining if remaining < 2.0 * h_max else h_max)
+                if bdf2:
+                    tol = bdf2_tol
+                    new, err, first_order = _bdf2_step(*recent, dynamics, h, tol)
+                    n_solves += 1 + first_order
+                    growth = min(2.0, max(0.2, 0.9 * (tol / err) ** (1 / 3))) if err > 0.0 else 2.0
+                else:
+                    tol = start_tol
+                    new, err, first_order = _extrapolated_step(state, dynamics, h, tol)
+                    n_solves += 3
+                    growth = min(4.0, max(0.2, 0.9 * math.sqrt(tol / err))) if err > 0.0 else 4.0
                 if new is None:
                     n_rejected += 1
                     if h < 1e-12:
@@ -442,6 +524,7 @@ def solve(
                 dt_trial = max(dt_trial, h * growth) if h < dt_trial else h * growth
                 n_first_order += first_order
                 state = new
+                recent = [*recent[-2:], state]
             n_steps += 1
             dt_min = min(dt_min, h)
             dt_max = max(dt_max, h)
@@ -450,6 +533,6 @@ def solve(
 
     masses = state.densities.sum(axis=1) * state.grid.dx
     return PdeSolution(record_times, q_values, r_values, densities, start.grid,
-                       start.atoms.copy(), n_steps, n_rejected, n_first_order,
+                       start.atoms.copy(), n_steps, n_rejected, n_first_order, n_solves,
                        dt_min=dt_min if n_steps else 0.0, dt_max=dt_max,
                        mass_error=float(np.max(np.abs(masses - 1.0))))

@@ -403,8 +403,8 @@ class TestPdeCommand:
     ], ids=["reference", "wall-state"])
     def test_manifest_health(self, tmp_path, config, healthy):
         # the default model at the reference grid keeps E[x^2] = 1 and its
-        # tails empty; at omega = 0.15 it runs into the grid's wall, and
-        # the run still succeeds, reporting it
+        # tails empty; at omega = 0.15 it runs into the grid's wall, with
+        # a stationary h well below 0, and the run still succeeds, reporting it
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         code, out = run(tmp_path, "pde", "--config", str(path))
@@ -413,9 +413,11 @@ class TestPdeCommand:
         if healthy:
             assert diagnostics["norm_error"] < 1e-3
             assert diagnostics["edge_mass"] < 1e-6
+            assert diagnostics["min_h"] > -0.1
         else:
             assert diagnostics["norm_error"] > 1.0
             assert diagnostics["edge_mass"] > 0.1
+            assert diagnostics["min_h"] < -0.5
 
     def test_manifest_step_counts(self, tmp_path):
         path = write_config(tmp_path)
@@ -428,9 +430,12 @@ class TestPdeCommand:
         start = pde.initial_density(cfg["simulation"]["x0_mean"], cfg["simulation"]["x0_var"],
                                     cfgmod.build_grid(cfg, prior), prior, model.beta)
         solution = pde.solve(model, start, cfg["pde"]["record_times"], dt="auto")
-        for key in ("n_steps", "n_rejected", "n_first_order"):
+        for key in ("n_steps", "n_rejected", "n_first_order", "n_solves"):
             assert diagnostics[key] == getattr(solution, key)
         assert 0 <= diagnostics["n_first_order"] <= diagnostics["n_steps"]
+        # at least one solve per step, and at most three per trial step and fallback
+        assert diagnostics["n_steps"] <= diagnostics["n_solves"] <= 3 * (
+            diagnostics["n_steps"] + diagnostics["n_rejected"] + diagnostics["n_first_order"])
 
     @pytest.mark.parametrize("lists", [
         {},
