@@ -168,7 +168,7 @@ def cmd_simulate(cfg: dict, outdir: Path, fmt: str, threads: int) -> tuple[list[
         x0_spec=(float(sim["x0_mean"]), float(sim["x0_var"])),
         histogram_times=histogram_times,
         bin_edges=cfgmod.resolve_bin_edges(cfg),
-        theta=cfgmod.resolve_theta(cfg),
+        theta=sim["theta"],
         n_workers=threads,
     )
     solved = time.perf_counter()

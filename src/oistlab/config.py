@@ -55,7 +55,7 @@ from .errors import ConfigError
 from .nonlinearity import Dynamics
 from .pde import Grid
 from .priors import Prior, discretize_prior
-from .simulate import default_bin_edges, default_theta
+from .simulate import default_bin_edges
 
 DEFAULT_CONFIG = {
     "model": {
@@ -345,13 +345,6 @@ def resolve_bin_edges(cfg: dict) -> np.ndarray:
         lo, hi = (float(v) for v in s["histogram_range"])
         return np.linspace(lo, hi, n_bins + 1)
     return default_bin_edges(build_prior(cfg).rho, n_bins)
-
-
-def resolve_theta(cfg: dict) -> float:
-    s = cfg["simulation"]
-    if s["theta"] is not None:
-        return float(s["theta"])
-    return default_theta(build_prior(cfg).rho)
 
 
 def initial_overlap(cfg: dict) -> float:

@@ -48,9 +48,9 @@ into one tridiagonal solve (LAPACK dgtsv).
 
 Step size: a numeric dt is taken as given, capped to land on record
 times: one backward-Euler step each. "auto" controls the error of each
-step instead, and its main step is a linearly implicit variable-step
-BDF2 step (``_bdf2_step``; Ascher, Ruuth & Wetton 1995). From the last
-two accepted states, with the step ratio w = h / h_prev and
+step instead, and every step is a linearly implicit variable-step BDF2
+step (``_bdf2_step``; Ascher, Ruuth & Wetton 1995). From the last two
+accepted states, with the step ratio w = h / h_prev and
 c0 = (1+2w)/(1+w), it takes one solve,
 (I + (h/c0) A(q*, r*)) P_new = ((1+w) P_n - w^2/(1+w) P_{n-1}) / c0,
 with (q*, r*) extrapolated linearly from the last two accepted (q, r).
@@ -60,19 +60,19 @@ rounding. Milne's device estimates the local error in (q, r) from the
 gap between P_new's moments and the quadratic through the last three
 accepted (t, q, r). Where P_new has a negative cell, one backward-Euler
 step of h replaces it, so every accepted density is nonnegative without
-clipping. The first two steps have no history: each is one
-backward-Euler step of dt (coarse) and two of dt/2 (fine), sharing one
-flux operator, accepted as the Richardson value 2 fine - coarse (or
-fine, where that value has a negative cell) when
-max(|q_c - q_f|, |r_c - r_f|) <= STEP_TOL * dx^2. A step whose error
-exceeds its tolerance (BDF2_TOL * dx^2 for BDF2) is retried shorter.
-The next trial BDF2 step is h * min(2, max(0.2, 0.9 (tol / err)^(1/3))),
-and at most twice the last accepted step, below BDF2's zero-stability
-bound 1 + sqrt(2); the record times are landed on in one or two equal
-steps, and a step so shortened does not shrink the next one. The first
-trial is ``auto_dt``, COURANT cells per step at the fastest drift. No
-stability bound applies, and the tolerances shrink with dx, so time and
-space errors fall together under refinement.
+clipping. A run starts from a history at rest, the start held still
+over two steps of the first trial ``auto_dt`` (COURANT cells per step
+at the fastest drift): the first solve is then a backward-Euler solve,
+and its error estimate is a share of the whole change of (q, r) over
+the step, which takes the first steps short (Shampine & Reichelt 1997
+start BDF codes the same way). A step whose error exceeds
+BDF2_TOL * dx^2 is retried shorter. The next trial step is
+h * min(2, max(0.2, 0.9 (tol / err)^(1/3))), and at most twice the last
+accepted step, below BDF2's zero-stability bound 1 + sqrt(2), which
+ramps the short first steps up; the record times are landed on in one
+or two equal steps, and a step so shortened does not shrink the next
+one. No stability bound applies, and the tolerance shrinks with dx, so
+time and space errors fall together under refinement.
 """
 from __future__ import annotations
 
@@ -91,7 +91,6 @@ from .priors import Prior
 
 MASS_TOL = 1e-8
 COURANT = 1.0
-STEP_TOL = 0.04  # "auto" start-up step: error allowed per step in (q, r), in units of dx^2
 BDF2_TOL = 0.0003  # "auto" BDF2 step: local error allowed in (q, r), in units of dx^2
 _LEAST_DOUBLE = math.ulp(0.0)  # 5e-324
 
@@ -278,8 +277,8 @@ def _fitted_diffusion(v: np.ndarray, diffusion: float, dx: float) -> np.ndarray:
 
 
 def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> np.ndarray:
-    """The flux operator A of ``state``'s drift before scaling by dt/dx, shared
-    by every step from ``state``: its fitted weights, of shape (2, cells).
+    """The flux operator A of ``state``'s drift before scaling by dt/dx: its
+    fitted weights, of shape (2, cells).
 
     With the flux J = w+ P_i - w- P_{i+1} through the interface right of
     cell i, row 0 holds w+ and row 1 holds w- per cell, flat over the
@@ -300,27 +299,23 @@ def _flux_operator(state: ConditionalDensitySet, dynamics: Dynamics) -> np.ndarr
     return weights.reshape(2, -1)
 
 
-def step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float | None = None,
-         operator: np.ndarray | None = None) -> ConditionalDensitySet:
+def step(state: ConditionalDensitySet, dynamics: Dynamics,
+         dt: float | None = None) -> ConditionalDensitySet:
     """Advance all conditional densities by one backward-Euler step.
 
     (q, r) stay frozen at their start-of-step values while the step is
     solved and are recomputed from the new densities before returning.
-    A ``dt`` of None is ``auto_dt``. ``operator`` is
-    ``_flux_operator(state, dynamics)``, when the caller has it.
-    ``state`` is left as it was.
+    A ``dt`` of None is ``auto_dt``. ``state`` is left as it was.
     """
     if dt is None:
         dt = auto_dt(state, dynamics)
-    if operator is None:
-        operator = _flux_operator(state, dynamics)
     # (I + dt A) P_new = P_old: row i is P_i + (dt/dx) (J_{i+1/2} - J_{i-1/2}),
     # so its sub- and super-diagonal hold -lam w+_{i-1} and -lam w-_i, and its
     # diagonal is (1 + lam w+_i) + lam w-_{i-1}. Rounding is symmetric, so
     # w (-lam) is -(w lam) exactly. The atoms' systems are chained into one;
     # the ends carry no flux, so the entries coupling one atom's block to the
     # next are zero (-0.0, which the solve treats as 0).
-    lower, upper = operator * (-dt / state.grid.dx)
+    lower, upper = _flux_operator(state, dynamics) * (-dt / state.grid.dx)
     diag = np.subtract(1.0, lower)
     diag[1:] -= upper[:-1]
     p = state.densities
@@ -344,11 +339,11 @@ class PdeSolution:
     was), the shortened steps that land on record times included. Under
     "auto", ``n_rejected`` counts the trial steps that missed the
     tolerance and ``n_first_order`` the accepted steps that fell back
-    to a first-order result because the second-order one went negative:
-    a start-up step's half steps, or a backward-Euler step in place of
-    a BDF2 step. ``n_solves`` counts every tridiagonal solve, rejected
-    trials and fallbacks included. ``mass_error`` is the final
-    max |mass - 1| over the atoms.
+    to a first-order result: a backward-Euler step in place of a BDF2
+    step that went negative. ``dt_min`` includes the short first steps
+    of "auto", which start from a history at rest. ``n_solves`` counts
+    every tridiagonal solve, rejected trials and fallbacks included.
+    ``mass_error`` is the final max |mass - 1| over the atoms.
     """
 
     times: np.ndarray
@@ -366,43 +361,15 @@ class PdeSolution:
     mass_error: float
 
 
-def _extrapolated_step(state: ConditionalDensitySet, dynamics: Dynamics, dt: float,
-                       tol: float) -> tuple[ConditionalDensitySet | None, float, bool]:
-    """One error-controlled start-up step of length dt from ``state``.
-
-    "auto" takes it for the first two steps of a run, which have no
-    history for ``_bdf2_step``. It takes one backward-Euler step of dt
-    (coarse) and two of dt/2 (fine), three solves, and estimates the
-    error as max(|q_c - q_f|, |r_c - r_f|). Returns (None, err, False)
-    when err > tol. Otherwise returns the Richardson value 2 fine -
-    coarse, second order in time, frozen-(q, r) splitting included;
-    where it has a negative cell, it returns fine instead, flagged True.
-    Both have unit mass to rounding.
-    """
-    operator = _flux_operator(state, dynamics)
-    coarse = step(state, dynamics, dt, operator)
-    fine = step(step(state, dynamics, 0.5 * dt, operator), dynamics, 0.5 * dt)
-    err = max(abs(coarse.q - fine.q), abs(coarse.r - fine.r))
-    if math.isnan(err):
-        raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
-    if err > tol:
-        return None, err, False
-    densities = 2.0 * fine.densities
-    densities -= coarse.densities
-    first_order = bool(densities.min() < 0.0)
-    fine.t = coarse.t  # fine is this step's own: it becomes the accepted state
-    if not first_order:
-        fine.densities = densities
-        fine.q, fine.r = moments(fine, dynamics.beta)
-    return fine, err, first_order
-
-
 def _bdf2_step(older: ConditionalDensitySet, old: ConditionalDensitySet,
                state: ConditionalDensitySet, dynamics: Dynamics, h: float,
                tol: float) -> tuple[ConditionalDensitySet | None, float, bool]:
     """One error-controlled variable-step BDF2 step of length h from ``state``.
 
-    ``older``, ``old`` and ``state`` are the last three accepted states.
+    ``older``, ``old`` and ``state`` are the last three accepted states,
+    or at a run's start the start itself at three times: a history at
+    rest, from which the step is a backward-Euler solve of h/c0 and the
+    error estimate is a share of the whole change of (q, r).
     With the step ratio w = h / (state.t - old.t) and c0 = (1+2w)/(1+w),
     it takes one solve,
 
@@ -461,9 +428,9 @@ def solve(
     before ``start.t`` records the state as it is then. A numeric ``dt`` is used
     as an upper bound (shortened to land exactly on record times).
     "auto" takes error-controlled BDF2 steps (``_bdf2_step``) at the
-    tolerance BDF2_TOL * dx^2, after two start-up steps
-    (``_extrapolated_step``) at STEP_TOL * dx^2, the first of
-    ``auto_dt``.
+    tolerance BDF2_TOL * dx^2, from the start held still at
+    ``start.t`` - 2 dt0 and ``start.t`` - dt0, with dt0 = ``auto_dt``
+    the first trial step.
     """
     if dt != "auto" and (isinstance(dt, str) or not dt > 0):
         raise ConfigError(f"dt must be a positive number or 'auto', got {dt!r}")
@@ -481,14 +448,16 @@ def solve(
     state.q, state.r = moments(state, dynamics.beta)
 
     adaptive = dt == "auto"
-    if adaptive:
-        start_tol, bdf2_tol = STEP_TOL * state.grid.dx ** 2, BDF2_TOL * state.grid.dx ** 2
     dt_trial = auto_dt(state, dynamics) if adaptive else float(dt)
+    tol = BDF2_TOL * state.grid.dx ** 2
     q_values, r_values = np.empty(record_times.size), np.empty(record_times.size)
     densities = np.empty((record_times.size, *state.densities.shape))
     n_steps = n_rejected = n_first_order = n_solves = 0
     dt_min, dt_max = math.inf, 0.0
-    recent = [state]  # the last three accepted states, the newest last
+    # the last three accepted states, the newest last: first the start held
+    # still over two steps of the first trial, a history at rest
+    recent = [replace(state, t=state.t - 2.0 * dt_trial), replace(state, t=state.t - dt_trial),
+              state]
     for i, t_next in enumerate(record_times):
         while state.t < t_next - 1e-12:
             remaining = float(t_next) - state.t
@@ -497,22 +466,14 @@ def solve(
                 state = step(state, dynamics, h)
                 n_solves += 1
             else:
-                bdf2 = len(recent) == 3
                 # BDF2 is zero-stable for step ratios below 1 + sqrt(2)
-                h_max = min(dt_trial, 2.0 * (state.t - recent[1].t)) if bdf2 else dt_trial
+                h_max = min(dt_trial, 2.0 * (state.t - recent[1].t))
                 # land on the record time in one or two equal steps
                 h = (remaining if remaining <= h_max
                      else 0.5 * remaining if remaining < 2.0 * h_max else h_max)
-                if bdf2:
-                    tol = bdf2_tol
-                    new, err, first_order = _bdf2_step(*recent, dynamics, h, tol)
-                    n_solves += 1 + first_order
-                    growth = min(2.0, max(0.2, 0.9 * (tol / err) ** (1 / 3))) if err > 0.0 else 2.0
-                else:
-                    tol = start_tol
-                    new, err, first_order = _extrapolated_step(state, dynamics, h, tol)
-                    n_solves += 3
-                    growth = min(4.0, max(0.2, 0.9 * math.sqrt(tol / err))) if err > 0.0 else 4.0
+                new, err, first_order = _bdf2_step(*recent, dynamics, h, tol)
+                n_solves += 1 + first_order
+                growth = min(2.0, max(0.2, 0.9 * (tol / err) ** (1 / 3))) if err > 0.0 else 2.0
                 if new is None:
                     n_rejected += 1
                     if h < 1e-12:

@@ -433,8 +433,8 @@ class TestPdeCommand:
         for key in ("n_steps", "n_rejected", "n_first_order", "n_solves"):
             assert diagnostics[key] == getattr(solution, key)
         assert 0 <= diagnostics["n_first_order"] <= diagnostics["n_steps"]
-        # at least one solve per step, and at most three per trial step and fallback
-        assert diagnostics["n_steps"] <= diagnostics["n_solves"] <= 3 * (
+        # one solve per trial step, accepted or rejected, and one per fallback
+        assert diagnostics["n_solves"] == (
             diagnostics["n_steps"] + diagnostics["n_rejected"] + diagnostics["n_first_order"])
 
     @pytest.mark.parametrize("lists", [

@@ -7,11 +7,11 @@ from oistlab.config import (
     DEFAULT_CONFIG,
     build_discrete_prior,
     build_grid,
+    build_prior,
     grid_times,
     initial_overlap,
     load_config,
     resolve_bin_edges,
-    resolve_theta,
     resolve_times,
     validate_config,
 )
@@ -47,7 +47,6 @@ def test_resolved_defaults():
     assert edges[0] == -2.0
     assert edges[-1] == pytest.approx(2.0 + 1.0 / math.sqrt(0.05))
     assert len(edges) == 102
-    assert resolve_theta(cfg) == pytest.approx(0.5 / math.sqrt(0.05))
 
 
 def test_grid_extends_for_wide_atoms():
@@ -139,7 +138,8 @@ def test_discrete_prior_sets_threshold_and_bins():
     cfg["model"]["prior"] = "discrete"
     cfg["model"]["atoms"] = [[0.0, 0.5], [math.sqrt(2.0), 0.5]]
     validate_config(cfg)
-    assert resolve_theta(cfg) == 1.0 / (2.0 * math.sqrt(0.5))
+    # `run_trajectory` reads its default threshold from this rho
+    assert build_prior(cfg).rho == 0.5
     assert resolve_bin_edges(cfg)[-1] == pytest.approx(2.0 + 1.0 / math.sqrt(0.5))
 
 

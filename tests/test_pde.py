@@ -459,14 +459,26 @@ class TestAutoStep:
 
     @pytest.mark.parametrize("variance", [1e-2, 1e-3])
     def test_narrow_start_stays_second_order(self, variance):
-        # only the two start-up steps may keep their half-step results; the
-        # three-solve steps kept them at 42 of the first 44 steps here
+        # a narrow start's empty tails are where a second-order result would
+        # go negative and fall back to first order
         start = initial_density(0.7, variance, REFERENCE_GRID, PRIOR, SOFT)
         sol = solve(MODEL, start, [0.0, 0.1, 0.5, 1.0])
-        assert sol.n_first_order <= 3
+        assert sol.n_first_order == 0
         assert np.all(sol.densities >= 0.0)
         masses = sol.densities.sum(axis=2) * REFERENCE_GRID.dx
         assert np.max(np.abs(masses - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("variance", [1e-2, 1e-3])
+    def test_narrow_start_is_accurate(self, variance):
+        # a narrow start moves fastest in the first steps, which start from a
+        # history at rest: against the Richardson value of two fixed-dt runs
+        times = [0.05, 0.1, 0.5, 1.0]
+        start = initial_density(0.7, variance, REFERENCE_GRID, PRIOR, SOFT)
+        auto = solve(MODEL, start, times)
+        coarse = solve(MODEL, start, times, dt=0.001)
+        fine = solve(MODEL, start, times, dt=0.00025)
+        q_ref = (4.0 * fine.q_values - coarse.q_values) / 3.0
+        assert np.max(np.abs(auto.q_values - q_ref)) <= 1e-5
 
     @pytest.mark.parametrize("omega, t_end", [(0.3, 400.0), (1.0, 200.0)])
     def test_long_run_reaches_the_grid_stationary_state(self, omega, t_end):
@@ -478,26 +490,27 @@ class TestAutoStep:
         fixed = solve(model, start, [t_end], dt=0.05)
         assert abs(auto.q_values[-1] - fixed.q_values[-1]) <= 1e-8
 
-    def test_negative_extrapolation_falls_back_to_half_steps(self):
-        # a narrow start: the coarse step spreads mass further into the
-        # empty tails than the two half steps, so 2 fine - coarse < 0 there
-        cfg = MODEL
-        start = initial_density(0.7, 1e-3, REFERENCE_GRID, PRIOR, SOFT)
-        dt = auto_dt(start, cfg)
-        half = step(start, cfg, dt=0.5 * dt)
-        fine = step(half, cfg, dt=0.5 * dt)
-        coarse = step(start, cfg, dt=dt)
-        assert np.min(2.0 * fine.densities - coarse.densities) < 0.0
-        sol = solve(cfg, start, [dt])
-        assert sol.n_steps == 1 and sol.n_first_order == 1
-        assert np.array_equal(sol.densities[0], fine.densities)
-        assert sol.q_values[0] == fine.q and sol.r_values[0] == fine.r
+    def test_negative_bdf2_step_falls_back_to_backward_euler(self):
+        # a contracting history: the BDF2 right side subtracts the wider old
+        # density from the narrow current one, which leaves its tails negative
+        older, old, state = contracting_history()
+        new, _, first_order = pdemod._bdf2_step(older, old, state, MODEL, 0.01, math.inf)
+        euler = step(state, MODEL, 0.01)
+        assert first_order
+        assert new.densities.tobytes() == euler.densities.tobytes()
+        assert (new.t, new.q, new.r) == (euler.t, euler.q, euler.r)
 
+
+def contracting_history():
+    """Three states of widening variance back in time, the newest last."""
+    return [replace(initial_density(0.7, variance, REFERENCE_GRID, PRIOR, SOFT), t=t)
+            for variance, t in ((1e-1, -0.02), (1e-2, -0.01), (1e-3, 0.0))]
 
 
 # The kernel before the shared flux operator and the lighter moments, kept
-# verbatim (but for `auto_dt`, which no longer takes the drift) as the oracle
-# that `solve` must reproduce bit for bit.
+# verbatim (but for `auto_dt`, which no longer takes the drift, and the drift,
+# which no caller passes in any more) as the oracle that `solve` must
+# reproduce bit for bit.
 def oracle_moments(state, beta):
     dx = state.grid.dx
     masses = state.densities.sum(axis=1) * dx
@@ -511,9 +524,8 @@ def oracle_moments(state, beta):
     return q, r
 
 
-def oracle_step(state, cfg, dt=None, gamma=None):
-    if gamma is None:
-        gamma = pdemod._interface_drift(state, cfg)
+def oracle_step(state, cfg, dt=None):
+    gamma = pdemod._interface_drift(state, cfg)
     if dt is None:
         dt = pdemod.auto_dt(state, cfg)
     dx = state.grid.dx
@@ -548,23 +560,6 @@ def oracle_step(state, cfg, dt=None, gamma=None):
     return new_state
 
 
-def oracle_extrapolated_step(state, cfg, dt, tol):
-    gamma = pdemod._interface_drift(state, cfg)
-    coarse = oracle_step(state, cfg, dt, gamma)
-    fine = oracle_step(oracle_step(state, cfg, 0.5 * dt, gamma), cfg, 0.5 * dt)
-    err = max(abs(coarse.q - fine.q), abs(coarse.r - fine.r))
-    if math.isnan(err):
-        raise NumericError(f"auto step: (q, r) is not a number after t = {state.t}")
-    if err > tol:
-        return None, err, False
-    densities = 2.0 * fine.densities - coarse.densities
-    first_order = bool(densities.min() < 0.0)
-    accepted = replace(fine, densities=fine.densities if first_order else densities, t=coarse.t)
-    if not first_order:
-        accepted.q, accepted.r = oracle_moments(accepted, cfg.beta)
-    return accepted, err, first_order
-
-
 def narrow_start(grid):
     return initial_density(0.7, 1e-3, grid, PRIOR, SOFT)
 
@@ -581,7 +576,7 @@ def bernoulli_gaussian_start(grid):
 
 class TestKernelOracle:
     @pytest.mark.parametrize("cfg, dt, grid, times, start", [
-        (MODEL, "auto", REFERENCE_GRID, np.arange(0.0, 2.5, 0.5), None),
+        (MODEL, "auto", REFERENCE_GRID, np.arange(0.0, 6.5, 0.5), None),
         (MODEL, 0.03, REFERENCE_GRID, [0.0, 0.25, 0.5, 1.0], None),
         (Dynamics(tau=0.5, omega=1.0, beta=0.0), "auto", REFERENCE_GRID, [1.0, 2.0], None),
         (MODEL, "auto", make_grid(n=200, lo=-8.0), [0.25, 0.5], bernoulli_gaussian_start),
@@ -595,10 +590,10 @@ class TestKernelOracle:
         with monkeypatch.context() as patch:
             patch.setattr(pdemod, "moments", oracle_moments)
             patch.setattr(pdemod, "step", oracle_step)
-            patch.setattr(pdemod, "_extrapolated_step", oracle_extrapolated_step)
             want = solve(cfg, initial(), times, dt)
         assert len(got.atoms) == (21 if start is bernoulli_gaussian_start else 2)
-        if start is narrow_start:
+        if times[-1] > 5.0:
+            # the reference run's BDF2 step between t = 5 and 6 falls back to backward Euler
             assert got.n_first_order > 0
         for key in ("n_steps", "n_rejected", "n_first_order", "dt_min", "dt_max", "mass_error"):
             assert getattr(got, key) == getattr(want, key), key
@@ -609,12 +604,12 @@ class TestKernelOracle:
         assert got.grid == want.grid
 
 
-def later_start(grid):
-    # past the first steps, which keep their half-step results
-    start = gaussian_start(grid)
-    sol = solve(MODEL, start, [0.5])
-    return replace(start, densities=sol.densities[-1], t=0.5, q=sol.q_values[-1],
-                   r=sol.r_values[-1])
+def later_history():
+    # three states of a run past its first steps, the newest last
+    start = gaussian_start(REFERENCE_GRID)
+    sol = solve(MODEL, start, [0.4, 0.45, 0.5])
+    return [replace(start, densities=p, t=t, q=q, r=r)
+            for p, t, q, r in zip(sol.densities, sol.times, sol.q_values, sol.r_values)]
 
 
 class TestNoAliasing:
@@ -636,8 +631,8 @@ class TestNoAliasing:
     def test_result_shares_no_memory(self, start):
         initial = start(REFERENCE_GRID)
         before = initial.densities.tobytes()
-        sol = solve(MODEL, initial, [0.0, 0.1, 0.5, 1.0])
-        # the run records both extrapolated and kept half-step results
+        sol = solve(MODEL, initial, [0.0, 0.1, 0.5, 1.0, 15.0])
+        # the run records both BDF2 results and backward-Euler fallbacks
         assert 0 < sol.n_first_order < sol.n_steps
         arrays = [initial.densities, initial.atoms, initial.weights, sol.times, sol.q_values,
                   sol.r_values, sol.densities, sol.atoms]
@@ -646,31 +641,28 @@ class TestNoAliasing:
                 assert not np.shares_memory(mine, theirs)
         assert initial.densities.tobytes() == before
 
-    @pytest.mark.parametrize("start", [later_start, narrow_start],
-                             ids=["extrapolated", "half-steps"])
-    def test_step_leaves_its_input_unchanged(self, start):
+    @pytest.mark.parametrize("history", [later_history, contracting_history],
+                             ids=["extrapolated", "fallback"])
+    def test_step_leaves_its_input_unchanged(self, history):
         cfg = MODEL
-        state = start(REFERENCE_GRID)
-        before = (state.densities.tobytes(), state.t, state.q, state.r)
-        operator = pdemod._flux_operator(state, cfg)
-        weights = operator.tobytes()
+        older, old, state = history()
+        before = [(s.densities.tobytes(), s.t, s.q, s.r) for s in (older, old, state)]
         dt = auto_dt(state, cfg)
         new = step(state, cfg, dt)
-        step(state, cfg, 0.5 * dt, operator)
         # a step without dt is the step of auto_dt, bit for bit
         auto = step(state, cfg)
         assert ((auto.densities.tobytes(), auto.t, auto.q, auto.r)
                 == (new.densities.tobytes(), new.t, new.q, new.r))
-        accepted, _, first_order = pdemod._extrapolated_step(state, cfg, dt, math.inf)
-        assert first_order == (start is narrow_start)
+        accepted, _, first_order = pdemod._bdf2_step(older, old, state, cfg, 0.01, math.inf)
+        assert first_order == (history is contracting_history)
         kept = accepted.densities.tobytes()
-        again, _, _ = pdemod._extrapolated_step(state, cfg, 0.5 * dt, math.inf)
-        rejected, _, _ = pdemod._extrapolated_step(state, cfg, dt, 0.0)
+        again, _, _ = pdemod._bdf2_step(older, old, state, cfg, 0.005, math.inf)
+        rejected, _, _ = pdemod._bdf2_step(older, old, state, cfg, 0.01, 0.0)
         assert rejected is None
-        assert (state.densities.tobytes(), state.t, state.q, state.r) == before
-        assert operator.tobytes() == weights
+        assert [(s.densities.tobytes(), s.t, s.q, s.r) for s in (older, old, state)] == before
         assert accepted.densities.tobytes() == kept
-        arrays = [state.densities, new.densities, accepted.densities, again.densities]
+        arrays = [older.densities, old.densities, state.densities, new.densities,
+                  accepted.densities, again.densities]
         for i, mine in enumerate(arrays):
             for theirs in arrays[i + 1:]:
                 assert not np.shares_memory(mine, theirs)
